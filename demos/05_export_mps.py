@@ -1,6 +1,6 @@
 """Export the co-design LP as a free-format MPS file for external solvers.
 
-The same model the embedded solver sees can be handed to any LP solver
+The same model that `solve` hands to HiGHS can be handed to any LP solver
 that reads MPS (HiGHS, CPLEX, Gurobi, CBC, ...). Coefficients are written
 with 17 significant digits, so reading the file back reproduces the model
 bit for bit — demonstrated below with a structural round-trip check.

@@ -1,5 +1,5 @@
 """Assembly of the co-design LP: power flows, storage dynamics, C-rate
-envelope, throughput accounting, and the total-cost-of-ownership objective.
+limit, throughput accounting, and the total-cost-of-ownership objective.
 
 Conventions: bus-side storage powers are decision variables (discharge
 ``P_ess_plus`` and charge ``P_ess_minus`` in MW at the DC bus), while grid
@@ -92,7 +92,6 @@ def register_variables(model: ModelInstance, data: ProblemData):
         for k in range(k_steps):
             model.add_var("P_ess_plus", name, k, lb=0.0, ub=ess.p_cap_max)
             model.add_var("P_ess_minus", name, k, lb=0.0, ub=ess.p_cap_max)
-            model.add_var("R_crate", name, k, lb=0.0, ub=ess.crate_max)
             model.add_var("q_aux", name, k, lb=0.0)
 
 
@@ -181,32 +180,30 @@ def add_ess_dynamics(model: ModelInstance, data: ProblemData):
 
 
 def add_crate_mccormick(model: ModelInstance, data: ProblemData):
-    """Per-step energy-swing variable q and its C-rate envelope.
+    """Per-step energy-swing variable q and its C-rate limit q <= R_cap * E_max.
 
-    q epigraphs the swing |E[k+1]-E[k]|; the product E_max * R that defines
-    the swing limit is replaced by its convex envelope over the box
-    [0, E_cap] x [0, R_cap].
+    q epigraphs the swing |E[k+1]-E[k]|. The swing limit is the bilinear
+    E_max * R with a rate R in [0, R_cap], relaxed to its McCormick envelope
+    over [0, E_cap] x [0, R_cap]. R appears in no other row, and eliminating
+    it from the envelope leaves q <= R_cap * E_max plus E_max <= E_cap, which
+    is E_max's column bound (apply_fixed_values keeps pins inside it). So
+    this one row is exact and no R column is built. At E_max = E_cap the
+    envelope is the product itself, q = E_max * R.
     """
     for name, ess in data.ess.items():
         if ess.e_cap_max <= 0 or ess.crate_max <= 0:
             raise BuildError(f"{name}: capacity and C-rate ceilings must be positive")
-        e_cap, r_cap = ess.e_cap_max, ess.crate_max
         e_max = model.var("E_max", name)
         for k in range(data.horizon.n_steps):
             q = model.var("q_aux", name, k)
-            r = model.var("R_crate", name, k)
             nxt = model.var("E_soe", name, k + 1)
             cur = model.var("E_soe", name, k)
             model.add_row([(q, 1.0), (nxt, -1.0), (cur, 1.0)], GE, 0.0,
                           f"q_epi_up.{name}.k{k}", "mccormick")
             model.add_row([(q, 1.0), (nxt, 1.0), (cur, -1.0)], GE, 0.0,
                           f"q_epi_dn.{name}.k{k}", "mccormick")
-            model.add_row([(q, 1.0), (r, -e_cap), (e_max, -r_cap)], GE,
-                          -e_cap * r_cap, f"q_mcc2.{name}.k{k}", "mccormick")
-            model.add_row([(q, 1.0), (r, -e_cap)], LE, 0.0,
-                          f"q_mcc3.{name}.k{k}", "mccormick")
-            model.add_row([(q, 1.0), (e_max, -r_cap)], LE, 0.0,
-                          f"q_mcc4.{name}.k{k}", "mccormick")
+            model.add_row([(q, 1.0), (e_max, -ess.crate_max)], LE, 0.0,
+                          f"q_crate.{name}.k{k}", "mccormick")
 
 
 def add_throughput(model: ModelInstance, data: ProblemData):
@@ -227,9 +224,16 @@ def add_peak(model: ModelInstance, data: ProblemData):
 
 
 def apply_fixed_values(model: ModelInstance, fixed: dict):
-    """Pin design variables, e.g. {("E_max", "battery"): 1.0}."""
+    """Pin design variables, e.g. {("E_max", "battery"): 1.0}.
+
+    A pin must lie within the column's declared bounds: the C-rate row is
+    exact only while E_max stays under its catalog ceiling.
+    """
     for (kind, entity), value in fixed.items():
         ref = model.var(kind, entity)
+        lb, ub = model.lower[ref.column], model.upper[ref.column]
+        if not lb <= value <= ub:
+            raise BuildError(f"pinned {ref.name} = {value} lies outside [{lb}, {ub}]")
         model.set_bounds(ref, value, value)
 
 

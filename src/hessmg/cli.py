@@ -12,10 +12,9 @@ import sys
 
 from . import run as runner
 from .builder import ProblemData, build
-from .data import Horizon, load_catalog, load_dataset, make_demo_dataset, write_demo_files
+from .data import Horizon, load_dataset, make_demo_dataset, write_demo_files
 from .mps import write_mps
-from .scenario import ScenarioModel, build_scenario
-from .solve import SolveOptions
+from .scenario import build_scenario
 
 
 def _add_data_flags(p):
@@ -39,6 +38,8 @@ def _merged_config(args) -> dict:
             cfg[key] = val
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
+    if getattr(args, "scenario", None):
+        cfg["scenario"] = args.scenario
     for key in ("prices", "demand", "pv", "catalog"):
         if key not in cfg:
             raise SystemExit(f"missing input: --{key} or config entry '{key}'")
@@ -66,37 +67,13 @@ def cmd_synth(args):
     return 0
 
 
-def _context(args, cfg):
-    if args.scenario:
-        with open(args.scenario) as fh:
-            scenario = ScenarioModel.from_json(fh.read())
-        return runner.RunContext(
-            horizon=Horizon(**cfg["horizon"]),
-            sources=runner.sources_from_dict(cfg["sources"]),
-            catalog=load_catalog(cfg["catalog"]),
-            scenario=scenario)
-    return runner.context_from_config(cfg, cache_dir=args.out_dir)
-
-
-def _solve_options(args) -> SolveOptions:
-    engine = {"embedded": "auto", "external": "auto"}.get(args.solver, "auto")
-    return SolveOptions(engine=engine)
-
-
 def cmd_optimize(args):
     cfg = _merged_config(args)
     os.makedirs(args.out_dir, exist_ok=True)
-    ctx = _context(args, cfg)
+    ctx = runner.context_from_config(cfg, cache_dir=args.out_dir)
     ess = args.ess.split(",") if args.ess else list(ctx.catalog)
     exp = runner.ExperimentConfig(id="design", ess_subset=tuple(ess))
-    if args.solver == "external":
-        data = ProblemData.from_scenario(ctx.scenario, ctx.horizon, ctx.sources,
-                                         {n: ctx.catalog[n] for n in ess})
-        out = args.mps_out or os.path.join(args.out_dir, "model.mps")
-        write_mps(build(data), out)
-        print(f"wrote {out} (solve externally, e.g. with HiGHS or Gurobi)")
-        return 0
-    result = runner.run_one(ctx, exp, _solve_options(args))
+    result = runner.run_one(ctx, exp)
     runner.write_results_json([result], os.path.join(args.out_dir, "result.json"))
     runner.emit_traces(result, os.path.join(args.out_dir, "traces.csv"))
     runner.write_summary([result], list(ctx.catalog),
@@ -108,12 +85,11 @@ def cmd_optimize(args):
 def cmd_experiments(args):
     cfg = _merged_config(args)
     os.makedirs(args.out_dir, exist_ok=True)
-    ctx = _context(args, cfg)
+    ctx = runner.context_from_config(cfg, cache_dir=args.out_dir)
     experiments = runner.experiments_from_config(cfg)
     if not experiments:
         raise SystemExit("config defines no experiments")
-    results = runner.run_experiments(ctx, experiments, _solve_options(args),
-                                     jobs=args.jobs)
+    results = runner.run_experiments(ctx, experiments, jobs=args.jobs)
     runner.write_summary(results, list(ctx.catalog),
                          os.path.join(args.out_dir, "summary.csv"))
     runner.write_results_json(results, os.path.join(args.out_dir, "results.json"))
@@ -127,7 +103,7 @@ def cmd_experiments(args):
 
 def cmd_export_mps(args):
     cfg = _merged_config(args)
-    ctx = _context(args, cfg)
+    ctx = runner.context_from_config(cfg, cache_dir=args.out_dir)
     ess = args.ess.split(",") if args.ess else list(ctx.catalog)
     data = ProblemData.from_scenario(ctx.scenario, ctx.horizon, ctx.sources,
                                      {n: ctx.catalog[n] for n in ess})
@@ -161,11 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
         _add_data_flags(p)
         p.add_argument("--scenario", help="reuse a scenario JSON instead of re-clustering")
         p.add_argument("--out-dir", required=True)
-        p.add_argument("--solver", choices=("embedded", "external"), default="embedded")
-        p.add_argument("--mps-out", help="MPS path for --solver external")
-        p.add_argument("--jobs", type=int, default=1)
         if name == "optimize":
             p.add_argument("--ess", help="comma-separated technology subset")
+        else:
+            p.add_argument("--jobs", type=int, default=1)
         p.set_defaults(func=func)
 
     p = sub.add_parser("export-mps", help="write the model in free MPS format")

@@ -261,13 +261,19 @@ def load_run_config(path) -> dict:
 
 
 def context_from_config(cfg: dict, cache_dir=None) -> RunContext:
-    """Load data and catalog named in a config dict and synthesize the scenario."""
+    """Load the catalog named in a config dict and the scenario: read from
+    the JSON file under ``scenario`` if given, else synthesized from the
+    historical data."""
     horizon = Horizon(**cfg["horizon"])
     sources = sources_from_dict(cfg["sources"])
     catalog = load_catalog(cfg["catalog"])
-    days = load_dataset(cfg["prices"], cfg["demand"], cfg["pv"], horizon)
-    scenario = cached_scenario(days, cfg["clusters"], horizon.t_syn,
-                               cfg["seed"], cache_dir)
+    if cfg.get("scenario"):
+        with open(cfg["scenario"]) as fh:
+            scenario = ScenarioModel.from_json(fh.read())
+    else:
+        days = load_dataset(cfg["prices"], cfg["demand"], cfg["pv"], horizon)
+        scenario = cached_scenario(days, cfg["clusters"], horizon.t_syn,
+                                   cfg["seed"], cache_dir)
     return RunContext(horizon=horizon, sources=sources, catalog=catalog,
                       scenario=scenario)
 

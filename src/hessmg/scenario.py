@@ -66,8 +66,9 @@ def _lloyd(x, centroids, max_iter=300, tol=1e-12):
         d2 = np.sum((x[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         labels = np.argmin(d2, axis=1)
         obj = d2[np.arange(len(x)), labels].sum()
-        assert obj <= prev_obj + 1e-9 * max(1.0, abs(prev_obj)), \
-            "k-means objective increased"
+        if obj > prev_obj + 1e-9 * max(1.0, abs(prev_obj)):
+            raise RuntimeError(
+                f"k-means objective increased from {prev_obj:.12g} to {obj:.12g}")
         for j in range(len(centroids)):
             members = x[labels == j]
             if len(members):

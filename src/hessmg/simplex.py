@@ -5,7 +5,7 @@ artificial columns give the starting basis, phase 1 drives their sum to
 zero, phase 2 optimizes the true objective with artificials pinned at zero.
 Pricing is Dantzig with a Bland fallback after a stall, which guarantees
 termination under degeneracy. Dense algebra throughout: this is the
-desk-scale engine, not a production solver.
+reference engine that tests compare HiGHS against, not a production solver.
 """
 
 from __future__ import annotations

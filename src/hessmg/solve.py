@@ -1,5 +1,9 @@
-"""Solver front end: dispatches a ModelInstance to the built-in simplex or
-to scipy's HiGHS backend, and verifies solutions independently of either.
+"""Solver front end: solves a ModelInstance with scipy's HiGHS backend and
+verifies solutions independently of the solver.
+
+The dense embedded simplex stays as a reference engine that tests compare
+HiGHS against (``SolveOptions(engine="simplex")``); nothing selects it by
+default.
 """
 
 from __future__ import annotations
@@ -14,13 +18,10 @@ import scipy.sparse as sp
 from .lp import EQ, GE, LE, ModelInstance
 from . import simplex
 
-# beyond this many columns the dense simplex gets slow; hand off to HiGHS
-EMBEDDED_SIMPLEX_LIMIT = 900
-
 
 @dataclass(frozen=True)
 class SolveOptions:
-    engine: str = "auto"        # auto | simplex | highs
+    engine: str = "highs"       # highs | simplex (reference)
     feas_tol: float = 1e-7
     opt_tol: float = 1e-7
     max_iter: int | None = None
@@ -83,11 +84,14 @@ def _solve_highs(model, options):
     a_eq = a[eq_rows] if eq_rows else None
     b_eq = rhs[eq_rows] if eq_rows else None
     lower, upper = model.bounds_arrays()
+    highs_options = {"primal_feasibility_tolerance": options.feas_tol,
+                     "dual_feasibility_tolerance": options.opt_tol}
+    if options.max_iter is not None:
+        highs_options["maxiter"] = options.max_iter
     res = scipy.optimize.linprog(
         model.objective_vector(), A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
         bounds=np.column_stack([lower, upper]), method="highs",
-        options={"primal_feasibility_tolerance": options.feas_tol,
-                 "dual_feasibility_tolerance": options.opt_tol})
+        options=highs_options)
     status = {0: simplex.OPTIMAL, 1: simplex.ITERATION_LIMIT,
               2: simplex.INFEASIBLE, 3: simplex.UNBOUNDED}.get(res.status, res.message)
     x = res.x if res.x is not None else np.zeros(model.n_vars)
@@ -100,9 +104,6 @@ def solve(model: ModelInstance, options: SolveOptions | None = None) -> Solution
     """Solve to proven optimality; deterministic for a fixed model+options."""
     options = options or SolveOptions()
     engine = options.engine
-    if engine == "auto":
-        engine = ("simplex" if model.n_vars + model.n_rows <= EMBEDDED_SIMPLEX_LIMIT
-                  else "highs")
     if engine not in ("simplex", "highs"):
         raise ValueError(f"unknown engine {engine!r}")
     start = time.perf_counter()

@@ -177,7 +177,15 @@ def test_4_subset_monotonicity(case_matrix):
 
 
 def test_5_mccormick_tightness():
-    """With capacity at its ceiling the envelope collapses to q = Ecap * R."""
+    """With capacity at its ceiling the envelope collapses to q = Ecap * R.
+
+    The model keeps the envelope in its projection q <= R_cap * E_max. The
+    lifted rows, q <= E_cap * R and q >= E_cap * R + R_cap * E_max -
+    E_cap * R_cap with 0 <= R <= R_cap, leave R the interval
+    [q / E_cap, min(R_cap, (q + R_cap * (E_cap - E_max)) / E_cap)]. At
+    E_max = E_cap it must shrink to the single point R = q / E_cap inside
+    [0, R_cap], so that q is exactly the bilinear E_max * R.
+    """
     battery = EssSpec(
         name="battery", eta_c=0.95, eta_d=0.95, cost_energy=1.0,
         cost_power=1.0, om_energy=0.0, om_power=0.0, e_cap_max=2.0,
@@ -192,13 +200,17 @@ def test_5_mccormick_tightness():
     model = build(data)
     sol = solve(model, SolveOptions(engine="highs"))
     assert sol.optimal
+    e_cap, r_cap = battery.e_cap_max, battery.crate_max
     e_max = sol.value(model, "E_max", "battery")
-    worst = max(abs(sol.value(model, "q_aux", "battery", j)
-                    - battery.e_cap_max * sol.value(model, "R_crate", "battery", j))
-                for j in range(k))
-    ok = abs(e_max - battery.e_cap_max) <= 1e-9 and worst <= 1e-6
+    worst = 0.0
+    for j in range(k):
+        q = sol.value(model, "q_aux", "battery", j)
+        lo = q / e_cap
+        hi = min(r_cap, (q + r_cap * (e_cap - e_max)) / e_cap)
+        worst = max(worst, abs(hi - lo), lo - r_cap, -lo)
+    ok = abs(e_max - e_cap) <= 1e-9 and worst <= 1e-6
     _report(5, "McCormick tightness at capacity ceiling", ok,
-            f"E_max={e_max:.9g} max|q - Ecap*R|={worst:.3g}")
+            f"E_max={e_max:.9g} max width of the R interval={worst:.3g}")
 
 
 def test_6_scenario_invariants():

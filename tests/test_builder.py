@@ -3,6 +3,7 @@ import pytest
 
 from hessmg.builder import (GRID, PV, BuildError, ProblemData, build)
 from hessmg.data import EssSpec, Horizon, SourceSpec, make_demo_dataset
+from hessmg.lp import GE, LE
 from hessmg.scenario import build_scenario
 from hessmg.solve import SolveOptions, solve
 
@@ -48,8 +49,10 @@ class TestStructure:
         k = data.horizon.n_steps
         model = build(data)
         # sources: 2 capacities + peak + 3 per step; storage: 4 designs,
-        # K+1 states, 4 per step
-        assert model.n_vars == 3 + 3 * k + 4 + (k + 1) + 4 * k
+        # K+1 states, 3 per step
+        assert model.n_vars == 3 + 3 * k + 4 + (k + 1) + 3 * k
+        assert (model.n_vars, model.n_rows) == (176, 318)
+        assert not any(model.has_var("R_crate", "battery", j) for j in range(k))
 
     def test_row_families_present(self):
         model = build(_data(ess={"battery": BATTERY}))
@@ -132,13 +135,15 @@ class TestCoefficients:
 
     def test_mccormick_rows(self):
         model = build(_data(ess={"battery": BATTERY}))
-        row = _row(model, "q_mcc2.battery.k4")
-        assert row.sense == ">=" and row.rhs == pytest.approx(-5.0 * 3.0)
-        assert _coef(model, row, "R_crate", "battery", 4) == pytest.approx(-5.0)
+        row = _row(model, "q_crate.battery.k4")
+        assert row.sense == "<=" and row.rhs == 0.0
+        assert _coef(model, row, "q_aux", "battery", 4) == 1.0
         assert _coef(model, row, "E_max", "battery") == pytest.approx(-3.0)
+        assert len(row.cols) == 2
         up = _row(model, "q_epi_up.battery.k4")
         assert _coef(model, up, "E_soe", "battery", 5) == -1.0
         assert _coef(model, up, "E_soe", "battery", 4) == 1.0
+        assert not any(r.name.startswith(("q_mcc2", "q_mcc3")) for r in model.rows)
 
     def test_static_grid_converter_bounds(self):
         model = build(_data())
@@ -186,3 +191,71 @@ class TestSmallSolves:
         for i, row in enumerate(model.rows):
             if row.family == "balance":
                 assert act[i] == pytest.approx(row.rhs, abs=1e-7)
+
+
+def _lifted(data, fixed=None):
+    """The C-rate limit as the full McCormick envelope of E_max * R over
+    [0, E_cap] x [0, R_cap], with one R column per step, added on top of
+    the projected model."""
+    model = build(data, fixed=fixed)
+    for name, ess in data.ess.items():
+        e_cap, r_cap = ess.e_cap_max, ess.crate_max
+        e_max = model.var("E_max", name)
+        for k in range(data.horizon.n_steps):
+            q = model.var("q_aux", name, k)
+            r = model.add_var("R_crate", name, k, lb=0.0, ub=r_cap)
+            model.add_row([(q, 1.0), (r, -e_cap), (e_max, -r_cap)], GE,
+                          -e_cap * r_cap, f"q_mcc2.{name}.k{k}", "mccormick")
+            model.add_row([(q, 1.0), (r, -e_cap)], LE, 0.0,
+                          f"q_mcc3.{name}.k{k}", "mccormick")
+            model.add_row([(q, 1.0), (e_max, -r_cap)], LE, 0.0,
+                          f"q_mcc4.{name}.k{k}", "mccormick")
+    return model
+
+
+def _random_instance(seed, crate_max=None):
+    rng = np.random.default_rng(seed)
+    ess = {}
+    for name in ("battery", "flywheel")[:1 + seed % 2]:
+        ess[name] = EssSpec(
+            name=name, eta_c=rng.uniform(0.8, 0.98), eta_d=rng.uniform(0.8, 0.98),
+            cost_energy=rng.uniform(5.0, 60.0), cost_power=rng.uniform(5.0, 60.0),
+            om_energy=rng.uniform(0.0, 0.01), om_power=rng.uniform(0.0, 5.0),
+            e_cap_max=rng.uniform(1.0, 8.0), p_cap_max=rng.uniform(1.0, 5.0),
+            crate_max=crate_max or rng.uniform(0.1, 3.0),
+            dod_min_frac=rng.uniform(0.0, 0.2), cycle_life=rng.uniform(1e3, 1e4),
+            resale_factor=rng.uniform(0.0, 0.9))
+    horizon = Horizon(t_syn=1)
+    k = horizon.n_steps
+    return ProblemData(
+        horizon=horizon, sources=SourceSpec(), ess=ess,
+        price=rng.uniform(-80.0, 400.0, k), demand_ch=rng.uniform(0.0, 3.0, k),
+        demand_wh=rng.uniform(0.0, 0.5, k),
+        pv_cf=np.clip(np.sin(np.linspace(0, np.pi, k)) + rng.normal(0, 0.1, k), 0, 1))
+
+
+class TestCrateProjection:
+    """The single q_crate row is the exact projection of the lifted envelope."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_projected_matches_lifted(self, seed):
+        data = _random_instance(seed)
+        fixed = None
+        if seed == 4:   # a pin at the ceiling keeps E_max <= E_cap
+            fixed = {("E_max", "battery"): data.ess["battery"].e_cap_max}
+        projected = solve(build(data, fixed=fixed))
+        lifted = solve(_lifted(data, fixed=fixed))
+        assert projected.optimal and lifted.optimal
+        assert projected.objective == pytest.approx(lifted.objective, rel=1e-7)
+
+    def test_projected_matches_lifted_when_crate_binds(self):
+        data = _random_instance(0, crate_max=0.05)
+        model = build(data)
+        projected = solve(model)
+        lifted = solve(_lifted(data))
+        assert projected.optimal and lifted.optimal
+        assert projected.objective == pytest.approx(lifted.objective, rel=1e-7)
+        e_max = projected.value(model, "E_max", "battery")
+        slack = [0.05 * e_max - projected.value(model, "q_aux", "battery", k)
+                 for k in range(data.horizon.n_steps)]
+        assert e_max > 0.1 and min(slack) == pytest.approx(0.0, abs=1e-7)

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from hessmg.builder import BuildError
 from hessmg.cli import main
 from hessmg.data import Horizon, SourceSpec, make_demo_dataset, write_demo_files
 from hessmg.run import (ExperimentConfig, RunContext, cached_scenario,
@@ -71,6 +72,14 @@ class TestRunOne:
         assert res.status == "optimal"
         assert res.e_max["battery"] == pytest.approx(3.0, abs=1e-8)
         assert res.p_pv_max == pytest.approx(2.0, abs=1e-8)
+
+    def test_pin_outside_bounds_rejected(self, ctx):
+        ceiling = ctx.catalog["battery"].e_cap_max
+        for value in (ceiling + 1.0, -1.0):
+            with pytest.raises(BuildError, match="outside"):
+                run_one(ctx, ExperimentConfig(
+                    id="x", ess_subset=("battery",),
+                    fixed={"E_max.battery": value}))
 
     def test_unknown_technology(self, ctx):
         with pytest.raises(ValueError, match="not in catalog"):
@@ -233,13 +242,18 @@ class TestCli:
         text = out.read_text()
         assert text.startswith("NAME") and text.rstrip().endswith("ENDATA")
 
-    def test_optimize_external_writes_mps_only(self, workspace, tmp_path, capsys):
+    def test_optimize_reuses_scenario_json(self, workspace, tmp_path, capsys):
         root, cfg_path = workspace
-        out = tmp_path / "ext"
-        assert main(["optimize", "--config", str(cfg_path),
-                     "--out-dir", str(out), "--solver", "external"]) == 0
-        assert (out / "model.mps").exists()
-        assert not (out / "result.json").exists()
+        scenario = tmp_path / "scenario.json"
+        assert main(["synth", "--config", str(cfg_path), "--clusters", "1",
+                     "--out", str(scenario)]) == 0
+        out = tmp_path / "run"
+        assert main(["optimize", "--config", str(cfg_path), "--scenario",
+                     str(scenario), "--out-dir", str(out)]) == 0
+        result = json.loads((out / "result.json").read_text())[0]
+        assert result["status"] == "optimal"
+        # a run that clusters leaves its scenario cache in the output folder
+        assert not list(out.glob("scenario-*.json"))
 
     def test_missing_inputs_fail_fast(self, tmp_path):
         with pytest.raises(SystemExit, match="missing input"):

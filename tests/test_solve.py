@@ -4,8 +4,7 @@ import pytest
 from hessmg.builder import GRID, ProblemData, build
 from hessmg.data import EssSpec, Horizon, SourceSpec
 from hessmg.lp import GE, LE, ModelInstance
-from hessmg.solve import (EMBEDDED_SIMPLEX_LIMIT, SolveOptions, solve,
-                          to_equality_form, verify)
+from hessmg.solve import SolveOptions, solve, to_equality_form, verify
 
 BATTERY = EssSpec(
     name="battery", eta_c=0.83, eta_d=0.88, cost_energy=900.0,
@@ -38,15 +37,13 @@ def test_equality_form_slack_bounds():
 
 
 class TestEngines:
-    def test_auto_uses_embedded_for_small_models(self):
+    def test_default_engine_is_highs_for_small_models(self):
         _, model = _model(ess=False)
-        assert model.n_vars + model.n_rows <= EMBEDDED_SIMPLEX_LIMIT
         sol = solve(model)
-        assert sol.engine == "simplex" and sol.optimal
+        assert sol.engine == "highs" and sol.optimal
 
-    def test_auto_hands_off_large_models(self):
+    def test_default_engine_is_highs_for_large_models(self):
         _, model = _model(t_syn=3)
-        assert model.n_vars + model.n_rows > EMBEDDED_SIMPLEX_LIMIT
         sol = solve(model)
         assert sol.engine == "highs" and sol.optimal
 
@@ -74,6 +71,12 @@ class TestEngines:
         sol = solve(model)
         raw = model.objective_vector() @ sol.x
         assert sol.objective == pytest.approx(raw + model.objective_constant, rel=1e-12)
+
+    def test_highs_stops_at_max_iter(self):
+        _, model = _model()
+        sol = solve(model, SolveOptions(max_iter=1))
+        assert sol.engine == "highs"
+        assert sol.status == "iteration-limit"
 
     def test_residual_reported(self):
         _, model = _model()
