@@ -10,7 +10,7 @@ import pathlib
 
 from hessmg import Horizon, SourceSpec, build_scenario, load_catalog, make_demo_dataset
 from hessmg.builder import ProblemData, build
-from hessmg.mps import read_mps, signature, write_mps
+from hessmg.mps import read_mps, write_mps
 
 HERE = pathlib.Path(__file__).parent
 
@@ -30,11 +30,11 @@ def main():
     path = out / "codesign.mps"
     write_mps(model, path, name="CODESIGN")
 
-    print(f"model: {model.n_vars} variables, {len(model.rows)} rows")
+    print(f"model: {model.n_vars} variables, {model.n_rows} rows")
     print(f"wrote {path} ({path.stat().st_size} bytes)")
 
     back = read_mps(path)
-    same = signature(back) == signature(model)
+    same = back.signature() == model.signature()
     print(f"round trip reproduces the structure exactly: {same}")
 
     text = path.read_text().splitlines()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import EssSpec, Horizon, SourceSpec
-from .lp import ModelInstance, EQ, GE, LE
+from .lp import EQ, GE, INF, LE, SENSES, ModelInstance
 from .scenario import ScenarioModel
 
 GRID = "G"
@@ -62,6 +62,28 @@ class ProblemData:
         )
 
 
+def _add_step_rows(model: ModelInstance, family: str, n: int, *groups):
+    """Add rows for steps 0..n-1 as one block, step-major: row k of every
+    group in group order, then step k+1. A group is ``(name prefix, sense,
+    rhs, terms)``; a term is ``(columns, coefficient)``, each a scalar or
+    one value per step. Rows of a group with fewer terms are padded with
+    zero coefficients, which add_rows drops."""
+    width = max(len(g[3]) for g in groups)
+    cols = np.zeros((n, len(groups), width), dtype=np.int64)
+    coefs = np.zeros((n, len(groups), width))
+    codes = np.empty((n, len(groups)), dtype=np.int8)
+    rhs = np.empty((n, len(groups)))
+    for g, (_, sense, r, terms) in enumerate(groups):
+        codes[:, g] = SENSES.index(sense)
+        rhs[:, g] = r
+        for t, (col, coef) in enumerate(terms):
+            cols[:, g, t] = col
+            coefs[:, g, t] = coef
+    names = [p + k for k in map(str, range(n)) for p, _, _, _ in groups]
+    model.add_rows(family, names, cols.reshape(-1, width), coefs.reshape(-1, width),
+                   codes.ravel(), rhs.ravel())
+
+
 def register_variables(model: ModelInstance, data: ProblemData):
     """Create every column with its static bounds."""
     k_steps = data.horizon.n_steps
@@ -77,22 +99,19 @@ def register_variables(model: ModelInstance, data: ProblemData):
     # contractable rating, which closes that ray.
     import_cap = grid.p_cap_max / grid.eta_c
     export_cap = grid.p_cap_max * grid.eta_d
-    for k in range(k_steps):
-        model.add_var("P_src_plus", GRID, k, lb=0.0, ub=import_cap)
-        model.add_var("P_src_minus", GRID, k, lb=0.0, ub=export_cap)
-        model.add_var("P_pv", PV, k, lb=0.0)
+    model.add_vars([("P_src_plus", GRID, 0.0, import_cap),
+                    ("P_src_minus", GRID, 0.0, export_cap),
+                    ("P_pv", PV, 0.0, INF)], k_steps)
 
     for name, ess in data.ess.items():
         model.add_var("E_max", name, lb=0.0, ub=ess.e_cap_max)
         model.add_var("P_max_ess", name, lb=0.0, ub=ess.p_cap_max)
         model.add_var("Q_throughput", name, lb=0.0)
         model.add_var("capex_epigraph", name, lb=0.0)
-        for k in range(k_steps + 1):
-            model.add_var("E_soe", name, k, lb=0.0, ub=ess.e_cap_max)
-        for k in range(k_steps):
-            model.add_var("P_ess_plus", name, k, lb=0.0, ub=ess.p_cap_max)
-            model.add_var("P_ess_minus", name, k, lb=0.0, ub=ess.p_cap_max)
-            model.add_var("q_aux", name, k, lb=0.0)
+        model.add_vars([("E_soe", name, 0.0, ess.e_cap_max)], k_steps + 1)
+        model.add_vars([("P_ess_plus", name, 0.0, ess.p_cap_max),
+                        ("P_ess_minus", name, 0.0, ess.p_cap_max),
+                        ("q_aux", name, 0.0, INF)], k_steps)
 
 
 def add_source_flows(model: ModelInstance, data: ProblemData):
@@ -103,57 +122,50 @@ def add_source_flows(model: ModelInstance, data: ProblemData):
     eta_pv * cf_k * P_pv_max (curtailment allowed).
     """
     grid, pv = data.sources.grid, data.sources.pv
-    pv_max = model.var("P_max_src", PV)
-    g_max = model.var("P_max_src", GRID)
-    for k in range(data.horizon.n_steps):
-        p_pv = model.var("P_pv", PV, k)
-        model.add_row([(p_pv, 1.0), (pv_max, -pv.eta * data.pv_cf[k])],
-                      LE, 0.0, f"pv_avail.k{k}", "bounds")
-        imp = model.var("P_src_plus", GRID, k)
-        exp = model.var("P_src_minus", GRID, k)
-        net = [(imp, grid.eta_c), (exp, -1.0 / grid.eta_d)]
-        model.add_row(net + [(g_max, -1.0)], LE, 0.0, f"grid_cap_hi.k{k}", "bounds")
-        model.add_row([(c, -v) for c, v in net] + [(g_max, -1.0)],
-                      LE, 0.0, f"grid_cap_lo.k{k}", "bounds")
+    pv_max = model.var("P_max_src", PV).column
+    g_max = model.var("P_max_src", GRID).column
+    imp = model.columns("P_src_plus", GRID)
+    exp = model.columns("P_src_minus", GRID)
+    net = [(imp, grid.eta_c), (exp, -1.0 / grid.eta_d)]
+    _add_step_rows(
+        model, "bounds", data.horizon.n_steps,
+        ("pv_avail.k", LE, 0.0, [(model.columns("P_pv", PV), 1.0),
+                                 (pv_max, -pv.eta * data.pv_cf)]),
+        ("grid_cap_hi.k", LE, 0.0, net + [(g_max, -1.0)]),
+        ("grid_cap_lo.k", LE, 0.0, [(c, -v) for c, v in net] + [(g_max, -1.0)]))
 
 
 def add_balance(model: ModelInstance, data: ProblemData):
     """DC bus balance: storage + PV + grid bus power equals bus demand."""
     grid = data.sources.grid
-    eta_d = data.sources.eta_demand
-    for k in range(data.horizon.n_steps):
-        terms = [
-            (model.var("P_src_plus", GRID, k), grid.eta_c),
-            (model.var("P_src_minus", GRID, k), -1.0 / grid.eta_d),
-            (model.var("P_pv", PV, k), 1.0),
-        ]
-        for name in data.ess:
-            terms.append((model.var("P_ess_plus", name, k), 1.0))
-            terms.append((model.var("P_ess_minus", name, k), -1.0))
-        rhs = (data.demand_ch[k] + data.demand_wh[k]) / eta_d
-        model.add_row(terms, EQ, rhs, f"balance.k{k}", "balance")
+    terms = [(model.columns("P_src_plus", GRID), grid.eta_c),
+             (model.columns("P_src_minus", GRID), -1.0 / grid.eta_d),
+             (model.columns("P_pv", PV), 1.0)]
+    for name in data.ess:
+        terms.append((model.columns("P_ess_plus", name), 1.0))
+        terms.append((model.columns("P_ess_minus", name), -1.0))
+    rhs = (data.demand_ch + data.demand_wh) / data.sources.eta_demand
+    _add_step_rows(model, "balance", data.horizon.n_steps,
+                   ("balance.k", EQ, rhs, terms))
 
 
 def add_capacity_bounds(model: ModelInstance, data: ProblemData):
     """Couplings whose right-hand sides are design variables."""
-    for name in data.ess:
-        e_max = model.var("E_max", name)
-        p_max = model.var("P_max_ess", name)
-        dod = data.ess[name].dod_min_frac
-        for k in range(data.horizon.n_steps + 1):
-            soe = model.var("E_soe", name, k)
-            model.add_row([(soe, 1.0), (e_max, -1.0)], LE, 0.0,
-                          f"soe_cap.{name}.k{k}", "bounds")
-            if dod > 0.0:
-                model.add_row([(soe, 1.0), (e_max, -dod)], GE, 0.0,
-                              f"soe_dod.{name}.k{k}", "bounds")
-        for k in range(data.horizon.n_steps):
-            plus = model.var("P_ess_plus", name, k)
-            minus = model.var("P_ess_minus", name, k)
-            model.add_row([(plus, 1.0), (minus, -1.0), (p_max, -1.0)],
-                          LE, 0.0, f"ess_pow_hi.{name}.k{k}", "bounds")
-            model.add_row([(plus, -1.0), (minus, 1.0), (p_max, -1.0)],
-                          LE, 0.0, f"ess_pow_lo.{name}.k{k}", "bounds")
+    for name, ess in data.ess.items():
+        e_max = model.var("E_max", name).column
+        p_max = model.var("P_max_ess", name).column
+        soe = model.columns("E_soe", name)
+        groups = [(f"soe_cap.{name}.k", LE, 0.0, [(soe, 1.0), (e_max, -1.0)])]
+        if ess.dod_min_frac > 0.0:
+            groups.append((f"soe_dod.{name}.k", GE, 0.0,
+                           [(soe, 1.0), (e_max, -ess.dod_min_frac)]))
+        _add_step_rows(model, "bounds", data.horizon.n_steps + 1, *groups)
+        plus = model.columns("P_ess_plus", name)
+        minus = model.columns("P_ess_minus", name)
+        _add_step_rows(
+            model, "bounds", data.horizon.n_steps,
+            (f"ess_pow_hi.{name}.k", LE, 0.0, [(plus, 1.0), (minus, -1.0), (p_max, -1.0)]),
+            (f"ess_pow_lo.{name}.k", LE, 0.0, [(plus, -1.0), (minus, 1.0), (p_max, -1.0)]))
 
 
 def add_ess_dynamics(model: ModelInstance, data: ProblemData):
@@ -166,17 +178,14 @@ def add_ess_dynamics(model: ModelInstance, data: ProblemData):
     for name, ess in data.ess.items():
         discharge_coef = tau / ess.eta_d   # MWh removed per MW delivered to bus
         charge_coef = tau * ess.eta_c      # MWh stored per MW drawn from bus
-        for k in range(k_steps):
-            model.add_row([
-                (model.var("E_soe", name, k + 1), 1.0),
-                (model.var("E_soe", name, k), -1.0),
-                (model.var("P_ess_plus", name, k), discharge_coef),
-                (model.var("P_ess_minus", name, k), -charge_coef),
-            ], EQ, 0.0, f"soe_dyn.{name}.k{k}", "dynamics")
-        model.add_row([
-            (model.var("E_soe", name, k_steps), 1.0),
-            (model.var("E_soe", name, 1), -1.0),
-        ], GE, 0.0, f"soe_periodic.{name}", "dynamics")
+        soe = model.columns("E_soe", name)
+        _add_step_rows(model, "dynamics", k_steps, (
+            f"soe_dyn.{name}.k", EQ, 0.0,
+            [(soe[1:], 1.0), (soe[:-1], -1.0),
+             (model.columns("P_ess_plus", name), discharge_coef),
+             (model.columns("P_ess_minus", name), -charge_coef)]))
+        model.add_row([(soe[k_steps], 1.0), (soe[1], -1.0)], GE, 0.0,
+                      f"soe_periodic.{name}", "dynamics")
 
 
 def add_crate_mccormick(model: ModelInstance, data: ProblemData):
@@ -193,34 +202,32 @@ def add_crate_mccormick(model: ModelInstance, data: ProblemData):
     for name, ess in data.ess.items():
         if ess.e_cap_max <= 0 or ess.crate_max <= 0:
             raise BuildError(f"{name}: capacity and C-rate ceilings must be positive")
-        e_max = model.var("E_max", name)
-        for k in range(data.horizon.n_steps):
-            q = model.var("q_aux", name, k)
-            nxt = model.var("E_soe", name, k + 1)
-            cur = model.var("E_soe", name, k)
-            model.add_row([(q, 1.0), (nxt, -1.0), (cur, 1.0)], GE, 0.0,
-                          f"q_epi_up.{name}.k{k}", "mccormick")
-            model.add_row([(q, 1.0), (nxt, 1.0), (cur, -1.0)], GE, 0.0,
-                          f"q_epi_dn.{name}.k{k}", "mccormick")
-            model.add_row([(q, 1.0), (e_max, -ess.crate_max)], LE, 0.0,
-                          f"q_crate.{name}.k{k}", "mccormick")
+        e_max = model.var("E_max", name).column
+        q = model.columns("q_aux", name)
+        soe = model.columns("E_soe", name)
+        nxt, cur = soe[1:], soe[:-1]
+        _add_step_rows(
+            model, "mccormick", data.horizon.n_steps,
+            (f"q_epi_up.{name}.k", GE, 0.0, [(q, 1.0), (nxt, -1.0), (cur, 1.0)]),
+            (f"q_epi_dn.{name}.k", GE, 0.0, [(q, 1.0), (nxt, 1.0), (cur, -1.0)]),
+            (f"q_crate.{name}.k", LE, 0.0, [(q, 1.0), (e_max, -ess.crate_max)]))
 
 
 def add_throughput(model: ModelInstance, data: ProblemData):
     """Q_e equals the summed per-step energy swings."""
     for name in data.ess:
-        terms = [(model.var("Q_throughput", name), 1.0)]
-        terms += [(model.var("q_aux", name, k), -1.0)
-                  for k in range(data.horizon.n_steps)]
-        model.add_row(terms, EQ, 0.0, f"throughput.{name}", "throughput")
+        q = model.columns("q_aux", name)
+        cols = np.concatenate(([model.var("Q_throughput", name).column], q))
+        coefs = np.concatenate(([1.0], np.full(len(q), -1.0)))
+        model.add_rows("throughput", [f"throughput.{name}"], cols[None, :],
+                       coefs[None, :], EQ, 0.0)
 
 
 def add_peak(model: ModelInstance, data: ProblemData):
     """Peak offtake epigraph over the grid-side import series."""
-    peak = model.var("P_peak", GRID)
-    for k in range(data.horizon.n_steps):
-        model.add_row([(peak, 1.0), (model.var("P_src_plus", GRID, k), -1.0)],
-                      GE, 0.0, f"peak.k{k}", "peak")
+    _add_step_rows(model, "peak", data.horizon.n_steps, (
+        "peak.k", GE, 0.0, [(model.var("P_peak", GRID).column, 1.0),
+                            (model.columns("P_src_plus", GRID), -1.0)]))
 
 
 def apply_fixed_values(model: ModelInstance, fixed: dict):
@@ -229,9 +236,10 @@ def apply_fixed_values(model: ModelInstance, fixed: dict):
     A pin must lie within the column's declared bounds: the C-rate row is
     exact only while E_max stays under its catalog ceiling.
     """
+    lower, upper = model.bounds_arrays()
     for (kind, entity), value in fixed.items():
         ref = model.var(kind, entity)
-        lb, ub = model.lower[ref.column], model.upper[ref.column]
+        lb, ub = float(lower[ref.column]), float(upper[ref.column])
         if not lb <= value <= ub:
             raise BuildError(f"pinned {ref.name} = {value} lies outside [{lb}, {ub}]")
         model.set_bounds(ref, value, value)
@@ -241,7 +249,7 @@ def add_initial_soe(model: ModelInstance, data: ProblemData, frac: float):
     """Optionally anchor E[0] at a fixed fraction of installed capacity."""
     for name in data.ess:
         model.add_row([
-            (model.var("E_soe", name, 0), 1.0),
+            (model.columns("E_soe", name)[0], 1.0),
             (model.var("E_max", name), -frac),
         ], EQ, 0.0, f"soe_init.{name}", "dynamics")
 

@@ -40,7 +40,9 @@ def _merged_config(args) -> dict:
         cfg["seed"] = args.seed
     if getattr(args, "scenario", None):
         cfg["scenario"] = args.scenario
-    for key in ("prices", "demand", "pv", "catalog"):
+    # a scenario file replaces the historical data: only the catalog is read
+    required = ("catalog",) if cfg.get("scenario") else ("prices", "demand", "pv", "catalog")
+    for key in required:
         if key not in cfg:
             raise SystemExit(f"missing input: --{key} or config entry '{key}'")
     return cfg

@@ -36,13 +36,16 @@ def annualization(horizon) -> float:
 
 def objective_capex(model: ModelInstance, data: ProblemData):
     """Storage capex epigraphs (max of energy- and power-priced cost) + PV."""
+    caps, names, cols, coefs = [], [], [], []
     for name, ess in data.ess.items():
-        cap = model.var("capex_epigraph", name)
-        model.add_row([(cap, 1.0), (model.var("E_max", name), -ess.cost_energy)],
-                      GE, 0.0, f"capex_energy.{name}", "capex")
-        model.add_row([(cap, 1.0), (model.var("P_max_ess", name), -ess.cost_power)],
-                      GE, 0.0, f"capex_power.{name}", "capex")
-        model.add_objective_term(cap, 1.0)
+        cap = model.var("capex_epigraph", name).column
+        caps.append(cap)
+        names += [f"capex_energy.{name}", f"capex_power.{name}"]
+        cols += [[cap, model.var("E_max", name).column],
+                 [cap, model.var("P_max_ess", name).column]]
+        coefs += [[1.0, -ess.cost_energy], [1.0, -ess.cost_power]]
+    model.add_rows("capex", names, cols, coefs, GE, 0.0)
+    model.add_objective(caps, 1.0)
     model.add_objective_term(model.var("P_max_src", PV), data.sources.pv.cost_per_mw)
 
 
@@ -59,11 +62,10 @@ def objective_opex(model: ModelInstance, data: ProblemData):
     ann = annualization(h)
 
     price_keur = data.price / EUR_PER_KEUR
-    for k in range(h.n_steps):
-        model.add_objective_term(model.var("P_src_plus", GRID, k),
-                                 fac * ann * h.tau_hours * price_keur[k])
-        model.add_objective_term(model.var("P_src_minus", GRID, k),
-                                 -fac * ann * h.tau_hours * grid.f_sell * price_keur[k])
+    model.add_objective(model.columns("P_src_plus", GRID),
+                        fac * ann * h.tau_hours * price_keur)
+    model.add_objective(model.columns("P_src_minus", GRID),
+                        -fac * ann * h.tau_hours * grid.f_sell * price_keur)
     for name, ess in data.ess.items():
         model.add_objective_term(model.var("P_max_ess", name), fac * ess.om_power)
         model.add_objective_term(model.var("Q_throughput", name),
@@ -148,11 +150,11 @@ def audit(x, model: ModelInstance, data: ProblemData,
     ann = annualization(h)
     disc = eol_discount(h.discount_rate, h.years)
 
-    def val(kind, entity, step=None):
-        return x[model.var(kind, entity, step).column]
+    def val(kind, entity):
+        return x[model.var(kind, entity).column]
 
-    imports = np.array([val("P_src_plus", GRID, k) for k in range(h.n_steps)])
-    exports = np.array([val("P_src_minus", GRID, k) for k in range(h.n_steps)])
+    imports = x[model.columns("P_src_plus", GRID)]
+    exports = x[model.columns("P_src_minus", GRID)]
     price_keur = data.price / EUR_PER_KEUR
 
     energy_purchased = h.tau_hours * imports.sum()
@@ -176,7 +178,7 @@ def audit(x, model: ModelInstance, data: ProblemData,
     for name, ess in data.ess.items():
         e_max = val("E_max", name)
         p_max = val("P_max_ess", name)
-        q_total = sum(val("q_aux", name, k) for k in range(h.n_steps))
+        q_total = sum(x[model.columns("q_aux", name)])
         yearly += ess.om_power * p_max + ess.om_energy * ann * q_total
         capex_per_ess[name] = max(ess.cost_energy * e_max, ess.cost_power * p_max)
         eol += disc * ess.resale_factor * ess.cost_energy * (

@@ -1,195 +1,379 @@
 """Free-format MPS writer and reader.
 
 The writer emits ROWS/COLUMNS/RHS/BOUNDS sections with one entry per line,
-deterministically ordered, so exports are byte-stable. The reader parses
-the same dialect back into a ModelInstance for round-trip checks and for
-feeding files produced by other tools. A nonzero objective constant is
-carried as the (negated) RHS entry of the objective row, the common solver
-convention.
+deterministically ordered, so exports are byte-stable. It works from the
+model's arrays: COLUMNS walks the CSC of the objective row stacked on the
+constraint matrix, so each column's objective entry comes first and its
+rows follow in declaration order. Every distinct value is formatted once,
+and lines go to the file in chunks, never as one list of the whole file.
+
+The reader parses the same dialect back into a ModelInstance for
+round-trip checks and for feeding files produced by other tools. A ROWS,
+COLUMNS or BOUNDS section in the regular layout (the same number of tokens
+on every line, no comments) is parsed in bulk: one split of the section
+text, names mapped to indices through one dict, numbers converted by one
+``np.array(..., float)``. Any other section or layout is read line by
+line, and every error names its line. The rows are added as one block. A
+nonzero objective constant is carried as the (negated) RHS entry of the
+objective row, the common solver convention.
 """
 
 from __future__ import annotations
 
-from .lp import EQ, GE, INF, LE, ModelInstance
+import itertools
+import re
+
+import numpy as np
+import scipy.sparse as sp
+
+from .lp import EQ, GE, INF, LE, SENSES, ModelInstance
 
 OBJ_ROW = "COST"
 _SENSE_TO_TYPE = {LE: "L", GE: "G", EQ: "E"}
-_TYPE_TO_SENSE = {v: k for k, v in _SENSE_TO_TYPE.items()}
+_TYPE_TO_CODE = {_SENSE_TO_TYPE[s]: i for i, s in enumerate(SENSES)}
+_CHUNK = 1 << 14    # lines per write
 
 
 class MpsFormatError(ValueError):
     """Unparseable MPS content."""
 
 
-def _fmt(value: float) -> str:
-    # 17 significant digits: values survive the text round-trip bit-exactly
-    return f"{value:.17g}"
+def _fmt(values) -> np.ndarray:
+    """Each value as text with 17 significant digits, so it survives the
+    round trip bit-exactly. Distinct values (by bit pattern, so -0.0 keeps
+    its sign) are formatted once."""
+    bits, inverse = np.unique(np.asarray(values, dtype=float).view(np.int64),
+                              return_inverse=True)
+    text = np.array(["%.17g" % v for v in bits.view(float).tolist()], dtype=object)
+    return text[inverse]
+
+
+def _write_lines(fh, template, *fields):
+    """Write line i as ``template % (field[i] for each field)``, in chunks."""
+    width = len(fields)
+    for lo in range(0, len(fields[0]), _CHUNK):
+        parts = [np.asarray(f[lo:lo + _CHUNK], dtype=object).tolist() for f in fields]
+        flat = [None] * (len(parts[0]) * width)
+        for i, part in enumerate(parts):
+            flat[i::width] = part
+        fh.write(template * len(parts[0]) % tuple(flat))
+
+
+def _bound_lines(names, lower, upper):
+    """(type, column, value text) of every BOUNDS line, in column order."""
+    fixed = lower == upper
+    free = ~fixed & (lower == -INF) & (upper == INF)
+    rest = ~fixed & ~free
+    minus_inf = rest & (lower == -INF)
+    low = rest & ~minus_inf & (lower != 0.0)
+    up = rest & (upper != INF)
+    # slot 0 of a column carries FX/FR/MI/LO, slot 1 carries UP
+    kind = np.full((len(names), 2), None, dtype=object)
+    kind[fixed, 0], kind[free, 0], kind[minus_inf, 0] = "FX", "FR", "MI"
+    kind[low, 0], kind[up, 1] = "LO", "UP"
+    value = np.full((len(names), 2), "", dtype=object)
+    with_lower = fixed | low
+    value[with_lower, 0] = " " + _fmt(lower[with_lower])
+    value[up, 1] = " " + _fmt(upper[up])
+    present = (kind != None).ravel()  # noqa: E711  (elementwise)
+    return (kind.ravel()[present], np.repeat(names, 2)[present],
+            value.ravel()[present])
 
 
 def write_mps(model: ModelInstance, path, name: str = "HESSMG"):
     """Write the model in free MPS format (minimization objective)."""
-    lines = [f"NAME {name}", "ROWS", f" N {OBJ_ROW}"]
-    for row in model.rows:
-        lines.append(f" {_SENSE_TO_TYPE[row.sense]} {row.name}")
+    row_names = np.array([OBJ_ROW] + model.row_names, dtype=object)
+    col_names = np.array(model.col_names, dtype=object)
+    types = np.array([_SENSE_TO_TYPE[s] for s in SENSES], dtype=object)
+    rhs = model.rhs_vector()
+    lower, upper = model.bounds_arrays()
+    # the objective is row 0, so it leads every column
+    cost = sp.csr_matrix(model.objective_vector()[None, :])
+    csc = sp.vstack([cost, model.row_matrix()], format="csr").tocsc()
 
-    by_col: dict[int, list[tuple[str, float]]] = {j: [] for j in range(model.n_vars)}
-    for row in model.rows:
-        for col, coef in zip(row.cols, row.coefs):
-            by_col[col].append((row.name, coef))
-
-    lines.append("COLUMNS")
-    for j, col_name in enumerate(model.col_names):
-        if j in model.objective and model.objective[j] != 0.0:
-            lines.append(f" {col_name} {OBJ_ROW} {_fmt(model.objective[j])}")
-        for row_name, coef in by_col[j]:
-            lines.append(f" {col_name} {row_name} {_fmt(coef)}")
-
-    lines.append("RHS")
-    if model.objective_constant != 0.0:
-        lines.append(f" RHS {OBJ_ROW} {_fmt(-model.objective_constant)}")
-    for row in model.rows:
-        if row.rhs != 0.0:
-            lines.append(f" RHS {row.name} {_fmt(row.rhs)}")
-
-    lines.append("BOUNDS")
-    for j, col_name in enumerate(model.col_names):
-        lo, hi = model.lower[j], model.upper[j]
-        if lo == hi:
-            lines.append(f" FX BND {col_name} {_fmt(lo)}")
-            continue
-        if lo == -INF and hi == INF:
-            lines.append(f" FR BND {col_name}")
-            continue
-        if lo == -INF:
-            lines.append(f" MI BND {col_name}")
-        elif lo != 0.0:
-            lines.append(f" LO BND {col_name} {_fmt(lo)}")
-        if hi != INF:
-            lines.append(f" UP BND {col_name} {_fmt(hi)}")
-
-    lines.append("ENDATA")
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"NAME {name}\nROWS\n N {OBJ_ROW}\n")
+        _write_lines(fh, " %s %s\n", types[model.sense_codes()], row_names[1:])
+        fh.write("COLUMNS\n")
+        _write_lines(fh, " %s %s %s\n", np.repeat(col_names, np.diff(csc.indptr)),
+                     row_names[csc.indices], _fmt(csc.data))
+        fh.write("RHS\n")
+        rows = np.flatnonzero(rhs) + 1
+        values = rhs[rows - 1]
+        if model.objective_constant != 0.0:
+            rows = np.concatenate(([0], rows))
+            values = np.concatenate(([-model.objective_constant], values))
+        _write_lines(fh, " RHS %s %s\n", row_names[rows], _fmt(values))
+        fh.write("BOUNDS\n")
+        _write_lines(fh, " %s BND %s%s\n", *_bound_lines(col_names, lower, upper))
+        fh.write("ENDATA\n")
+
+
+_SECTIONS = ("NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "OBJSENSE")
+_PIECE = 1 << 20    # a section body is parsed this many characters at a time
+_ROW_TYPE = {"N": -1, **_TYPE_TO_CODE}     # objective rows get index -1
+_WHITESPACE = np.zeros(256, dtype=bool)    # the ASCII whitespace of str.split
+_WHITESPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
 
 
 def read_mps(path) -> ModelInstance:
     """Parse a free-format MPS file written by write_mps (or compatible)."""
-    model = ModelInstance()
-    section = None
-    row_sense: dict[str, str] = {}
-    row_order: list[str] = []
-    row_terms: dict[str, list] = {}
-    row_rhs: dict[str, float] = {}
-    col_index: dict[str, int] = {}
-    obj_terms: dict[int, float] = {}
-    obj_constant = 0.0
-
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("*"):
-                continue
-            head = line.split()
-            is_section = not line[0].isspace()
-            if is_section:
-                section = head[0].upper()
-                if section == "ENDATA":
-                    break
-                if section not in ("NAME", "ROWS", "COLUMNS", "RHS",
-                                   "RANGES", "BOUNDS", "OBJSENSE"):
-                    raise MpsFormatError(f"{path}:{lineno}: unknown section {section}")
-                continue
-            if section == "ROWS":
-                rtype, rname = head[0].upper(), head[1]
-                if rtype == "N":
-                    row_sense[rname] = "N"
-                elif rtype in _TYPE_TO_SENSE:
-                    row_sense[rname] = _TYPE_TO_SENSE[rtype]
-                    row_order.append(rname)
-                    row_terms[rname] = []
-                    row_rhs[rname] = 0.0
-                else:
-                    raise MpsFormatError(f"{path}:{lineno}: bad row type {rtype}")
-            elif section == "COLUMNS":
-                if "MARKER" in line:
-                    raise MpsFormatError(
-                        f"{path}:{lineno}: integer markers are not supported")
-                col_name = head[0]
-                if col_name not in col_index:
-                    col_index[col_name] = len(col_index)
-                    model.add_var("col", col_name, None, lb=0.0, ub=INF)
-                pairs = head[1:]
-                if len(pairs) % 2:
-                    raise MpsFormatError(f"{path}:{lineno}: odd COLUMNS entry")
-                for rname, value in zip(pairs[::2], pairs[1::2]):
-                    coef = float(value)
-                    if row_sense.get(rname) == "N":
-                        obj_terms[col_index[col_name]] = \
-                            obj_terms.get(col_index[col_name], 0.0) + coef
-                    elif rname in row_terms:
-                        row_terms[rname].append((col_index[col_name], coef))
-                    else:
-                        raise MpsFormatError(f"{path}:{lineno}: unknown row {rname}")
-            elif section == "RHS":
-                pairs = head[1:]
-                for rname, value in zip(pairs[::2], pairs[1::2]):
-                    if row_sense.get(rname) == "N":
-                        obj_constant = -float(value)
-                    elif rname in row_rhs:
-                        row_rhs[rname] = float(value)
-                    else:
-                        raise MpsFormatError(f"{path}:{lineno}: unknown row {rname}")
-            elif section == "BOUNDS":
-                btype = head[0].upper()
-                col_name = head[2]
-                if col_name not in col_index:
-                    raise MpsFormatError(f"{path}:{lineno}: unknown column {col_name}")
-                j = col_index[col_name]
-                value = float(head[3]) if len(head) > 3 else None
-                lo, hi = model.lower[j], model.upper[j]
-                if btype == "UP":
-                    hi = value
-                elif btype == "LO":
-                    lo = value
-                elif btype == "FX":
-                    lo = hi = value
-                elif btype == "FR":
-                    lo, hi = -INF, INF
-                elif btype == "MI":
-                    lo = -INF
-                elif btype == "PL":
-                    hi = INF
-                elif btype == "BV" or btype in ("LI", "UI"):
-                    raise MpsFormatError(
-                        f"{path}:{lineno}: integer bound {btype} not supported")
-                else:
-                    raise MpsFormatError(f"{path}:{lineno}: bad bound type {btype}")
-                model.lower[j], model.upper[j] = lo, hi
-            elif section == "RANGES":
-                raise MpsFormatError(f"{path}:{lineno}: RANGES not supported")
-            elif section in ("NAME", "OBJSENSE"):
-                continue
+        text = fh.read()
+    reader = _Reader(path)
+    # lines that start in column 0 are section headers or comments
+    starts = [m.start() + 1 for m in re.finditer(r"\n\S", text)]
+    if text[:1] and not text[:1].isspace():
+        starts.insert(0, 0)
+    reader.body(text, 0, starts[0] if starts else len(text), 1)
+    lineno, counted = 1, 0
+    for a, b in zip(starts, starts[1:] + [len(text)]):
+        lineno += text.count("\n", counted, a)
+        counted = a
+        end = text.find("\n", a, b)
+        end = b if end < 0 else end
+        head = text[a:end].split()
+        if not head[0].startswith("*"):
+            reader.header(head, lineno)
+            if reader.done:
+                break
+        reader.body(text, end + 1, b, lineno + 1)
+    del text    # lowers peak memory while the model is assembled
+    return reader.model()
+
+
+def _is_uniform(text: str, width: int) -> bool:
+    """True if every line of `text` holds exactly `width` tokens or none,
+    and no line can be a comment."""
+    if "*" in text or not text.isascii():
+        return False
+    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    space = _WHITESPACE[b]
+    # a token starts where whitespace is followed by non-whitespace
+    first = np.flatnonzero(space[:-1] > space[1:])
+    line_end = np.concatenate((np.flatnonzero(b == 10), [len(b)]))
+    per_line = np.diff(np.searchsorted(first, line_end), prepend=-int(not space[:1].all()))
+    return bool(((per_line == 0) | (per_line == width)).all())
+
+
+def _parse_floats(texts):
+    """The numbers in `texts` as one float array (None if one is not a
+    number), parsing each distinct text once."""
+    distinct = dict.fromkeys(texts)
+    try:
+        parsed = np.array(list(distinct), dtype=float)
+    except ValueError:
+        return None
+    index = dict(zip(distinct, range(len(distinct))))
+    return parsed[np.fromiter(map(index.__getitem__, texts), np.int64, len(texts))]
+
+
+class _Reader:
+    """Parsing state of one file, fed one piece of a section body at a time.
+
+    ROWS, COLUMNS and BOUNDS pieces in the regular layout (the same
+    number of tokens on every line, no comments, every name known) are
+    parsed in bulk. Anything else goes line by line, which also reports
+    every error with its line number.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self.section = None
+        self.done = False
+        self.row_index: dict[str, int] = {}  # constraint row -> index; N rows -> -1
+        self.row_codes: list[int] = []
+        self.row_names: list[str] = []
+        self.col_index: dict[str, int] = {}
+        self.entries: list[tuple] = []       # COLUMNS (cols, rows, values) blocks
+        self.rhs: dict[int, float] = {}
+        self.obj_constant = 0.0
+        self.bounds: list[tuple] = []        # (type, column, value) in file order
+
+    def error(self, lineno, message):
+        return MpsFormatError(f"{self.path}:{lineno}: {message}")
+
+    def header(self, head, lineno):
+        self.section = head[0].upper()
+        if self.section == "ENDATA":
+            self.done = True
+        elif self.section not in _SECTIONS:
+            raise self.error(lineno, f"unknown section {self.section}")
+        elif self.section == "OBJSENSE":
+            self.objsense(head[1:], lineno)
+
+    def body(self, text, start, stop, lineno):
+        """Parse text[start:stop], which begins on line `lineno`, in pieces
+        of whole lines, so that no piece's tokens take much memory."""
+        while start < stop:
+            cut = stop
+            if stop - start > _PIECE:
+                cut = text.find("\n", start + _PIECE, stop) + 1 or stop
+            piece = text[start:cut]
+            self.piece(piece, lineno)
+            lineno += piece.count("\n")
+            start = cut
+
+    def piece(self, text, lineno):
+        bulk = {"ROWS": (2, self.rows_bulk), "COLUMNS": (3, self.columns_bulk),
+                "BOUNDS": (4, self.bounds_bulk)}.get(self.section)
+        if bulk is not None and "MARKER" not in text and _is_uniform(text, bulk[0]):
+            tokens = text.split()
+            if not tokens or bulk[1](tokens):
+                return
+        handle = {None: self.stray, "NAME": None, "ROWS": self.row,
+                  "COLUMNS": self.column, "RHS": self.rhs_entry, "RANGES": self.ranges,
+                  "BOUNDS": self.bound, "OBJSENSE": self.objsense}[self.section]
+        for k, line in enumerate(text.split("\n")):
+            tokens = line.split()
+            if tokens and not tokens[0].startswith("*") and handle is not None:
+                handle(tokens, lineno + k)
+
+    # -- bulk: True when the whole piece was taken --------------------------
+
+    def rows_bulk(self, tokens) -> bool:
+        codes = list(map(_ROW_TYPE.get, map(str.upper, tokens[0::2])))
+        if None in codes:
+            return False
+        codes = np.array(codes, dtype=np.int64)
+        index = np.full(len(codes), -1)
+        constraint = codes >= 0
+        index[constraint] = len(self.row_codes) + np.arange(constraint.sum())
+        self.row_index.update(zip(tokens[1::2], index.tolist()))
+        self.row_codes.extend(codes[constraint].tolist())
+        self.row_names.extend(itertools.compress(tokens[1::2], constraint.tolist()))
+        return True
+
+    def columns_bulk(self, tokens) -> bool:
+        n = len(tokens) // 3
+        try:    # an unknown row name maps to None, which fromiter rejects
+            rows = np.fromiter(map(self.row_index.get, tokens[1::3]), np.int64, n)
+        except TypeError:
+            return False
+        values = _parse_floats(tokens[2::3])
+        if values is None:
+            return False
+        # a column's entries sit on consecutive lines: map each run's name once
+        names = np.array(tokens[0::3], dtype=object)
+        new_run = np.concatenate(([True], names[1:] != names[:-1]))
+        run_cols = np.array([self.col_index.setdefault(name, len(self.col_index))
+                             for name in names[new_run].tolist()], dtype=np.int64)
+        self.entries.append((run_cols[np.cumsum(new_run) - 1], rows, values))
+        return True
+
+    def bounds_bulk(self, tokens) -> bool:
+        types = list(map(str.upper, tokens[0::4]))
+        cols = list(map(self.col_index.get, tokens[2::4]))
+        if not set(types) <= {"UP", "LO", "FX"} or None in cols:
+            return False
+        values = _parse_floats(tokens[3::4])
+        if values is None:
+            return False
+        self.bounds.extend(zip(types, cols, values.tolist()))
+        return True
+
+    # -- line by line -------------------------------------------------------
+
+    def stray(self, tokens, lineno):
+        raise self.error(lineno, "content before any section")
+
+    def ranges(self, tokens, lineno):
+        raise self.error(lineno, "RANGES not supported")
+
+    def row(self, tokens, lineno):
+        rtype, name = tokens[0].upper(), tokens[1]
+        if rtype not in _ROW_TYPE:
+            raise self.error(lineno, f"bad row type {rtype}")
+        if _ROW_TYPE[rtype] < 0:
+            self.row_index[name] = -1
+        else:
+            self.row_index[name] = len(self.row_codes)
+            self.row_codes.append(_ROW_TYPE[rtype])
+            self.row_names.append(name)
+
+    def column(self, tokens, lineno):
+        if any("MARKER" in t for t in tokens):
+            raise self.error(lineno, "integer markers are not supported")
+        j = self.col_index.setdefault(tokens[0], len(self.col_index))
+        if len(tokens) % 2 == 0:
+            raise self.error(lineno, "odd COLUMNS entry")
+        rows, values = [], []
+        for name, value in zip(tokens[1::2], tokens[2::2]):
+            i = self.row_index.get(name)
+            if i is None:
+                raise self.error(lineno, f"unknown row {name}")
+            rows.append(i)
+            values.append(float(value))
+        self.entries.append((np.full(len(rows), j, dtype=np.int64),
+                             np.array(rows, dtype=np.int64), np.array(values)))
+
+    def rhs_entry(self, tokens, lineno):
+        for name, value in zip(tokens[1::2], tokens[2::2]):
+            i = self.row_index.get(name)
+            if i is None:
+                raise self.error(lineno, f"unknown row {name}")
+            if i < 0:
+                self.obj_constant = -float(value)
             else:
-                raise MpsFormatError(f"{path}:{lineno}: content before any section")
+                self.rhs[i] = float(value)
 
-    # column names were registered as ("col", name); rewrite to plain names
-    model.col_names = list(col_index.keys())
-    for rname in row_order:
-        model.add_row(row_terms[rname], row_sense[rname], row_rhs[rname],
-                      rname, family="mps")
-    model.objective = obj_terms
-    model.objective_constant = obj_constant
-    return model
+    def bound(self, tokens, lineno):
+        btype, name = tokens[0].upper(), tokens[2]
+        if name not in self.col_index:
+            raise self.error(lineno, f"unknown column {name}")
+        if btype in ("BV", "LI", "UI"):
+            raise self.error(lineno, f"integer bound {btype} not supported")
+        if btype not in ("UP", "LO", "FX", "FR", "MI", "PL"):
+            raise self.error(lineno, f"bad bound type {btype}")
+        value = float(tokens[3]) if len(tokens) > 3 else None
+        self.bounds.append((btype, self.col_index[name], value))
 
+    def objsense(self, tokens, lineno):
+        if tokens and tokens[0].upper() not in ("MIN", "MINIMIZE"):
+            raise self.error(lineno, f"objective sense {tokens[0]} not supported "
+                                     "(minimization only)")
 
-def signature(model: ModelInstance):
-    """Sparse structure modulo row families and within-row term order
-    (MPS carries neither: the COLUMNS section is column-major)."""
-    return (
-        tuple(model.col_names),
-        tuple(model.lower), tuple(model.upper),
-        tuple((tuple(sorted(zip(r.cols, r.coefs))), r.sense, r.rhs, r.name)
-              for r in model.rows),
-        tuple(sorted((j, c) for j, c in model.objective.items() if c != 0.0)),
-        model.objective_constant,
-    )
+    # -- the model ------------------------------------------------------------
+
+    def model(self) -> ModelInstance:
+        n = len(self.col_index)
+        lower, upper = np.zeros(n), np.full(n, INF)
+        for btype, j, value in self.bounds:
+            if btype == "UP":
+                upper[j] = value
+            elif btype == "LO":
+                lower[j] = value
+            elif btype == "FX":
+                lower[j] = upper[j] = value
+            elif btype == "FR":
+                lower[j], upper[j] = -INF, INF
+            elif btype == "MI":
+                lower[j] = -INF
+            else:   # PL
+                upper[j] = INF
+        model = ModelInstance()
+        model.add_columns(list(self.col_index), lower, upper)
+
+        if self.entries:
+            cols, rows, values = (np.concatenate(parts) for parts in zip(*self.entries))
+            self.entries = []
+        else:
+            cols = rows = np.empty(0, dtype=np.int64)
+            values = np.empty(0)
+        objective = rows < 0
+        model.add_objective(cols[objective], values[objective])
+        cols, rows, values = cols[~objective], rows[~objective], values[~objective]
+        # entries come column by column; turning that CSC into a CSR puts
+        # them row by row in linear time
+        m = len(self.row_codes)
+        if (np.diff(cols) < 0).any():
+            order = np.argsort(cols, kind="stable")
+            cols, rows, values = cols[order], rows[order], values[order]
+        col_ptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
+        a = sp.csc_matrix((values, rows, col_ptr), shape=(m, n)).tocsr()
+        rhs = np.zeros(m)
+        rhs[list(self.rhs)] = list(self.rhs.values())
+        model.add_rows("mps", self.row_names, a.indices, a.data, self.row_codes, rhs,
+                       indptr=a.indptr)
+        model.objective_constant = self.obj_constant
+        return model

@@ -18,7 +18,7 @@ from .costs import CostBreakdown, audit
 from .data import (EssSpec, GridSpec, Horizon, HistoricalDay, PvSpec,
                    SourceSpec, load_catalog, load_dataset)
 from .scenario import ScenarioModel, build_scenario
-from .solve import SolveOptions, solve as solve_model, verify
+from .solve import SolveOptions, VerifyReport, solve as solve_model, verify
 
 TRACE_HEADER = ("step", "series", "value")
 
@@ -47,6 +47,7 @@ class DesignResult:
     objective: float
     solve_seconds: float
     error: str | None = None
+    warnings: list[str] = field(default_factory=list)
 
     def as_dict(self):
         out = {
@@ -61,10 +62,19 @@ class DesignResult:
             "traces": {k: v.tolist() for k, v in self.traces.items()},
         }
         if self.breakdown is not None:
-            out["costs"] = self.breakdown.as_dict()
+            out["costs"] = _without_negative_zero(self.breakdown.as_dict())
         if self.error:
             out["error"] = self.error
+        if self.warnings:
+            out["warnings"] = list(self.warnings)
         return out
+
+
+def _without_negative_zero(value):
+    """`value` with every -0.0 float, also inside dicts, made 0.0."""
+    if isinstance(value, dict):
+        return {k: _without_negative_zero(v) for k, v in value.items()}
+    return value + 0.0 if isinstance(value, float) else value
 
 
 @dataclass
@@ -109,23 +119,52 @@ def extract_traces(x, model, data: ProblemData) -> dict[str, np.ndarray]:
     k_steps = data.horizon.n_steps
     grid = data.sources.grid
 
-    def series(kind, entity, steps):
-        return np.array([x[model.var(kind, entity, k).column] for k in steps])
+    def series(kind, entity):
+        return x[model.columns(kind, entity)[:k_steps]]
 
-    imports = series("P_src_plus", GRID, range(k_steps))
-    exports = series("P_src_minus", GRID, range(k_steps))
+    imports = series("P_src_plus", GRID)
+    exports = series("P_src_minus", GRID)
     traces = {
-        "demand_CH": data.demand_ch.copy(),
-        "demand_WH": data.demand_wh.copy(),
+        "demand_CH": data.demand_ch,
+        "demand_WH": data.demand_wh,
         "source_G": grid.eta_c * imports - exports / grid.eta_d,
-        "source_PV": series("P_pv", PV, range(k_steps)),
+        "source_PV": series("P_pv", PV),
     }
     for name in data.ess:
-        plus = series("P_ess_plus", name, range(k_steps))
-        minus = series("P_ess_minus", name, range(k_steps))
-        traces[f"ess_{name}"] = plus - minus
-        traces[f"soe_{name}"] = series("E_soe", name, range(k_steps))
-    return traces
+        traces[f"ess_{name}"] = series("P_ess_plus", name) - series("P_ess_minus", name)
+        traces[f"soe_{name}"] = series("E_soe", name)
+    # adding 0.0 turns -0.0 into 0.0 (and copies)
+    return {k: v + 0.0 for k, v in traces.items()}
+
+
+PAIR_TOL = 1e-6      # largest product of a +/- pair that counts as unpaired
+BOUND_SNAP = 1e-9    # reported design values this close to a bound sit on it
+
+
+def paired_flow_warnings(report: VerifyReport, first: int = 5) -> list[str]:
+    """One line per entity whose import/export (grid) or charge/discharge
+    (storage) pair is nonzero together at some step. An LP cannot forbid
+    this; the optimum uses it to dump energy as conversion losses."""
+    out = []
+    for entity, products in report.pair_products.items():
+        steps = np.flatnonzero(products > PAIR_TOL)
+        if len(steps):
+            flows = "import and export" if entity == GRID else "charge and discharge"
+            shown = ", ".join(map(str, steps[:first].tolist()))
+            more = f" and {len(steps) - first} more" if len(steps) > first else ""
+            out.append(f"{entity}: simultaneous {flows} at steps {shown}{more} "
+                       f"(largest product {products.max():.3g})")
+    return out
+
+
+def _design_values(model, x, kind, names) -> dict[str, float]:
+    """Reported design values: within BOUND_SNAP of a column bound they are
+    that bound, and never -0.0."""
+    cols = [model.var(kind, n).column for n in names]
+    lower, upper = model.bounds_arrays()
+    v, lo, hi = x[cols], lower[cols], upper[cols]
+    v = np.where(np.abs(v - lo) <= BOUND_SNAP, lo, np.where(np.abs(v - hi) <= BOUND_SNAP, hi, v))
+    return dict(zip(names, (v + 0.0).tolist()))
 
 
 def run_one(ctx: RunContext, exp: ExperimentConfig,
@@ -149,16 +188,17 @@ def run_one(ctx: RunContext, exp: ExperimentConfig,
             error=f"solver status {sol.status}")
     report = verify(model, sol.x)
     breakdown = audit(sol.x, model, data, solver_objective=sol.objective)
+    sources = _design_values(model, sol.x, "P_max_src", [GRID, PV])
     return DesignResult(
         exp_id=exp.id, status=sol.status,
-        e_max={n: sol.value(model, "E_max", n) for n in ess},
-        p_max={n: sol.value(model, "P_max_ess", n) for n in ess},
-        p_grid_max=sol.value(model, "P_max_src", GRID),
-        p_pv_max=sol.value(model, "P_max_src", PV),
+        e_max=_design_values(model, sol.x, "E_max", list(ess)),
+        p_max=_design_values(model, sol.x, "P_max_ess", list(ess)),
+        p_grid_max=sources[GRID], p_pv_max=sources[PV],
         breakdown=breakdown, traces=extract_traces(sol.x, model, data),
         objective=sol.objective, solve_seconds=sol.wall_time,
         error=None if report.max_violation <= 1e-6 else
-        f"feasibility check: violation {report.max_violation:.3g}")
+        f"feasibility check: violation {report.max_violation:.3g}",
+        warnings=paired_flow_warnings(report))
 
 
 def run_experiments(ctx: RunContext, experiments: list[ExperimentConfig],
@@ -200,7 +240,7 @@ def summary_columns(catalog_order: list[str]) -> list[str]:
 def write_summary(results: list[DesignResult], catalog_order: list[str], path):
     """Stable-order CSV mirroring the result-table columns."""
     def fmt(v):
-        return "" if v is None else f"{v:.10g}"
+        return "" if v is None else f"{v + 0.0:.10g}"
 
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.optimize
 import scipy.sparse as sp
 
-from .lp import EQ, GE, LE, ModelInstance
+from .lp import EQ, GE, LE, SENSES, ModelInstance
 from . import simplex
 
 
@@ -51,13 +51,9 @@ def to_equality_form(model: ModelInstance):
     a = model.row_matrix().toarray()
     a_std = np.hstack([a, np.eye(m)])
     lower, upper = model.bounds_arrays()
-    slack_lo = np.zeros(m)
-    slack_hi = np.zeros(m)
-    for i, row in enumerate(model.rows):
-        if row.sense == LE:
-            slack_hi[i] = np.inf
-        elif row.sense == GE:
-            slack_lo[i] = -np.inf
+    codes = model.sense_codes()
+    slack_lo = np.where(codes == SENSES.index(GE), -np.inf, 0.0)
+    slack_hi = np.where(codes == SENSES.index(LE), np.inf, 0.0)
     c = np.concatenate([model.objective_vector(), np.zeros(m)])
     return (a_std, model.rhs_vector(),
             np.concatenate([lower, slack_lo]),
@@ -72,17 +68,36 @@ def _solve_simplex(model, options):
     return status, x[:n], obj, iters
 
 
+def _rows_by_sense(model: ModelInstance):
+    """Row indices of the <=, == and >= rows, each in declaration order."""
+    codes = model.sense_codes()
+    return tuple(np.flatnonzero(codes == i) for i in range(len(SENSES)))
+
+
+def _row_violations(model: ModelInstance, x) -> np.ndarray:
+    """Per-row violation of a point: how far each row misses its sense."""
+    gap = model.row_activities(x) - model.rhs_vector()
+    codes = model.sense_codes()
+    gap[codes == SENSES.index(GE)] *= -1.0
+    eq = codes == SENSES.index(EQ)
+    gap[eq] = np.abs(gap[eq])
+    return gap
+
+
+def _bound_violation(model: ModelInstance, x) -> float:
+    lower, upper = model.bounds_arrays()
+    return float(max(np.max(np.maximum(lower - x, 0.0), initial=0.0),
+                     np.max(np.maximum(x - upper, 0.0), initial=0.0)))
+
+
 def _solve_highs(model, options):
-    senses = model.senses()
-    a = model.row_matrix().tocsr()
+    a = model.row_matrix()
     rhs = model.rhs_vector()
-    le_rows = [i for i, s in enumerate(senses) if s == LE]
-    ge_rows = [i for i, s in enumerate(senses) if s == GE]
-    eq_rows = [i for i, s in enumerate(senses) if s == EQ]
-    a_ub = sp.vstack([a[le_rows], -a[ge_rows]]) if le_rows or ge_rows else None
+    le_rows, eq_rows, ge_rows = _rows_by_sense(model)
+    a_ub = sp.vstack([a[le_rows], -a[ge_rows]]) if len(le_rows) or len(ge_rows) else None
     b_ub = np.concatenate([rhs[le_rows], -rhs[ge_rows]]) if a_ub is not None else None
-    a_eq = a[eq_rows] if eq_rows else None
-    b_eq = rhs[eq_rows] if eq_rows else None
+    a_eq = a[eq_rows] if len(eq_rows) else None
+    b_eq = rhs[eq_rows] if len(eq_rows) else None
     lower, upper = model.bounds_arrays()
     highs_options = {"primal_feasibility_tolerance": options.feas_tol,
                      "dual_feasibility_tolerance": options.opt_tol}
@@ -121,21 +136,9 @@ def solve(model: ModelInstance, options: SolveOptions | None = None) -> Solution
 
 def max_primal_residual(model: ModelInstance, x) -> float:
     """Largest constraint or bound violation of a candidate point."""
-    act = model.row_activities(x)
-    rhs = model.rhs_vector()
-    worst = 0.0
-    for i, row in enumerate(model.rows):
-        if row.sense == LE:
-            worst = max(worst, act[i] - rhs[i])
-        elif row.sense == GE:
-            worst = max(worst, rhs[i] - act[i])
-        else:
-            worst = max(worst, abs(act[i] - rhs[i]))
-    lower, upper = model.bounds_arrays()
     x = np.asarray(x)
-    worst = max(worst, float(np.max(np.maximum(lower - x, 0.0), initial=0.0)))
-    worst = max(worst, float(np.max(np.maximum(x - upper, 0.0), initial=0.0)))
-    return worst
+    rows = float(np.max(_row_violations(model, x), initial=0.0))
+    return max(rows, _bound_violation(model, x))
 
 
 @dataclass
@@ -145,7 +148,7 @@ class VerifyReport:
     family_violation: dict[str, float]
     worst_row: dict[str, str]
     bound_violation: float
-    complementarity: dict[tuple, float]  # (entity, step) -> product of +/- pair
+    pair_products: dict[str, np.ndarray]   # entity -> per-step product of +/- pair
 
     @property
     def max_violation(self) -> float:
@@ -154,7 +157,12 @@ class VerifyReport:
 
     @property
     def max_complementarity(self) -> float:
-        return max(self.complementarity.values()) if self.complementarity else 0.0
+        return max((float(p.max(initial=0.0)) for p in self.pair_products.values()),
+                   default=0.0)
+
+
+# kinds whose per-step +/- columns should not both be nonzero
+PAIRS = (("P_src_plus", "P_src_minus"), ("P_ess_plus", "P_ess_minus"))
 
 
 def verify(model: ModelInstance, x) -> VerifyReport:
@@ -163,37 +171,20 @@ def verify(model: ModelInstance, x) -> VerifyReport:
     Report-only: nothing here reuses the solver's residuals or objective.
     """
     x = np.asarray(x)
-    act = model.row_activities(x)
+    violation = np.maximum(_row_violations(model, x), 0.0)
+    codes = model.family_codes()
     family_violation: dict[str, float] = {}
     worst_row: dict[str, str] = {}
-    for i, row in enumerate(model.rows):
-        if row.sense == LE:
-            v = act[i] - row.rhs
-        elif row.sense == GE:
-            v = row.rhs - act[i]
-        else:
-            v = abs(act[i] - row.rhs)
-        v = max(v, 0.0)
-        if v > family_violation.get(row.family, -1.0):
-            family_violation[row.family] = v
-            worst_row[row.family] = row.name
-        else:
-            family_violation.setdefault(row.family, v)
-            worst_row.setdefault(row.family, row.name)
+    for f, family in enumerate(model.families):
+        rows = np.flatnonzero(codes == f)
+        worst = rows[np.argmax(violation[rows])]
+        family_violation[family] = float(violation[worst])
+        worst_row[family] = model.row_names[worst]
 
-    lower, upper = model.bounds_arrays()
-    bound_violation = float(max(
-        np.max(np.maximum(lower - x, 0.0), initial=0.0),
-        np.max(np.maximum(x - upper, 0.0), initial=0.0)))
-
-    complementarity = {}
-    for ref in model.variables():
-        if ref.kind == "P_src_plus":
-            other = model.var("P_src_minus", ref.entity, ref.step)
-            complementarity[(ref.entity, ref.step)] = float(
-                x[ref.column] * x[other.column])
-        elif ref.kind == "P_ess_plus":
-            other = model.var("P_ess_minus", ref.entity, ref.step)
-            complementarity[(ref.entity, ref.step)] = float(
-                x[ref.column] * x[other.column])
-    return VerifyReport(family_violation, worst_row, bound_violation, complementarity)
+    pair_products = {}
+    for plus, minus in PAIRS:
+        for entity in model.entities(plus):
+            pair_products[entity] = (x[model.columns(plus, entity)]
+                                     * x[model.columns(minus, entity)])
+    return VerifyReport(family_violation, worst_row, _bound_violation(model, x),
+                        pair_products)

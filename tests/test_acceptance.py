@@ -14,7 +14,7 @@ from hessmg.costs import audit, eol_discount, npv_factor
 from hessmg.data import (EssSpec, Horizon, HistoricalDay, SourceSpec,
                          load_catalog, make_demo_dataset)
 from hessmg.lp import GE, INF, ModelInstance
-from hessmg.mps import read_mps, signature, write_mps
+from hessmg.mps import read_mps, write_mps
 from hessmg.run import ExperimentConfig, RunContext, run_experiments
 from hessmg.scenario import build_scenario, extract_features, kmeans, standardize
 from hessmg.solve import SolveOptions, solve, verify
@@ -304,7 +304,7 @@ def test_8_mps_round_trip(tmp_path):
     model = build(data)
     path = tmp_path / "full.mps"
     write_mps(model, path)
-    round_trip_ok = signature(read_mps(path)) == signature(model)
+    round_trip_ok = read_mps(path).signature() == model.signature()
 
     ok = golden_ok and round_trip_ok
     _report(8, "MPS export round-trip", ok,

@@ -42,7 +42,7 @@ class TestStructure:
     def test_deterministic(self):
         a = build(_data(ess={"battery": BATTERY}))
         b = build(_data(ess={"battery": BATTERY}))
-        assert a.structure() == b.structure()
+        assert a.signature() == b.signature()
 
     def test_variable_count(self):
         data = _data(ess={"battery": BATTERY})

@@ -1,12 +1,15 @@
+import hashlib
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from hessmg.builder import ProblemData, build
-from hessmg.data import Horizon, SourceSpec, make_demo_dataset
+from hessmg.data import Horizon, SourceSpec, load_catalog, make_demo_dataset
 from hessmg.lp import EQ, GE, INF, LE, ModelError, ModelInstance
-from hessmg.mps import MpsFormatError, read_mps, signature, write_mps
+from hessmg import mps
+from hessmg.mps import MpsFormatError, read_mps, write_mps
 from hessmg.scenario import build_scenario
 
 
@@ -87,12 +90,55 @@ class TestModelInstance:
         lo, hi = m.bounds_arrays()
         assert lo.tolist() == [0.0, -INF] and hi.tolist() == [4.0, INF]
 
+    def test_row_matrix_is_cached_until_a_row_is_added(self):
+        m = _tiny_model()
+        a = m.row_matrix()
+        assert m.row_matrix() is a
+        rows = m.rows
+        m.add_row([(m.var("p", "x"), 2.0)], LE, 3.0, "cap", "demo")
+        b = m.row_matrix()
+        assert b is not a and b.shape == (3, 2)
+        np.testing.assert_array_equal(b.toarray()[2], [2.0, 0.0])
+        assert len(m.rows) == 3 and m.rows is not rows
+
+    def test_block_matches_row_by_row(self):
+        def model():
+            m = ModelInstance()
+            m.add_vars([("p", "a", 0.0, 1.0), ("p", "b", -1.0, INF)], 3)
+            return m
+        cols = np.array([[1, 0, 1], [3, 2, 3], [5, 4, 4]])
+        coefs = np.array([[2.0, -0.0, 0.5], [1.0, 1.0, 1.0], [0.0, 4.0, 2.0]])
+        block, rows = model(), model()
+        block.add_rows("fam", ["r0", "r1", "r2"], cols, coefs,
+                       np.array([0, 1, 2], dtype=np.int8), [1.0, 2.0, 3.0])
+        for i, sense in enumerate((LE, EQ, GE)):
+            rows.add_row(zip(cols[i], coefs[i]), sense, i + 1.0, f"r{i}", "fam")
+        assert block.signature() == rows.signature()
+        # -0.0 and 0.0 dropped, repeated columns summed, terms sorted
+        assert [(r.cols, r.coefs) for r in block.rows] == [
+            ([1], [2.5]), ([2, 3], [1.0, 2.0]), ([4], [6.0])]
+        assert block.col_names[:3] == ["p.a.k0", "p.b.k0", "p.a.k1"]
+        assert block.var("p", "b", 2).column == 5
+
+    def test_block_checks_every_row(self):
+        m = ModelInstance()
+        m.add_vars([("p", "a", 0.0, 1.0)], 2)
+        ok = dict(cols=[[0], [1]], coefs=[[1.0], [1.0]], sense=LE, rhs=0.0)
+        for bad, match in ((dict(coefs=[[1.0], [math.nan]]), "non-finite coefficient in row b"),
+                           (dict(coefs=[[1.0], [-0.0]]), "empty row b"),
+                           (dict(rhs=[0.0, math.inf]), "non-finite rhs in row b"),
+                           (dict(cols=[[0], [2]]), "unknown column in row b"),
+                           (dict(sense=np.array([0, 3])), "sense")):
+            with pytest.raises(ModelError, match=match):
+                m.add_rows("t", ["a", "b"], **{**ok, **bad})
+        assert m.n_rows == 0
+
     def test_structure_is_hashable_and_discriminates(self):
         a, b = _tiny_model(), _tiny_model()
-        assert a.structure() == b.structure()
-        hash(a.structure())
+        assert a.signature() == b.signature()
+        hash(a.signature())
         b.objective_constant = 6.0
-        assert a.structure() != b.structure()
+        assert a.signature() != b.signature()
 
 
 GOLDEN_MPS = """NAME TINY
@@ -118,7 +164,52 @@ ENDATA
 """
 
 
+RESOURCES = pathlib.Path(__file__).resolve().parents[1] / "src" / "hessmg" / "resources"
+
+
+def _golden_instances():
+    """Seeded models whose MPS bytes are pinned: one hourly day with all
+    storage; three 15-min days, battery only, zero-PV steps and E[0] pinned
+    to half capacity; two hourly days with fixed design values."""
+    cat = load_catalog(RESOURCES / "catalog_case_study.ini")
+    days = make_demo_dataset(seed=3, n_days=20)
+    data = ProblemData.from_scenario(build_scenario(days, w=1, t_syn=1, seed=3),
+                                     Horizon(t_syn=1), SourceSpec(), dict(cat))
+    yield "day_bsf", build(data)
+
+    days = make_demo_dataset(seed=5, n_days=10, steps_per_day=96)
+    data = ProblemData.from_scenario(build_scenario(days, w=3, t_syn=3, seed=5),
+                                     Horizon(tau_minutes=15, t_syn=3), SourceSpec(),
+                                     {"battery": cat["battery"]})
+    assert (data.pv_cf == 0).any()
+    yield "15min_battery", build(data, initial_soe_frac=0.5)
+
+    days = make_demo_dataset(seed=8, n_days=15)
+    data = ProblemData.from_scenario(
+        build_scenario(days, w=2, t_syn=2, seed=8), Horizon(t_syn=2), SourceSpec(),
+        {"battery": cat["battery"], "supercapacitor": cat["supercapacitor"]})
+    yield "pinned", build(data, fixed={("E_max", "battery"): 1.25, ("P_max_src", "PV"): 2.0})
+
+
+# sha256 and size of write_mps output, recorded with the row-by-row writer
+# that the array-based one replaced
+GOLDEN_HASHES = {
+    "day_bsf": ("fe84bc8c3154f439ec8e02c8a7b4a0fe976d02e632f67ae1d1622dd9583233ca", 127639),
+    "15min_battery": ("1534d817a1bf742e3ba5e9828c2a0883bebc6ff6a85b3432606c0e023962b823",
+                      657594),
+    "pinned": ("19f7452b208d837d3a5ca38378224acda3e437531caa5b440c5df72421f7db89", 188984),
+}
+
+
 class TestMps:
+    def test_golden_model_hashes(self, tmp_path):
+        for name, model in _golden_instances():
+            path = tmp_path / f"{name}.mps"
+            write_mps(model, path)
+            data = path.read_bytes()
+            assert (hashlib.sha256(data).hexdigest(), len(data)) == GOLDEN_HASHES[name]
+            assert read_mps(path).signature() == model.signature()
+
     def test_golden_file_byte_exact(self, tmp_path):
         path = tmp_path / "tiny.mps"
         write_mps(_tiny_model(), path, name="TINY")
@@ -129,7 +220,7 @@ class TestMps:
         model = _tiny_model()
         write_mps(model, path, name="TINY")
         again = read_mps(path)
-        assert signature(again) == signature(model)
+        assert again.signature() == model.signature()
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         first = tmp_path / "a.mps"
@@ -148,7 +239,7 @@ class TestMps:
         model = build(data)
         path = tmp_path / "full.mps"
         write_mps(model, path)
-        assert signature(read_mps(path)) == signature(model)
+        assert read_mps(path).signature() == model.signature()
 
     def test_seventeen_digit_values_survive(self, tmp_path):
         m = ModelInstance()
@@ -172,6 +263,60 @@ class TestMps:
         path = tmp_path / "bad.mps"
         path.write_text(GOLDEN_MPS.replace("BOUNDS\n", "RANGES\n RHS cover 1\nBOUNDS\n"))
         with pytest.raises(MpsFormatError, match="RANGES"):
+            read_mps(path)
+
+    def test_line_by_line_reading_matches_bulk(self, tmp_path):
+        # a comment sends every section through the line-by-line path
+        name, model = next(i for i in _golden_instances() if i[0] == "15min_battery")
+        path = tmp_path / "model.mps"
+        write_mps(model, path)
+        text = path.read_text()
+        for section in ("ROWS\n", "COLUMNS\n", "BOUNDS\n"):
+            text = text.replace(section, section + " * comment\n")
+        path.write_text(text)
+        assert read_mps(path).signature() == model.signature()
+
+    def test_reading_in_small_pieces_matches(self, tmp_path, monkeypatch):
+        # pieces cut sections mid-way, also inside a column's run of lines
+        name, model = next(i for i in _golden_instances() if i[0] == "day_bsf")
+        path = tmp_path / "model.mps"
+        write_mps(model, path)
+        monkeypatch.setattr(mps, "_PIECE", 1000)
+        assert read_mps(path).signature() == model.signature()
+
+    def test_reader_takes_two_pairs_per_line(self, tmp_path):
+        path = tmp_path / "pairs.mps"
+        path.write_text(GOLDEN_MPS.replace(" p.x COST 2\n p.x cover 1\n p.x link 1\n",
+                                           " p.x COST 2 cover 1\n p.x link 1\n"))
+        assert read_mps(path).signature() == _tiny_model().signature()
+
+    def test_reader_skips_comments_and_blank_lines(self, tmp_path):
+        path = tmp_path / "comments.mps"
+        text = GOLDEN_MPS.replace("ROWS\n", "* a comment\nROWS\n\n")
+        text = text.replace(" p.y cover 1\n", "   * indented comment\n\n p.y cover 1\n")
+        text = text.replace("BOUNDS\n", "BOUNDS\n*\n   \n")
+        text = text.replace("COLUMNS\n", "COLUMNS\n\n* blank line above\n")
+        path.write_text(text)
+        assert read_mps(path).signature() == _tiny_model().signature()
+
+    def test_reader_accepts_minimization_only(self, tmp_path):
+        path = tmp_path / "sense.mps"
+        path.write_text(GOLDEN_MPS.replace("ROWS\n", "OBJSENSE\n    MIN\nROWS\n"))
+        assert read_mps(path).signature() == _tiny_model().signature()
+        path.write_text(GOLDEN_MPS.replace("ROWS\n", "OBJSENSE\n    MAX\nROWS\n"))
+        with pytest.raises(MpsFormatError, match=r":3: objective sense MAX"):
+            read_mps(path)
+
+    def test_reader_rejects_odd_columns_entry(self, tmp_path):
+        path = tmp_path / "bad.mps"
+        path.write_text(GOLDEN_MPS.replace(" p.y link -1", " p.y link -1 cover"))
+        with pytest.raises(MpsFormatError, match=r":12: odd COLUMNS entry"):
+            read_mps(path)
+
+    def test_reader_rejects_unknown_bound_column(self, tmp_path):
+        path = tmp_path / "bad.mps"
+        path.write_text(GOLDEN_MPS.replace(" FR BND p.y", " FR BND p.z"))
+        with pytest.raises(MpsFormatError, match=r":19: unknown column p.z"):
             read_mps(path)
 
     def test_reader_rejects_unknown_row(self, tmp_path):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 
@@ -10,7 +11,8 @@ from hessmg.cli import main
 from hessmg.data import Horizon, SourceSpec, make_demo_dataset, write_demo_files
 from hessmg.run import (ExperimentConfig, RunContext, cached_scenario,
                         run_experiments, run_one, scenario_cache_key,
-                        emit_traces, write_summary, summary_columns)
+                        emit_traces, write_results_json, write_summary,
+                        summary_columns)
 from hessmg.scenario import build_scenario
 
 import pathlib
@@ -86,6 +88,37 @@ class TestRunOne:
             run_one(ctx, ExperimentConfig(id="x", ess_subset=("gravity",)))
 
 
+def _one_day_ctx(catalog, negative_hours=0):
+    """The first demo day as a one-day scenario, its first hours priced at
+    -80 EUR/MWh."""
+    day = make_demo_dataset(seed=0, n_days=1)[0]
+    price = day.price.copy()
+    price[:negative_hours] = -80.0
+    day = dataclasses.replace(day, price=price)
+    return RunContext(horizon=Horizon(t_syn=1), sources=SourceSpec(),
+                      catalog=catalog, scenario=build_scenario([day], 1, 1, 0))
+
+
+class TestPairedFlows:
+    def test_negative_prices_warn_of_paired_flows(self, case_catalog):
+        res = run_one(_one_day_ctx(case_catalog, negative_hours=4),
+                      ExperimentConfig(id="neg", ess_subset=("battery",)))
+        assert res.status == "optimal" and res.error is None
+        grid = next(w for w in res.warnings if w.startswith("G:"))
+        assert "import and export at steps 0, 1, 2, 3 " in grid
+        assert "largest product 5.04" in grid
+        assert any(w.startswith("battery: simultaneous charge and discharge")
+                   for w in res.warnings)
+        assert res.as_dict()["warnings"] == res.warnings
+
+    def test_normal_day_has_no_warning(self, case_catalog):
+        res = run_one(_one_day_ctx(case_catalog),
+                      ExperimentConfig(id="day", ess_subset=("battery",)))
+        assert res.status == "optimal"
+        assert res.warnings == []
+        assert "warnings" not in res.as_dict()
+
+
 class TestMatrix:
     def test_all_optimal(self, matrix_results):
         assert [r.exp_id for r in matrix_results] == ["1", "2", "3", "4"]
@@ -146,6 +179,37 @@ class TestOutputs:
         write_summary(matrix_results, list(case_catalog), a)
         write_summary(matrix_results, list(case_catalog), b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_no_negative_zero_is_written(self, ctx, matrix_results, case_catalog,
+                                         tmp_path):
+        # storage the optimum leaves unbuilt comes back from HiGHS as -0.0
+        # or a few 1e-12 off its bound; reports show it as 0
+        write_summary(matrix_results, list(case_catalog), tmp_path / "summary.csv")
+        write_results_json(matrix_results, tmp_path / "results.json")
+        with open(tmp_path / "summary.csv") as fh:
+            fields = [f for row in csv.reader(fh) for f in row]
+        assert "-0" not in fields
+        text = (tmp_path / "results.json").read_text()
+        assert "-0.0," not in text and "-0.0\n" not in text
+
+        def floats(value):
+            if isinstance(value, dict):
+                return [f for v in value.values() for f in floats(v)]
+            if isinstance(value, list):
+                return [f for v in value for f in floats(v)]
+            return [value] if isinstance(value, float) else []
+        values = floats(json.loads(text))
+        assert values and not any(v == 0.0 and str(v) == "-0.0" for v in values)
+
+    def test_design_values_snap_to_their_bounds(self, ctx):
+        res = run_one(ctx, ExperimentConfig(
+            id="x", ess_subset=("battery", "supercapacitor", "flywheel")))
+        ceilings = {"p_grid_max": 2.8, "p_pv_max": 5.0}
+        for name, ceiling in ceilings.items():
+            value = getattr(res, name)
+            assert value == ceiling or abs(value - ceiling) > 1e-9
+        for value in list(res.e_max.values()) + list(res.p_max.values()):
+            assert value == 0.0 or value > 1e-9
 
     def test_traces_csv(self, ctx, tmp_path):
         res = run_one(ctx, ExperimentConfig(id="x", ess_subset=("battery",)))
@@ -254,6 +318,19 @@ class TestCli:
         assert result["status"] == "optimal"
         # a run that clusters leaves its scenario cache in the output folder
         assert not list(out.glob("scenario-*.json"))
+
+    def test_optimize_with_scenario_needs_no_data_files(self, workspace, tmp_path):
+        root, cfg_path = workspace
+        scenario = tmp_path / "scenario.json"
+        # 30 synthetic days: the default horizon of a run without a config
+        assert main(["synth", "--config", str(cfg_path), "--days", "30",
+                     "--out", str(scenario)]) == 0
+        out = tmp_path / "run"
+        assert main(["optimize", "--scenario", str(scenario),
+                     "--catalog", str(RESOURCES / "catalog_case_study.ini"),
+                     "--ess", "battery", "--out-dir", str(out)]) == 0
+        result = json.loads((out / "result.json").read_text())[0]
+        assert result["status"] == "optimal"
 
     def test_missing_inputs_fail_fast(self, tmp_path):
         with pytest.raises(SystemExit, match="missing input"):

@@ -4,7 +4,8 @@ import pytest
 from hessmg.builder import GRID, ProblemData, build
 from hessmg.data import EssSpec, Horizon, SourceSpec
 from hessmg.lp import GE, LE, ModelInstance
-from hessmg.solve import SolveOptions, solve, to_equality_form, verify
+from hessmg.solve import (SolveOptions, max_primal_residual, solve,
+                          to_equality_form, verify)
 
 BATTERY = EssSpec(
     name="battery", eta_c=0.83, eta_d=0.88, cost_energy=900.0,
@@ -101,6 +102,25 @@ class TestVerify:
         assert report.family_violation["dynamics"] > 0.4
         assert report.worst_row["dynamics"].startswith("soe_dyn.battery")
 
+    def test_matches_a_row_by_row_scan(self):
+        _, model = _model()
+        sol = solve(model)
+        x = sol.x + np.random.default_rng(0).normal(0.0, 0.01, model.n_vars)
+        act = model.row_activities(x)
+        worst = {}
+        for i, row in enumerate(model.rows):
+            gap = max(0.0, {"<=": act[i] - row.rhs, ">=": row.rhs - act[i]}.get(
+                row.sense, abs(act[i] - row.rhs)))
+            if gap > worst.get(row.family, (-1.0, ""))[0]:
+                worst[row.family] = (gap, row.name)
+        report = verify(model, x)
+        assert report.family_violation == {f: v for f, (v, _) in worst.items()}
+        assert report.worst_row == {f: name for f, (_, name) in worst.items()}
+        lower, upper = model.bounds_arrays()
+        bounds = max(np.max(lower - x), np.max(x - upper), 0.0)
+        assert max_primal_residual(model, x) == max(
+            [v for v, _ in worst.values()] + [bounds])
+
     def test_bound_violation_detected(self):
         _, model = _model()
         sol = solve(model, SolveOptions(engine="highs"))
@@ -112,8 +132,9 @@ class TestVerify:
         _, model = _model()
         sol = solve(model, SolveOptions(engine="highs"))
         report = verify(model, sol.x)
-        assert ("G", 0) in report.complementarity
-        assert ("battery", 0) in report.complementarity
+        k = len(model.columns("P_src_plus", GRID))
+        assert set(report.pair_products) == {"G", "battery"}
+        assert all(len(p) == k for p in report.pair_products.values())
         assert report.max_complementarity < 1e-6
 
     def test_forced_simultaneous_flow_is_flagged(self):
@@ -124,4 +145,4 @@ class TestVerify:
         exp = model.var("P_src_minus", GRID, 0)
         x[imp.column] = max(x[imp.column], 1.0)
         x[exp.column] = 1.0
-        assert verify(model, x).complementarity[("G", 0)] >= 1.0
+        assert verify(model, x).pair_products["G"][0] >= 1.0
