@@ -62,18 +62,20 @@ class DesignResult:
             "traces": {k: v.tolist() for k, v in self.traces.items()},
         }
         if self.breakdown is not None:
-            out["costs"] = _without_negative_zero(self.breakdown.as_dict())
+            out["costs"] = self.breakdown.as_dict()
         if self.error:
             out["error"] = self.error
         if self.warnings:
             out["warnings"] = list(self.warnings)
-        return out
+        return _without_negative_zero(out)
 
 
 def _without_negative_zero(value):
-    """`value` with every -0.0 float, also inside dicts, made 0.0."""
+    """`value` with every -0.0 float, also inside dicts and lists, made 0.0."""
     if isinstance(value, dict):
         return {k: _without_negative_zero(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_without_negative_zero(v) for v in value]
     return value + 0.0 if isinstance(value, float) else value
 
 
@@ -125,23 +127,23 @@ def extract_traces(x, model, data: ProblemData) -> dict[str, np.ndarray]:
     imports = series("P_src_plus", GRID)
     exports = series("P_src_minus", GRID)
     traces = {
-        "demand_CH": data.demand_ch,
-        "demand_WH": data.demand_wh,
+        "demand_CH": data.demand_ch.copy(),
+        "demand_WH": data.demand_wh.copy(),
         "source_G": grid.eta_c * imports - exports / grid.eta_d,
         "source_PV": series("P_pv", PV),
     }
     for name in data.ess:
         traces[f"ess_{name}"] = series("P_ess_plus", name) - series("P_ess_minus", name)
         traces[f"soe_{name}"] = series("E_soe", name)
-    # adding 0.0 turns -0.0 into 0.0 (and copies)
-    return {k: v + 0.0 for k, v in traces.items()}
+    return traces
 
 
 PAIR_TOL = 1e-6      # largest product of a +/- pair that counts as unpaired
+PAIR_STEPS_SHOWN = 5  # offending steps a paired-flow warning lists
 BOUND_SNAP = 1e-9    # reported design values this close to a bound sit on it
 
 
-def paired_flow_warnings(report: VerifyReport, first: int = 5) -> list[str]:
+def paired_flow_warnings(report: VerifyReport) -> list[str]:
     """One line per entity whose import/export (grid) or charge/discharge
     (storage) pair is nonzero together at some step. An LP cannot forbid
     this; the optimum uses it to dump energy as conversion losses."""
@@ -150,8 +152,9 @@ def paired_flow_warnings(report: VerifyReport, first: int = 5) -> list[str]:
         steps = np.flatnonzero(products > PAIR_TOL)
         if len(steps):
             flows = "import and export" if entity == GRID else "charge and discharge"
-            shown = ", ".join(map(str, steps[:first].tolist()))
-            more = f" and {len(steps) - first} more" if len(steps) > first else ""
+            shown = ", ".join(map(str, steps[:PAIR_STEPS_SHOWN].tolist()))
+            more = (f" and {len(steps) - PAIR_STEPS_SHOWN} more"
+                    if len(steps) > PAIR_STEPS_SHOWN else "")
             out.append(f"{entity}: simultaneous {flows} at steps {shown}{more} "
                        f"(largest product {products.max():.3g})")
     return out
@@ -159,12 +162,12 @@ def paired_flow_warnings(report: VerifyReport, first: int = 5) -> list[str]:
 
 def _design_values(model, x, kind, names) -> dict[str, float]:
     """Reported design values: within BOUND_SNAP of a column bound they are
-    that bound, and never -0.0."""
+    that bound."""
     cols = [model.var(kind, n).column for n in names]
     lower, upper = model.bounds_arrays()
     v, lo, hi = x[cols], lower[cols], upper[cols]
     v = np.where(np.abs(v - lo) <= BOUND_SNAP, lo, np.where(np.abs(v - hi) <= BOUND_SNAP, hi, v))
-    return dict(zip(names, (v + 0.0).tolist()))
+    return dict(zip(names, v.tolist()))
 
 
 def run_one(ctx: RunContext, exp: ExperimentConfig,
@@ -266,7 +269,7 @@ def emit_traces(result: DesignResult, path):
         n = max((len(v) for v in result.traces.values()), default=0)
         for step in range(n):
             for series, values in result.traces.items():
-                w.writerow([step, series, f"{values[step]:.10g}"])
+                w.writerow([step, series, f"{values[step] + 0.0:.10g}"])
 
 
 def write_results_json(results: list[DesignResult], path):

@@ -219,6 +219,7 @@ class TestOutputs:
             rows = list(csv.reader(fh))
         assert rows[0] == ["step", "series", "value"]
         assert len(rows) == 1 + ctx.horizon.n_steps * len(res.traces)
+        assert not any(row[2] == "-0" for row in rows[1:])
 
 
 class TestScenarioCache:
