@@ -5,6 +5,20 @@ Catalog files use EUR/kWh and EUR/kW, which are numerically identical to
 k EUR/MWh and k EUR/MW, so only capacity fields need rescaling. Spot
 prices are kept in EUR/MWh as they appear in market exports; the cost
 model converts them to k EUR when assembling objective coefficients.
+
+``load_dataset`` reads each signal CSV along one of two paths. A file in
+the regular layout (the exact header line, ``\n`` or ``\r\n`` line ends,
+no blank lines, no quotes, the same number of cells on every line, every
+timestamp a canonical ``YYYY-MM-DDTHH:MM:SS`` stamp of a real date and
+time, every value a finite number) is read in bulk: one split of the
+whole text into cells, the stamps checked and turned into integer seconds
+with NumPy, the values parsed by ``float`` one column at a time, and the
+days grouped by integer division. Any other file is read line by line with
+``csv`` and ``datetime.fromisoformat``, which accept more (quotes, blank
+lines, a space separator, stamps without seconds or with fractions of a
+second) and report every malformed row with its ``path:line``. Both paths
+give the same days, warnings and errors for every input the bulk path
+takes.
 """
 
 from __future__ import annotations
@@ -12,6 +26,7 @@ from __future__ import annotations
 import configparser
 import csv
 import datetime as dt
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -180,6 +195,9 @@ class HistoricalDay:
             if len(getattr(self, name)) != n:
                 raise DataFormatError(
                     f"{self.date}: {name} has {len(getattr(self, name))} entries, expected {n}")
+        for name in ("price", "demand_ch", "demand_wh", "pv_cf"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise DataFormatError(f"{self.date}: non-finite {name}")
         if np.any(self.demand_ch < 0) or np.any(self.demand_wh < 0):
             raise DataFormatError(f"{self.date}: negative demand")
         if np.any(self.pv_cf < 0) or np.any(self.pv_cf > 1):
@@ -194,7 +212,8 @@ class HistoricalDay:
 
 
 def _read_signal_file(path, header, n_values):
-    """Parse a `timestamp,value...` CSV into {datetime: (v, ...)} rows."""
+    """Parse a `timestamp,value...` CSV into {datetime: (v, ...)} rows,
+    line by line; a repeated timestamp keeps its last row."""
     rows = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -215,6 +234,8 @@ def _read_signal_file(path, header, n_values):
                 vals = tuple(float(v) for v in row[1:])
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: malformed row ({exc})") from None
+            if not all(map(math.isfinite, vals)):
+                raise DataFormatError(f"{path}:{lineno}: non-finite value")
             rows[ts] = vals
     return rows
 
@@ -242,34 +263,148 @@ def _group_days(timestamps, horizon, label):
     return complete
 
 
+def _line_days(rows, complete, horizon):
+    """{date: [one array per value column]} for the complete days of a file
+    read line by line."""
+    step = dt.timedelta(minutes=horizon.tau_minutes)
+    out = {}
+    for day in complete:
+        vals = [rows[dt.datetime.combine(day, dt.time()) + j * step]
+                for j in range(horizon.steps_per_day)]
+        out[day] = [np.array([v[i] for v in vals]) for i in range(len(vals[0]))]
+    return out
+
+
+# Canonical stamp YYYY-MM-DDTHH:MM:SS: separator positions and codes, and
+# the digit positions of year, month, day, hour, minute and second.
+_STAMP_LEN = 19
+_SEP_AT = [4, 7, 10, 13, 16]
+_SEP_CODE = np.frombuffer(b"--T::", dtype=np.uint8)
+_DIGIT_AT = np.array([i for i in range(_STAMP_LEN) if i not in _SEP_AT])
+_FIELDS = ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19))
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_DAYS_BEFORE_MONTH = np.cumsum(_MONTH_DAYS) - _MONTH_DAYS
+
+
+def _stamp_seconds(codes):
+    """Each stamp, given as one column of byte codes per stamp, in seconds
+    such that ``seconds // 86400`` is its ``date.toordinal()``; None unless
+    every column is ``YYYY-MM-DDTHH:MM:SS`` of a real date and time
+    (exactly the stamps of that form that ``datetime.fromisoformat``
+    takes)."""
+    digits = codes - np.uint8(ord("0"))     # a code below "0" wraps above 9
+    if (codes[_SEP_AT] != _SEP_CODE[:, None]).any() or (digits[_DIGIT_AT] > 9).any():
+        return None
+    fields = []
+    for a, b in _FIELDS:
+        value = digits[a].astype(np.int64)
+        for i in range(a + 1, b):
+            value = 10 * value + digits[i]
+        fields.append(value)
+    year, month, day, hour, minute, second = fields
+    if not ((year >= 1) & (month >= 1) & (month <= 12)).all():
+        return None
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[month] + (leap & (month == 2))
+    if not ((day >= 1) & (day <= month_days) & (hour < 24) & (minute < 60)
+            & (second < 60)).all():
+        return None
+    y = year - 1
+    ordinal = (365 * y + y // 4 - y // 100 + y // 400
+               + _DAYS_BEFORE_MONTH[month] + (leap & (month > 2)) + day)
+    return ordinal * 86400 + hour * 3600 + minute * 60 + second
+
+
+def _read_bulk(path, header, n_values):
+    """A signal file in the regular layout (see the module docstring) as
+    (sorted distinct stamps in seconds, one value array per column), where
+    a repeated stamp keeps its last row; None for any other file."""
+    try:
+        with open(path, newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    head, _, body = text.replace("\r\n", "\n").partition("\n")
+    body = body[:-1] if body.endswith("\n") else body
+    if (head != ",".join(header) or not body or '"' in body or "\r" in body
+            or "\n\n" in body or body[0] == "\n" or body[-1] == "\n"):
+        return None
+    # Cell boundaries from the UTF-8 bytes: "," and "\n" are single bytes
+    # that no multi-byte character contains.
+    width = 1 + n_values
+    raw = np.frombuffer(body.encode(), dtype=np.uint8)
+    ends = np.append(np.flatnonzero((raw == ord(",")) | (raw == ord("\n"))), len(raw))
+    pattern = np.array([ord(",")] * n_values + [ord("\n")], dtype=np.uint8)
+    if len(ends) % width or (
+            np.append(raw[ends[:-1]], pattern[-1]).reshape(-1, width) != pattern).any():
+        return None
+    starts = np.append(0, ends[:-1] + 1)
+    # csv rejects a cell longer than its field size limit
+    if (ends - starts).max() >= csv.field_size_limit():
+        return None
+    stamp_at = starts[::width]
+    if (ends[::width] - stamp_at != _STAMP_LEN).any():
+        return None
+    windows = np.lib.stride_tricks.sliding_window_view(raw, _STAMP_LEN)
+    secs = _stamp_seconds(windows[stamp_at].T)
+    if secs is None:
+        return None
+    cells = body.replace("\n", ",").split(",")
+    try:
+        columns = [np.array(list(map(float, cells[i::width]))) for i in range(1, width)]
+    except ValueError:
+        return None
+    if not all(np.isfinite(c).all() for c in columns):
+        return None
+    order = np.argsort(secs, kind="stable")
+    secs = secs[order]
+    last = np.append(secs[1:] != secs[:-1], True)
+    return secs[last], [c[order[last]] for c in columns]
+
+
+def _bulk_days(secs, columns, horizon, label):
+    """{date: [one array per value column]} for the complete days of a file
+    read in bulk; flags gaps and edge stubs exactly as `_group_days` does."""
+    spd = horizon.steps_per_day
+    days, start, count = np.unique(secs // 86400, return_index=True, return_counts=True)
+    on_grid = ~np.logical_or.reduceat(secs % (60 * horizon.tau_minutes) != 0, start)
+    complete = on_grid & (count == spd)
+    for i in np.flatnonzero(~complete).tolist():
+        day = dt.date.fromordinal(int(days[i]))
+        if i in (0, len(days) - 1) and on_grid[i]:
+            warnings.warn(
+                f"{label}: dropping incomplete day {day} ({count[i]}/{spd} steps)",
+                IncompleteDayWarning, stacklevel=3)
+        else:
+            raise DataFormatError(f"{label}: gap inside day {day}")
+    return {dt.date.fromordinal(d): [c[s:s + spd] for c in columns]
+            for d, s in zip(days[complete].tolist(), start[complete].tolist())}
+
+
 def load_dataset(price_path, demand_path, pv_path, horizon: Horizon) -> list[HistoricalDay]:
     """Load the three signal CSVs into validated, date-sorted HistoricalDays.
 
     Incomplete days at either end of any file are dropped with a warning;
-    only dates complete in all three files are returned.
+    only dates complete in all three files are returned. A repeated
+    timestamp keeps its last row; a non-finite value is an error.
     """
-    price = _read_signal_file(price_path, PRICE_HEADER, 1)
-    demand = _read_signal_file(demand_path, DEMAND_HEADER, 2)
-    pv = _read_signal_file(pv_path, PV_HEADER, 1)
+    files = ((price_path, PRICE_HEADER, 1, "prices"),
+             (demand_path, DEMAND_HEADER, 2, "demand"),
+             (pv_path, PV_HEADER, 1, "pv"))
+    parsed = [_read_bulk(path, header, n) or _read_signal_file(path, header, n)
+              for path, header, n, _ in files]
 
-    ok_dates = None
-    for rows, label in ((price, "prices"), (demand, "demand"), (pv, "pv")):
-        days = set(_group_days(rows.keys(), horizon, label))
-        ok_dates = days if ok_dates is None else ok_dates & days
+    per_file = []
+    for rows, (*_, label) in zip(parsed, files):
+        if isinstance(rows, dict):
+            per_file.append(_line_days(rows, _group_days(rows, horizon, label), horizon))
+        else:
+            per_file.append(_bulk_days(*rows, horizon, label))
+    price, demand, pv = per_file
 
-    step = dt.timedelta(minutes=horizon.tau_minutes)
-    spd = horizon.steps_per_day
-    out = []
-    for day in sorted(ok_dates):
-        stamps = [dt.datetime.combine(day, dt.time()) + j * step for j in range(spd)]
-        out.append(HistoricalDay(
-            date=day,
-            price=np.array([price[t][0] for t in stamps]),
-            demand_ch=np.array([demand[t][0] for t in stamps]),
-            demand_wh=np.array([demand[t][1] for t in stamps]),
-            pv_cf=np.array([pv[t][0] for t in stamps]),
-        ))
-    return out
+    return [HistoricalDay(date=day, price=price[day][0], demand_ch=demand[day][0],
+                          demand_wh=demand[day][1], pv_cf=pv[day][0])
+            for day in sorted(price.keys() & demand.keys() & pv.keys())]
 
 
 def save_dataset(days, price_path, demand_path, pv_path):

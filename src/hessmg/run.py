@@ -306,14 +306,19 @@ def load_run_config(path) -> dict:
 def context_from_config(cfg: dict, cache_dir=None) -> RunContext:
     """Load the catalog named in a config dict and the scenario: read from
     the JSON file under ``scenario`` if given, else synthesized from the
-    historical data."""
-    horizon = Horizon(**cfg["horizon"])
+    historical data. With a scenario file, a horizon field the config leaves
+    unset comes from the scenario: ``t_syn`` is its sequence length and
+    ``tau_minutes`` follows from its steps per day."""
     sources = sources_from_dict(cfg["sources"])
     catalog = load_catalog(cfg["catalog"])
     if cfg.get("scenario"):
         with open(cfg["scenario"]) as fh:
             scenario = ScenarioModel.from_json(fh.read())
+        horizon = Horizon(**{"t_syn": len(scenario.sequence),
+                             "tau_minutes": 1440 // len(scenario.representatives[0].price),
+                             **cfg["horizon"]})
     else:
+        horizon = Horizon(**cfg["horizon"])
         days = load_dataset(cfg["prices"], cfg["demand"], cfg["pv"], horizon)
         scenario = cached_scenario(days, cfg["clusters"], horizon.t_syn,
                                    cfg["seed"], cache_dir)

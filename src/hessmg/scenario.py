@@ -175,12 +175,30 @@ class ScenarioModel:
         return [self.representatives[j] for j in self.sequence]
 
     def validate(self):
-        np.testing.assert_allclose(self.weights.sum(), 1.0, rtol=0, atol=1e-12)
-        assert np.all(self.transition >= 0)
-        np.testing.assert_allclose(
-            self.transition.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-        assert set(self.sequence.tolist()) == set(range(self.n_clusters))
-        assert all(self.labels[self.rep_days[j]] == j for j in range(self.n_clusters))
+        """Raise ValueError unless the artifacts fit together: a
+        probability vector, a row-stochastic transition matrix, one
+        representative per cluster (all of one length, each a day of its
+        own cluster), and a sequence that visits every cluster and no other
+        index."""
+        w = self.n_clusters
+        if w < 1 or len(self.representatives) != w:
+            raise ValueError(f"{len(self.representatives)} representatives "
+                             f"for {w} clusters")
+        if len({len(d.price) for d in self.representatives}) != 1:
+            raise ValueError("representatives differ in length")
+        if self.weights.shape != (w,) or not abs(self.weights.sum() - 1.0) <= 1e-12:
+            raise ValueError("weights are not a probability vector over the clusters")
+        if (self.transition.shape != (w, w) or not np.all(self.transition >= 0)
+                or not np.all(np.abs(self.transition.sum(axis=1) - 1.0) <= 1e-12)):
+            raise ValueError("transition is not a row-stochastic matrix over the clusters")
+        if self.sequence.ndim != 1 or np.any((self.sequence < 0) | (self.sequence >= w)):
+            raise ValueError("sequence index outside the representatives")
+        if set(self.sequence.tolist()) != set(range(w)):
+            raise ValueError("sequence does not visit every cluster")
+        if (self.rep_days.shape != (w,)
+                or np.any((self.rep_days < 0) | (self.rep_days >= len(self.labels)))
+                or np.any(self.labels[self.rep_days] != np.arange(w))):
+            raise ValueError("a representative is not a day of its own cluster")
 
     def to_json(self) -> str:
         def day_dict(d):
@@ -202,6 +220,8 @@ class ScenarioModel:
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioModel":
+        """Read a scenario written by `to_json`; raises ValueError (or
+        DataFormatError for a day) when its contents do not fit together."""
         raw = json.loads(text)
         reps = [HistoricalDay(
             date=dt.date.fromisoformat(d["date"]),
@@ -210,7 +230,7 @@ class ScenarioModel:
             demand_wh=np.array(d["demand_wh"]),
             pv_cf=np.array(d["pv_cf"]),
         ) for d in raw["representatives"]]
-        return cls(
+        model = cls(
             n_clusters=raw["n_clusters"],
             centroids=np.array(raw["centroids"]),
             labels=np.array(raw["labels"], dtype=int),
@@ -220,6 +240,8 @@ class ScenarioModel:
             sequence=np.array(raw["sequence"], dtype=int),
             representatives=reps,
         )
+        model.validate()
+        return model
 
     def __eq__(self, other):
         if not isinstance(other, ScenarioModel):

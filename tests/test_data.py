@@ -1,14 +1,21 @@
+import contextlib
 import datetime as dt
+import re
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hessmg.data import (CatalogError, DataFormatError, GridSpec, Horizon,
-                         HistoricalDay, IncompleteDayWarning,
-                         load_catalog, load_dataset, make_demo_dataset,
-                         save_dataset)
+from hessmg import data
+from hessmg.data import (DEMAND_HEADER, PRICE_HEADER, PV_HEADER, CatalogError,
+                         DataFormatError, GridSpec, Horizon, HistoricalDay,
+                         IncompleteDayWarning, load_catalog, load_dataset,
+                         make_demo_dataset, save_dataset)
+
+LAYOUTS = ((PRICE_HEADER, 1), (DEMAND_HEADER, 2), (PV_HEADER, 1))
 
 
 def test_horizon_basics():
@@ -76,10 +83,12 @@ class TestLoadDataset:
         # truncate the price file: last day keeps only 12 of 24 rows
         lines = paths[0].read_text().splitlines()
         paths[0].write_text("\n".join(lines[:-12]) + "\n")
-        with pytest.warns(IncompleteDayWarning):
+        with pytest.warns(IncompleteDayWarning) as caught:
             got = load_dataset(*paths, Horizon(t_syn=1))
         assert len(got) == 3
         assert got == days[:3]
+        # attributed to the caller of load_dataset
+        assert [w.filename for w in caught] == [__file__]
 
     def test_gap_inside_day_is_an_error(self, tmp_path):
         days = make_demo_dataset(seed=5, n_days=3)
@@ -116,6 +125,29 @@ class TestLoadDataset:
         with pytest.raises(DataFormatError, match=":8:"):
             load_dataset(*paths, Horizon(t_syn=1))
 
+    @pytest.mark.parametrize("index, token, value", [
+        (0, 1, "nan"), (1, 1, "inf"), (0, 1, "-inf"), (1, 2, "nan"), (2, 1, "inf")])
+    def test_non_finite_value_reports_line(self, tmp_path, index, token, value):
+        days = make_demo_dataset(seed=5, n_days=2)
+        paths = self._write(tmp_path, days)
+        text = paths[index].read_text().splitlines()
+        cells = text[7].split(",")
+        cells[token] = value
+        text[7] = ",".join(cells)
+        paths[index].write_text("\n".join(text) + "\n")
+        with pytest.raises(DataFormatError,
+                           match=re.escape(f"{paths[index]}:8: non-finite value")):
+            load_dataset(*paths, Horizon(t_syn=1))
+
+    def test_historical_day_rejects_non_finite(self):
+        day = make_demo_dataset(seed=5, n_days=1)[0]
+        for name in ("price", "demand_ch", "demand_wh", "pv_cf"):
+            values = {n: getattr(day, n).copy()
+                      for n in ("price", "demand_ch", "demand_wh", "pv_cf")}
+            values[name][2] = np.nan if name != "demand_wh" else np.inf
+            with pytest.raises(DataFormatError, match=f"non-finite {name}"):
+                HistoricalDay(date=day.date, **values)
+
     def test_header_mismatch(self, tmp_path):
         days = make_demo_dataset(seed=5, n_days=2)
         paths = self._write(tmp_path, days)
@@ -147,6 +179,145 @@ def test_serialization_round_trip_property(tmp_path_factory, raw_days):
     paths = (tmp / "p.csv", tmp / "d.csv", tmp / "pv.csv")
     save_dataset(days, *paths)
     assert load_dataset(*paths, Horizon(t_syn=1)) == days
+
+
+def _outcome(paths, horizon, line=False):
+    """What load_dataset gives: (days, warnings) or (exception type,
+    message). With line=True every file is read line by line."""
+    reader = (mock.patch.object(data, "_read_bulk", return_value=None) if line
+              else contextlib.nullcontext())
+    with reader, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            days = load_dataset(*paths, horizon)
+        except Exception as exc:  # the outcome under test
+            return type(exc), str(exc)
+    return days, [(w.category, str(w.message), w.filename) for w in caught]
+
+
+def _bulk_reads(paths):
+    return [data._read_bulk(p, *layout) is not None for p, layout in zip(paths, LAYOUTS)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(tau=st.sampled_from([15, 60, 240]), n_days=st.integers(1, 3),
+       seed=st.integers(0, 2**16), crlf=st.booleans(), draw=st.data())
+def test_bulk_and_line_paths_agree(tmp_path_factory, tau, n_days, seed, crlf, draw):
+    """Shuffled rows, repeated stamps with new values and a cut edge day
+    give the same days and warnings on both paths."""
+    spd = 1440 // tau
+    tmp = tmp_path_factory.mktemp("paths")
+    paths = (tmp / "p.csv", tmp / "d.csv", tmp / "pv.csv")
+    save_dataset(make_demo_dataset(seed, n_days, spd), *paths)
+    for path, (_, n_values) in zip(paths, LAYOUTS):
+        header, *rows = path.read_text().splitlines()
+        cut = draw.draw(st.sampled_from(["none", "first", "last"]))
+        k = draw.draw(st.integers(1, spd - 1))
+        if cut == "first":
+            rows = rows[k:]
+        elif cut == "last":
+            rows = rows[:-k]
+        repeats = draw.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=6))
+        for i in repeats:
+            values = draw.draw(st.lists(st.floats(0, 1), min_size=n_values,
+                                        max_size=n_values))
+            rows.append(",".join([rows[i].split(",")[0]] + [repr(v) for v in values]))
+        rows = draw.draw(st.permutations(rows))
+        end = "\r\n" if crlf else "\n"
+        path.write_bytes((end.join([header, *rows]) + end).encode())
+    assert _bulk_reads(paths) == [True] * 3
+    horizon = Horizon(tau_minutes=tau, t_syn=1)
+    assert _outcome(paths, horizon) == _outcome(paths, horizon, line=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.datetimes(dt.datetime(1, 1, 1), dt.datetime(9999, 12, 31, 23, 59, 59)).map(
+        lambda t: t.replace(microsecond=0).isoformat()),
+    st.builds("{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}".format,
+              st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32),
+              st.integers(0, 25), st.integers(0, 61), st.integers(0, 61)),
+    st.text("0123456789-T: ", min_size=19, max_size=19)), min_size=1, max_size=5))
+def test_stamp_check_matches_fromisoformat(stamps):
+    """The bulk stamp check takes a list of YYYY-MM-DDTHH:MM:SS stamps
+    exactly when fromisoformat takes each of them, and gives the same
+    instants; it takes no stamp of another form."""
+    def seconds(stamp):
+        if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}", stamp):
+            return None
+        try:
+            t = dt.datetime.fromisoformat(stamp)
+        except ValueError:
+            return None
+        return t.date().toordinal() * 86400 + t.hour * 3600 + t.minute * 60 + t.second
+    codes = np.frombuffer("".join(stamps).encode(), dtype=np.uint8).reshape(-1, 19).T
+    expected = [seconds(s) for s in stamps]
+    got = data._stamp_seconds(codes)
+    assert (None if None in expected else expected) == (None if got is None else got.tolist())
+
+
+def _blank_lines(lines):
+    return lines[:4] + [""] + lines[4:] + [""]
+
+
+def _quoted(lines):
+    stamp, value = lines[5].split(",")
+    return lines[:5] + [f'"{stamp}","{value}"'] + lines[6:]
+
+
+def _space_and_minutes(lines):
+    stamp, value = lines[5].split(",")
+    return lines[:5] + [f"{stamp[:10]} {stamp[11:16]},{value}"] + lines[6:]
+
+
+def _utc_offset(lines):
+    stamp, value = lines[5].split(",")
+    return lines[:5] + [f"{stamp}+01:00,{value}"] + lines[6:]
+
+
+def _feb_30(lines):
+    return lines[:5] + ["2021-02-30T00:00:00,12.0"] + lines[6:]
+
+
+def _off_grid(lines):
+    stamp, value = lines[30].split(",")
+    return lines[:30] + [f"{stamp[:14]}30:00,{value}"] + lines[31:]
+
+
+def _gap_in_middle_day(lines):
+    return lines[:30] + lines[31:]
+
+
+@pytest.mark.parametrize("edit, crlf, bulk, expected", [
+    (_blank_lines, False, False, list),
+    (lambda lines: lines, True, True, list),
+    (_quoted, False, False, list),
+    (_space_and_minutes, False, False, list),
+    (_utc_offset, False, False, TypeError),
+    (_feb_30, False, False, DataFormatError),
+    (_off_grid, False, True, DataFormatError),
+    (_gap_in_middle_day, False, True, DataFormatError),
+], ids=["blank lines", "crlf", "quoted cells", "space and minutes", "utc offset",
+        "feb 30", "off grid", "gap in middle day"])
+def test_edited_price_file_matches_line_path(tmp_path, edit, crlf, bulk, expected):
+    paths = (tmp_path / "p.csv", tmp_path / "d.csv", tmp_path / "pv.csv")
+    save_dataset(make_demo_dataset(seed=5, n_days=3), *paths)
+    end = "\r\n" if crlf else "\n"
+    paths[0].write_bytes((end.join(edit(paths[0].read_text().splitlines())) + end).encode())
+    assert _bulk_reads(paths) == [bulk, True, True]
+    got = _outcome(paths, Horizon(t_syn=1))
+    assert got == _outcome(paths, Horizon(t_syn=1), line=True)
+    assert isinstance(got[0], list) if expected is list else got[0] is expected
+
+
+def test_malformed_row_deep_in_a_15_minute_file(tmp_path):
+    paths = (tmp_path / "p.csv", tmp_path / "d.csv", tmp_path / "pv.csv")
+    save_dataset(make_demo_dataset(seed=5, n_days=210, steps_per_day=96), *paths)
+    lines = paths[1].read_text().splitlines()
+    lines[20000] = lines[20000].replace(",", ";", 1)
+    paths[1].write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match=r"d\.csv:20001: expected 3 columns"):
+        load_dataset(*paths, Horizon(tau_minutes=15, t_syn=1))
 
 
 class TestCatalog:

@@ -10,7 +10,8 @@ from hessmg.builder import BuildError
 from hessmg.cli import main
 from hessmg.data import Horizon, SourceSpec, make_demo_dataset, write_demo_files
 from hessmg.run import (ExperimentConfig, RunContext, cached_scenario,
-                        run_experiments, run_one, scenario_cache_key,
+                        context_from_config, run_experiments, run_one,
+                        scenario_cache_key,
                         emit_traces, write_results_json, write_summary,
                         summary_columns)
 from hessmg.scenario import build_scenario
@@ -323,8 +324,7 @@ class TestCli:
     def test_optimize_with_scenario_needs_no_data_files(self, workspace, tmp_path):
         root, cfg_path = workspace
         scenario = tmp_path / "scenario.json"
-        # 30 synthetic days: the default horizon of a run without a config
-        assert main(["synth", "--config", str(cfg_path), "--days", "30",
+        assert main(["synth", "--config", str(cfg_path),
                      "--out", str(scenario)]) == 0
         out = tmp_path / "run"
         assert main(["optimize", "--scenario", str(scenario),
@@ -332,6 +332,39 @@ class TestCli:
                      "--ess", "battery", "--out-dir", str(out)]) == 0
         result = json.loads((out / "result.json").read_text())[0]
         assert result["status"] == "optimal"
+
+    def test_optimize_takes_horizon_from_scenario(self, workspace, tmp_path):
+        root, cfg_path = workspace
+        scenario = tmp_path / "scenario.json"
+        assert main(["synth", "--config", str(cfg_path), "--days", "3",
+                     "--out", str(scenario)]) == 0
+        out = tmp_path / "run"
+        assert main(["optimize", "--scenario", str(scenario),
+                     "--catalog", str(RESOURCES / "catalog_case_study.ini"),
+                     "--ess", "battery", "--out-dir", str(out)]) == 0
+        result = json.loads((out / "result.json").read_text())[0]
+        assert result["status"] == "optimal"
+        assert len(result["traces"]["demand_CH"]) == 3 * 24
+
+    def test_config_horizon_wins_over_scenario(self, workspace, tmp_path):
+        root, cfg_path = workspace  # the config sets t_syn = 2
+        scenario = tmp_path / "scenario.json"
+        assert main(["synth", "--config", str(cfg_path), "--days", "3",
+                     "--out", str(scenario)]) == 0
+        with pytest.raises(BuildError, match="scenario supplies 3 days, horizon needs 2"):
+            main(["optimize", "--config", str(cfg_path), "--scenario", str(scenario),
+                  "--out-dir", str(tmp_path / "run")])
+
+    def test_sub_hourly_scenario_sets_the_step(self, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        days = make_demo_dataset(seed=3, n_days=2, steps_per_day=96)
+        scenario.write_text(build_scenario(days, 1, 2, 0).to_json())
+        cfg = {"catalog": str(RESOURCES / "catalog_case_study.ini"),
+               "scenario": str(scenario), "horizon": {}, "sources": {}}
+        horizon = context_from_config(cfg).horizon
+        assert (horizon.tau_minutes, horizon.t_syn) == (15, 2)
+        cfg["horizon"] = {"tau_minutes": 60}
+        assert context_from_config(cfg).horizon.tau_minutes == 60
 
     def test_missing_inputs_fail_fast(self, tmp_path):
         with pytest.raises(SystemExit, match="missing input"):

@@ -1,9 +1,11 @@
+import copy
 import datetime as dt
+import json
 
 import numpy as np
 import pytest
 
-from hessmg.data import HistoricalDay, make_demo_dataset
+from hessmg.data import DataFormatError, HistoricalDay, make_demo_dataset
 from hessmg.scenario import (ScenarioModel, build_scenario, cluster_weights,
                              extract_features, fit_transition, kmeans,
                              sample_sequence, select_representatives,
@@ -200,3 +202,48 @@ class TestBuildScenario:
         again = ScenarioModel.from_json(sc.to_json())
         assert again == sc
         again.validate()
+
+
+def _truncate_second_representative(raw):
+    raw["representatives"][1] = {k: v[:12] if isinstance(v, list) else v
+                                 for k, v in raw["representatives"][1].items()}
+
+
+def _set(key, value):
+    return lambda raw: raw.__setitem__(key, value)
+
+
+class TestScenarioJson:
+    """from_json checks what it reads and raises ValueError, which `python
+    -O` keeps, for each inconsistency."""
+
+    @pytest.fixture(scope="class")
+    def raw(self):
+        days = make_demo_dataset(seed=4, n_days=10)
+        return json.loads(build_scenario(days, 2, 4, seed=1).to_json())
+
+    @pytest.mark.parametrize("edit, match", [
+        (_set("weights", [0.9, 0.2]), "probability vector"),
+        (_set("transition", [[1.5, -0.5], [0.5, 0.5]]), "row-stochastic"),
+        (_set("sequence", [0, 1, 2, 1]), "sequence index outside the representatives"),
+        (_set("sequence", [0, 1, -1, 1]), "sequence index outside the representatives"),
+        (_set("sequence", [0, 0, 0, 0]), "does not visit every cluster"),
+        (_truncate_second_representative, "representatives differ in length"),
+        (lambda raw: raw["representatives"].pop(), "1 representatives for 2 clusters"),
+        (lambda raw: raw["rep_days"].reverse(), "not a day of its own cluster"),
+        (_set("rep_days", [0, 999]), "not a day of its own cluster"),
+    ])
+    def test_inconsistent_scenario_rejected(self, raw, edit, match):
+        edited = copy.deepcopy(raw)
+        edit(edited)
+        with pytest.raises(ValueError, match=match):
+            ScenarioModel.from_json(json.dumps(edited))
+
+    def test_non_finite_representative_rejected(self, raw):
+        edited = copy.deepcopy(raw)
+        edited["representatives"][0]["price"][3] = float("nan")
+        with pytest.raises(DataFormatError, match="non-finite price"):
+            ScenarioModel.from_json(json.dumps(edited))
+
+    def test_consistent_scenario_accepted(self, raw):
+        assert ScenarioModel.from_json(json.dumps(raw)).n_clusters == 2
