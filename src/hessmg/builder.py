@@ -171,7 +171,8 @@ def add_capacity_bounds(model: ModelInstance, data: ProblemData):
 def add_ess_dynamics(model: ModelInstance, data: ProblemData):
     """State-of-energy recursion and the end-vs-start periodicity row.
 
-    E[k+1] = E[k] - (tau/eta_d) * p_plus + tau * eta_c * p_minus.
+    E[k+1] = E[k] - (tau/eta_d) * p_plus + tau * eta_c * p_minus, and
+    E[K] >= E[0]: the period ends with at least the energy it started with.
     """
     tau = data.horizon.tau_hours
     k_steps = data.horizon.n_steps
@@ -184,7 +185,7 @@ def add_ess_dynamics(model: ModelInstance, data: ProblemData):
             [(soe[1:], 1.0), (soe[:-1], -1.0),
              (model.columns("P_ess_plus", name), discharge_coef),
              (model.columns("P_ess_minus", name), -charge_coef)]))
-        model.add_row([(soe[k_steps], 1.0), (soe[1], -1.0)], GE, 0.0,
+        model.add_row([(soe[k_steps], 1.0), (soe[0], -1.0)], GE, 0.0,
                       f"soe_periodic.{name}", "dynamics")
 
 

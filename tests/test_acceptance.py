@@ -3,6 +3,7 @@
 Run with `pytest -s tests/test_acceptance.py` to see the lines as they pass.
 """
 
+import dataclasses
 import pathlib
 import time
 
@@ -11,7 +12,7 @@ import pytest
 
 from hessmg.builder import GRID, PV, ProblemData, build
 from hessmg.costs import audit, eol_discount, npv_factor
-from hessmg.data import (EssSpec, Horizon, HistoricalDay, SourceSpec,
+from hessmg.data import (EssSpec, GridSpec, Horizon, HistoricalDay, SourceSpec,
                          load_catalog, make_demo_dataset)
 from hessmg.lp import GE, INF, ModelInstance
 from hessmg.mps import read_mps, write_mps
@@ -91,7 +92,7 @@ def test_1_oracle_equivalence():
         soe = soe + delta
         feasible &= (soe >= -1e-12) & (soe <= 40.0 + 1e-12)
         trajectory.append(soe.copy())
-    feasible &= trajectory[6] >= trajectory[1] - 1e-12
+    feasible &= trajectory[6] >= trajectory[0] - 1e-12
     need = demand[None, :] - plan
     imports = np.where(need > 0, need / 0.95, 0.0)
     exports = np.where(need < 0, -need * 0.95, 0.0)
@@ -185,6 +186,12 @@ def test_5_mccormick_tightness():
     [q / E_cap, min(R_cap, (q + R_cap * (E_cap - E_max)) / E_cap)]. At
     E_max = E_cap it must shrink to the single point R = q / E_cap inside
     [0, R_cap], so that q is exactly the bilinear E_max * R.
+
+    The ceiling binds on its merits: prices alternate 10 and 300 EUR/MWh
+    every hour, storage costs 1 kEUR/MWh and wears at no cost, and the grid
+    contract (10 MW) lets a whole E_cap charge in one cheap hour. Every
+    installed MWh then earns twelve arbitrage cycles a day for far more than
+    it costs, which a larger ceiling confirms by giving a lower objective.
     """
     battery = EssSpec(
         name="battery", eta_c=0.95, eta_d=0.95, cost_energy=1.0,
@@ -193,13 +200,19 @@ def test_5_mccormick_tightness():
         resale_factor=0.0)
     horizon = Horizon(t_syn=1)
     k = horizon.n_steps
-    data = ProblemData(
-        horizon=horizon, sources=SourceSpec(), ess={"battery": battery},
-        price=np.tile([10.0, 300.0], k // 2), demand_ch=np.full(k, 1.0),
-        demand_wh=np.zeros(k), pv_cf=np.zeros(k))
-    model = build(data)
-    sol = solve(model, SolveOptions(engine="highs"))
-    assert sol.optimal
+
+    def solved(spec):
+        data = ProblemData(
+            horizon=horizon, sources=SourceSpec(grid=GridSpec(p_cap_max=10.0)),
+            ess={"battery": spec}, price=np.tile([10.0, 300.0], k // 2),
+            demand_ch=np.full(k, 1.0), demand_wh=np.zeros(k), pv_cf=np.zeros(k))
+        model = build(data)
+        sol = solve(model)
+        assert sol.optimal
+        return model, sol
+
+    model, sol = solved(battery)
+    _, roomier = solved(dataclasses.replace(battery, e_cap_max=2.5))
     e_cap, r_cap = battery.e_cap_max, battery.crate_max
     e_max = sol.value(model, "E_max", "battery")
     worst = 0.0
@@ -208,9 +221,11 @@ def test_5_mccormick_tightness():
         lo = q / e_cap
         hi = min(r_cap, (q + r_cap * (e_cap - e_max)) / e_cap)
         worst = max(worst, abs(hi - lo), lo - r_cap, -lo)
-    ok = abs(e_max - e_cap) <= 1e-9 and worst <= 1e-6
+    binds = roomier.objective < sol.objective - 1e-6 * abs(sol.objective)
+    ok = abs(e_max - e_cap) <= 1e-9 and worst <= 1e-6 and binds
     _report(5, "McCormick tightness at capacity ceiling", ok,
-            f"E_max={e_max:.9g} max width of the R interval={worst:.3g}")
+            f"E_max={e_max:.9g} max width of the R interval={worst:.3g} "
+            f"J(E_cap=2)={sol.objective:.6g} J(E_cap=2.5)={roomier.objective:.6g}")
 
 
 def test_6_scenario_invariants():

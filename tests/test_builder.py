@@ -192,6 +192,29 @@ class TestSmallSolves:
             if row.family == "balance":
                 assert act[i] == pytest.approx(row.rhs, abs=1e-7)
 
+    def test_step_zero_peak_is_paid_back(self, case_catalog):
+        # 4 MW at step 0 against a 2.8 MW grid ceiling: storage must serve
+        # the excess, and the energy it takes at step 0 must be stored again
+        # within the period, so no technology ends with less than it began
+        ch = np.full(24, 1.0)
+        ch[0] = 4.0
+        data = _data(ess=case_catalog)
+        data.demand_ch = ch
+        model = build(data)
+        sol = solve(model)
+        assert sol.optimal
+        tau = data.horizon.tau_hours
+        served = 0.0
+        for name, ess in data.ess.items():
+            soe = sol.x[model.columns("E_soe", name)]
+            plus = sol.x[model.columns("P_ess_plus", name)]
+            minus = sol.x[model.columns("P_ess_minus", name)]
+            assert soe[-1] >= soe[0] - 1e-9, name
+            net = tau * (ess.eta_c * minus.sum() - plus.sum() / ess.eta_d)
+            assert net >= -1e-9, name
+            served += plus[0] - minus[0]
+        assert served >= 4.0 - 2.8 - 1e-9
+
 
 def _lifted(data, fixed=None):
     """The C-rate limit as the full McCormick envelope of E_max * R over
