@@ -6,6 +6,13 @@ Conventions: bus-side storage powers are decision variables (discharge
 flows are grid-side (``P_src_plus`` import, ``P_src_minus`` export) and are
 mapped to the bus through the converter efficiencies. PV bus power is a
 variable bounded above by availability, so curtailment is free.
+
+Storage wear is counted on the gross energy through the cell in step k,
+``g_k = (tau/eta_d) * P_ess_plus[k] + tau * eta_c * P_ess_minus[k]`` (MWh
+drawn from plus MWh stored). g_k is a linear expression, not a column: the
+C-rate row bounds it and the throughput row sums it. It is never below the
+net change |E[k+1] - E[k]| and equals it whenever the cell does not charge
+and discharge in the same step, so losses burnt by paired flows pay wear.
 """
 
 from __future__ import annotations
@@ -110,8 +117,7 @@ def register_variables(model: ModelInstance, data: ProblemData):
         model.add_var("capex_epigraph", name, lb=0.0)
         model.add_vars([("E_soe", name, 0.0, ess.e_cap_max)], k_steps + 1)
         model.add_vars([("P_ess_plus", name, 0.0, ess.p_cap_max),
-                        ("P_ess_minus", name, 0.0, ess.p_cap_max),
-                        ("q_aux", name, 0.0, INF)], k_steps)
+                        ("P_ess_minus", name, 0.0, ess.p_cap_max)], k_steps)
 
 
 def add_source_flows(model: ModelInstance, data: ProblemData):
@@ -189,37 +195,42 @@ def add_ess_dynamics(model: ModelInstance, data: ProblemData):
                       f"soe_periodic.{name}", "dynamics")
 
 
-def add_crate_mccormick(model: ModelInstance, data: ProblemData):
-    """Per-step energy-swing variable q and its C-rate limit q <= R_cap * E_max.
+def _gross_flow_terms(model: ModelInstance, data: ProblemData, name: str):
+    """The terms of g_k, the gross energy through the cell in each step."""
+    tau, ess = data.horizon.tau_hours, data.ess[name]
+    return [(model.columns("P_ess_plus", name), tau / ess.eta_d),
+            (model.columns("P_ess_minus", name), tau * ess.eta_c)]
 
-    q epigraphs the swing |E[k+1]-E[k]|. The swing limit is the bilinear
-    E_max * R with a rate R in [0, R_cap], relaxed to its McCormick envelope
-    over [0, E_cap] x [0, R_cap]. R appears in no other row, and eliminating
-    it from the envelope leaves q <= R_cap * E_max plus E_max <= E_cap, which
-    is E_max's column bound (apply_fixed_values keeps pins inside it). So
-    this one row is exact and no R column is built. At E_max = E_cap the
-    envelope is the product itself, q = E_max * R.
+
+def add_crate_mccormick(model: ModelInstance, data: ProblemData):
+    """C-rate limit on the gross energy through the cell: g_k <= R_cap * E_max.
+
+    The per-step limit is the bilinear E_max * R with a rate R in
+    [0, R_cap], relaxed to its McCormick envelope over [0, E_cap] x
+    [0, R_cap]. R appears in no other row, and eliminating it from the
+    envelope leaves g_k <= R_cap * E_max plus E_max <= E_cap, which is
+    E_max's column bound (apply_fixed_values keeps pins inside it). So this
+    one row per step is exact and no R column is built. At E_max = E_cap
+    the envelope is the product itself, g_k = E_max * R.
     """
     for name, ess in data.ess.items():
         if ess.e_cap_max <= 0 or ess.crate_max <= 0:
             raise BuildError(f"{name}: capacity and C-rate ceilings must be positive")
         e_max = model.var("E_max", name).column
-        q = model.columns("q_aux", name)
-        soe = model.columns("E_soe", name)
-        nxt, cur = soe[1:], soe[:-1]
         _add_step_rows(
             model, "mccormick", data.horizon.n_steps,
-            (f"q_epi_up.{name}.k", GE, 0.0, [(q, 1.0), (nxt, -1.0), (cur, 1.0)]),
-            (f"q_epi_dn.{name}.k", GE, 0.0, [(q, 1.0), (nxt, 1.0), (cur, -1.0)]),
-            (f"q_crate.{name}.k", LE, 0.0, [(q, 1.0), (e_max, -ess.crate_max)]))
+            (f"q_crate.{name}.k", LE, 0.0,
+             _gross_flow_terms(model, data, name) + [(e_max, -ess.crate_max)]))
 
 
 def add_throughput(model: ModelInstance, data: ProblemData):
-    """Q_e equals the summed per-step energy swings."""
+    """Q_e equals the gross energy through the cell summed over the period,
+    sum_k (tau/eta_d) * P_ess_plus[k] + tau * eta_c * P_ess_minus[k]."""
     for name in data.ess:
-        q = model.columns("q_aux", name)
-        cols = np.concatenate(([model.var("Q_throughput", name).column], q))
-        coefs = np.concatenate(([1.0], np.full(len(q), -1.0)))
+        terms = _gross_flow_terms(model, data, name)
+        cols = np.concatenate([[model.var("Q_throughput", name).column]]
+                              + [c for c, _ in terms])
+        coefs = np.concatenate([[1.0]] + [np.full(len(c), -v) for c, v in terms])
         model.add_rows("throughput", [f"throughput.{name}"], cols[None, :],
                        coefs[None, :], EQ, 0.0)
 

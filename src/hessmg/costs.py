@@ -54,7 +54,8 @@ def objective_opex(model: ModelInstance, data: ProblemData):
 
     Yearly cost = annualized grid energy bill (exports credited at
     f_sell * price) + storage O&M (fixed on installed power, variable on
-    annualized throughput) + PV O&M + grid connection tariff components.
+    annualized gross throughput) + PV O&M + grid connection tariff
+    components.
     """
     h = data.horizon
     grid = data.sources.grid
@@ -139,9 +140,12 @@ def audit(x, model: ModelInstance, data: ProblemData,
     """Recompute every cost term from primal values, bypassing the objective row.
 
     Peak offtake and per-storage capex are re-derived from the dispatch and
-    sizing values rather than read from their epigraph variables. When
-    `solver_objective` is given, a mismatch beyond `rel_tol` (relative)
-    raises AuditError with per-term detail.
+    sizing values rather than read from their epigraph variables, and each
+    storage's throughput is the gross energy through its cell recomputed
+    from ``P_ess_plus``/``P_ess_minus`` and the catalog efficiencies, never
+    read from ``Q_throughput``. When `solver_objective` is given, a
+    mismatch beyond `rel_tol` (relative) raises AuditError with per-term
+    detail.
     """
     x = np.asarray(x)
     h = data.horizon
@@ -178,7 +182,8 @@ def audit(x, model: ModelInstance, data: ProblemData,
     for name, ess in data.ess.items():
         e_max = val("E_max", name)
         p_max = val("P_max_ess", name)
-        q_total = sum(x[model.columns("q_aux", name)])
+        q_total = h.tau_hours * (x[model.columns("P_ess_plus", name)].sum() / ess.eta_d
+                                 + ess.eta_c * x[model.columns("P_ess_minus", name)].sum())
         yearly += ess.om_power * p_max + ess.om_energy * ann * q_total
         capex_per_ess[name] = max(ess.cost_energy * e_max, ess.cost_power * p_max)
         eol += disc * ess.resale_factor * ess.cost_energy * (

@@ -91,11 +91,11 @@ class EssSpec:
     eta_d: float                 # discharging efficiency, store -> bus
     cost_energy: float           # capex, kEUR/MWh installed
     cost_power: float            # capex, kEUR/MW installed
-    om_energy: float             # variable O&M, kEUR/MWh throughput
+    om_energy: float             # variable O&M, kEUR/MWh of gross throughput
     om_power: float              # fixed O&M, kEUR/MW/yr
     e_cap_max: float             # max installable energy, MWh
     p_cap_max: float             # max installable power, MW
-    crate_max: float             # max per-step energy swing / installed capacity
+    crate_max: float             # max per-step gross energy through the cell / capacity
     dod_min_frac: float          # min state of energy as fraction of capacity
     cycle_life: float            # full equivalent cycles until end of life
     resale_factor: float         # fraction of remaining value recovered at EOL

@@ -178,14 +178,16 @@ def test_4_subset_monotonicity(case_matrix):
 
 
 def test_5_mccormick_tightness():
-    """With capacity at its ceiling the envelope collapses to q = Ecap * R.
+    """With capacity at its ceiling the envelope collapses to g = Ecap * R.
 
-    The model keeps the envelope in its projection q <= R_cap * E_max. The
-    lifted rows, q <= E_cap * R and q >= E_cap * R + R_cap * E_max -
-    E_cap * R_cap with 0 <= R <= R_cap, leave R the interval
-    [q / E_cap, min(R_cap, (q + R_cap * (E_cap - E_max)) / E_cap)]. At
-    E_max = E_cap it must shrink to the single point R = q / E_cap inside
-    [0, R_cap], so that q is exactly the bilinear E_max * R.
+    g_k is the gross energy through the cell in step k, (tau/eta_d) * P+ +
+    tau * eta_c * P-. The model keeps the envelope in its projection
+    g <= R_cap * E_max. The lifted rows, g <= E_cap * R and
+    g >= E_cap * R + R_cap * E_max - E_cap * R_cap with 0 <= R <= R_cap,
+    leave R the interval
+    [g / E_cap, min(R_cap, (g + R_cap * (E_cap - E_max)) / E_cap)]. At
+    E_max = E_cap it must shrink to the single point R = g / E_cap inside
+    [0, R_cap], so that g is exactly the bilinear E_max * R.
 
     The ceiling binds on its merits: prices alternate 10 and 300 EUR/MWh
     every hour, storage costs 1 kEUR/MWh and wears at no cost, and the grid
@@ -215,11 +217,13 @@ def test_5_mccormick_tightness():
     _, roomier = solved(dataclasses.replace(battery, e_cap_max=2.5))
     e_cap, r_cap = battery.e_cap_max, battery.crate_max
     e_max = sol.value(model, "E_max", "battery")
+    tau = horizon.tau_hours
+    gross = tau * (sol.x[model.columns("P_ess_plus", "battery")] / battery.eta_d
+                   + battery.eta_c * sol.x[model.columns("P_ess_minus", "battery")])
     worst = 0.0
-    for j in range(k):
-        q = sol.value(model, "q_aux", "battery", j)
-        lo = q / e_cap
-        hi = min(r_cap, (q + r_cap * (e_cap - e_max)) / e_cap)
+    for g in gross:
+        lo = g / e_cap
+        hi = min(r_cap, (g + r_cap * (e_cap - e_max)) / e_cap)
         worst = max(worst, abs(hi - lo), lo - r_cap, -lo)
     binds = roomier.objective < sol.objective - 1e-6 * abs(sol.objective)
     ok = abs(e_max - e_cap) <= 1e-9 and worst <= 1e-6 and binds

@@ -49,10 +49,11 @@ class TestStructure:
         k = data.horizon.n_steps
         model = build(data)
         # sources: 2 capacities + peak + 3 per step; storage: 4 designs,
-        # K+1 states, 3 per step
-        assert model.n_vars == 3 + 3 * k + 4 + (k + 1) + 3 * k
-        assert (model.n_vars, model.n_rows) == (176, 318)
-        assert not any(model.has_var("R_crate", "battery", j) for j in range(k))
+        # K+1 states, 2 per step (wear is an expression of the powers)
+        assert model.n_vars == 3 + 3 * k + 4 + (k + 1) + 2 * k
+        assert (model.n_vars, model.n_rows) == (152, 270)
+        assert not any(model.has_var(kind, "battery", j)
+                       for kind in ("R_crate", "q_aux") for j in range(k))
 
     def test_row_families_present(self):
         model = build(_data(ess={"battery": BATTERY}))
@@ -134,16 +135,31 @@ class TestCoefficients:
         assert not any(r.name.startswith("soe_dod") for r in model.rows)
 
     def test_mccormick_rows(self):
+        # one row per step bounds the gross energy through the cell:
+        # P+/eta_d + eta_c P- <= crate_max * E_max at tau = 1 h
         model = build(_data(ess={"battery": BATTERY}))
         row = _row(model, "q_crate.battery.k4")
         assert row.sense == "<=" and row.rhs == 0.0
-        assert _coef(model, row, "q_aux", "battery", 4) == 1.0
+        assert _coef(model, row, "P_ess_plus", "battery", 4) == pytest.approx(1 / 0.88)
+        assert _coef(model, row, "P_ess_minus", "battery", 4) == pytest.approx(0.83)
         assert _coef(model, row, "E_max", "battery") == pytest.approx(-3.0)
-        assert len(row.cols) == 2
-        up = _row(model, "q_epi_up.battery.k4")
-        assert _coef(model, up, "E_soe", "battery", 5) == -1.0
-        assert _coef(model, up, "E_soe", "battery", 4) == 1.0
-        assert not any(r.name.startswith(("q_mcc2", "q_mcc3")) for r in model.rows)
+        assert len(row.cols) == 3
+        assert [r.name for r in model.rows if r.family == "mccormick"] == [
+            f"q_crate.battery.k{k}" for k in range(24)]
+
+    def test_throughput_row(self):
+        horizon = Horizon(tau_minutes=15, t_syn=1)
+        data = ProblemData(
+            horizon=horizon, sources=SourceSpec(), ess={"battery": BATTERY},
+            price=np.zeros(96), demand_ch=np.zeros(96), demand_wh=np.zeros(96),
+            pv_cf=np.zeros(96))
+        model = build(data)
+        row = _row(model, "throughput.battery")
+        assert row.sense == "==" and row.rhs == 0.0 and len(row.cols) == 1 + 2 * 96
+        assert _coef(model, row, "Q_throughput", "battery") == 1.0
+        for k in (0, 95):
+            assert _coef(model, row, "P_ess_plus", "battery", k) == pytest.approx(-0.25 / 0.88)
+            assert _coef(model, row, "P_ess_minus", "battery", k) == pytest.approx(-0.25 * 0.83)
 
     def test_static_grid_converter_bounds(self):
         model = build(_data())
@@ -216,22 +232,31 @@ class TestSmallSolves:
         assert served >= 4.0 - 2.8 - 1e-9
 
 
+def _gross(model, data, name, x):
+    """Gross energy through the cell per step, from the powers in x."""
+    tau, ess = data.horizon.tau_hours, data.ess[name]
+    return tau * (x[model.columns("P_ess_plus", name)] / ess.eta_d
+                  + ess.eta_c * x[model.columns("P_ess_minus", name)])
+
+
 def _lifted(data, fixed=None):
     """The C-rate limit as the full McCormick envelope of E_max * R over
-    [0, E_cap] x [0, R_cap], with one R column per step, added on top of
-    the projected model."""
+    [0, E_cap] x [0, R_cap] on the gross flow g_k, with one R column per
+    step, added on top of the projected model."""
     model = build(data, fixed=fixed)
+    tau = data.horizon.tau_hours
     for name, ess in data.ess.items():
         e_cap, r_cap = ess.e_cap_max, ess.crate_max
         e_max = model.var("E_max", name)
         for k in range(data.horizon.n_steps):
-            q = model.var("q_aux", name, k)
+            g = [(model.var("P_ess_plus", name, k), tau / ess.eta_d),
+                 (model.var("P_ess_minus", name, k), tau * ess.eta_c)]
             r = model.add_var("R_crate", name, k, lb=0.0, ub=r_cap)
-            model.add_row([(q, 1.0), (r, -e_cap), (e_max, -r_cap)], GE,
+            model.add_row(g + [(r, -e_cap), (e_max, -r_cap)], GE,
                           -e_cap * r_cap, f"q_mcc2.{name}.k{k}", "mccormick")
-            model.add_row([(q, 1.0), (r, -e_cap)], LE, 0.0,
+            model.add_row(g + [(r, -e_cap)], LE, 0.0,
                           f"q_mcc3.{name}.k{k}", "mccormick")
-            model.add_row([(q, 1.0), (e_max, -r_cap)], LE, 0.0,
+            model.add_row(g + [(e_max, -r_cap)], LE, 0.0,
                           f"q_mcc4.{name}.k{k}", "mccormick")
     return model
 
@@ -279,6 +304,5 @@ class TestCrateProjection:
         assert projected.optimal and lifted.optimal
         assert projected.objective == pytest.approx(lifted.objective, rel=1e-7)
         e_max = projected.value(model, "E_max", "battery")
-        slack = [0.05 * e_max - projected.value(model, "q_aux", "battery", k)
-                 for k in range(data.horizon.n_steps)]
+        slack = 0.05 * e_max - _gross(model, data, "battery", projected.x)
         assert e_max > 0.1 and min(slack) == pytest.approx(0.0, abs=1e-7)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +149,26 @@ class TestAudit:
         b = audit(x, model, data)
         assert b.grid_connection["peak"] == pytest.approx(
             9.03 / 0.95, rel=1e-9)
+
+    def test_audit_throughput_from_storage_powers(self):
+        cheap = dataclasses.replace(BATTERY, cost_energy=5.0, cost_power=5.0,
+                                    om_energy=0.001)
+        data, model, sol = self._solved(
+            price=np.tile([20.0, 150.0], 12), ch=1.0, ess={"battery": cheap})
+        plus = sol.x[model.columns("P_ess_plus", "battery")]
+        minus = sol.x[model.columns("P_ess_minus", "battery")]
+        gross = plus.sum() / 0.88 + 0.83 * minus.sum()   # tau = 1 h
+        assert gross > 1.0
+        assert sol.value(model, "Q_throughput", "battery") == pytest.approx(gross, rel=1e-9)
+        x = sol.x.copy()
+        # the booked throughput is ignored: audit recomputes it from P+/P-
+        x[model.var("Q_throughput", "battery").column] = 0.0
+        assert audit(x, model, data).total == pytest.approx(sol.objective, rel=1e-9)
+        # one more MWh through the cell costs its wear, O&M plus lost resale
+        x[model.var("P_ess_minus", "battery", 0).column] += 1.0 / 0.83
+        wear = (npv_factor(0.04, 20) * 365.0 * 0.001
+                + eol_discount(0.04, 20) * 0.85 * 5.0 / 5000.0)
+        assert audit(x, model, data).total - sol.objective == pytest.approx(wear, rel=1e-9)
 
     def test_corrupted_solution_raises(self):
         data, model, sol = self._solved(price=50.0, ch=1.0)

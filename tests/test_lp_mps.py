@@ -192,13 +192,14 @@ def _golden_instances():
 
 
 # sha256 and size of write_mps output, recorded with the row-by-row writer
-# that the array-based one replaced and moved by one model change since:
-# soe_periodic compares E[K] with E[0] (it read E[1])
+# that the array-based one replaced and moved by two model changes since:
+# soe_periodic compares E[K] with E[0] (it read E[1]), and wear is counted on
+# the gross flow through each cell (no q_aux columns, no q_epi rows)
 GOLDEN_HASHES = {
-    "day_bsf": ("8175ab4e651ccb3b05674eb639d2247968d78cb3b0b0fc28ee2cc10f56af1c55", 127639),
-    "15min_battery": ("22c0bd2b51943ffdbe4d966a01cd96bd8e490ac64b6b2a53c9c129c315eff7e9",
-                      657594),
-    "pinned": ("4471b9451bdf570d7b6921071c8a5ed07f6ace18b8cf06776e8ed78217ee676c", 188984),
+    "day_bsf": ("877d599988e73b1bbeca53dbef80e4aaea7f95db4d125afac4117e582f847685", 116779),
+    "15min_battery": ("e9163a6b96c8eb6190b3f2f13db3e0e2edf22c4fd21f5c15e977b296f54728ff",
+                      619344),
+    "pinned": ("3cbb8b781486e6b1da4e6f6a30d9b75941ff0b2f6cd81db670c22a82095117cf", 173552),
 }
 
 

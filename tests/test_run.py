@@ -107,10 +107,21 @@ class TestPairedFlows:
         assert res.status == "optimal" and res.error is None
         grid = next(w for w in res.warnings if w.startswith("G:"))
         assert "import and export at steps 0, 1, 2, 3 " in grid
-        assert "largest product 5.04" in grid
+        assert "largest product 7.18" in grid
+        # wear is paid on the gross flow, so the battery does not burn the
+        # cheap energy by charging and discharging at once
+        assert not any(w.startswith("battery:") for w in res.warnings)
+        assert res.as_dict()["warnings"] == res.warnings
+
+    def test_wear_free_storage_warns_of_paired_flows(self, case_catalog):
+        catalog = dict(case_catalog)
+        catalog["battery"] = dataclasses.replace(
+            catalog["battery"], om_energy=0.0, resale_factor=0.0)
+        res = run_one(_one_day_ctx(catalog, negative_hours=4),
+                      ExperimentConfig(id="neg", ess_subset=("battery",)))
+        assert res.status == "optimal" and res.error is None
         assert any(w.startswith("battery: simultaneous charge and discharge")
                    for w in res.warnings)
-        assert res.as_dict()["warnings"] == res.warnings
 
     def test_normal_day_has_no_warning(self, case_catalog):
         res = run_one(_one_day_ctx(case_catalog),
