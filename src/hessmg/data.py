@@ -16,9 +16,9 @@ with NumPy, the values parsed by ``float`` one column at a time, and the
 days grouped by integer division. Any other file is read line by line with
 ``csv`` and ``datetime.fromisoformat``, which accept more (quotes, blank
 lines, a space separator, stamps without seconds or with fractions of a
-second) and report every malformed row with its ``path:line``. Both paths
-give the same days, warnings and errors for every input the bulk path
-takes.
+second; a stamp with a UTC offset is an error) and report every malformed
+row with its ``path:line``. Both paths give the same days, warnings and
+errors for every input the bulk path takes.
 """
 
 from __future__ import annotations
@@ -234,6 +234,10 @@ def _read_signal_file(path, header, n_values):
                 vals = tuple(float(v) for v in row[1:])
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: malformed row ({exc})") from None
+            if ts.tzinfo is not None:
+                raise DataFormatError(
+                    f"{path}:{lineno}: timestamp {row[0]} carries a UTC offset; "
+                    "stamps are local wall-clock times without one")
             if not all(map(math.isfinite, vals)):
                 raise DataFormatError(f"{path}:{lineno}: non-finite value")
             rows[ts] = vals

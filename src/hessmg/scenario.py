@@ -157,6 +157,20 @@ def sample_sequence(transition, weights, t_syn: int, seed: int) -> np.ndarray:
     return seq
 
 
+_SCENARIO_FIELDS = ("n_clusters", "centroids", "labels", "rep_days", "weights",
+                    "transition", "sequence", "representatives")
+_DAY_FIELDS = ("date", "price", "demand_ch", "demand_wh", "pv_cf")
+
+
+def _require_fields(raw, fields, what):
+    """Raise ValueError naming the first of `fields` that `raw` lacks."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    missing = [f for f in fields if f not in raw]
+    if missing:
+        raise ValueError(f"{what}: missing field {missing[0]!r}")
+
+
 @dataclass
 class ScenarioModel:
     """Clustering artifacts plus the sampled synthetic day sequence."""
@@ -221,8 +235,12 @@ class ScenarioModel:
     @classmethod
     def from_json(cls, text: str) -> "ScenarioModel":
         """Read a scenario written by `to_json`; raises ValueError (or
-        DataFormatError for a day) when its contents do not fit together."""
+        DataFormatError for a day) when a field is missing or its contents
+        do not fit together."""
         raw = json.loads(text)
+        _require_fields(raw, _SCENARIO_FIELDS, "scenario")
+        for i, d in enumerate(raw["representatives"]):
+            _require_fields(d, _DAY_FIELDS, f"scenario representative {i}")
         reps = [HistoricalDay(
             date=dt.date.fromisoformat(d["date"]),
             price=np.array(d["price"]),

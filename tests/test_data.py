@@ -293,7 +293,7 @@ def _gap_in_middle_day(lines):
     (lambda lines: lines, True, True, list),
     (_quoted, False, False, list),
     (_space_and_minutes, False, False, list),
-    (_utc_offset, False, False, TypeError),
+    (_utc_offset, False, False, DataFormatError),
     (_feb_30, False, False, DataFormatError),
     (_off_grid, False, True, DataFormatError),
     (_gap_in_middle_day, False, True, DataFormatError),
@@ -308,6 +308,19 @@ def test_edited_price_file_matches_line_path(tmp_path, edit, crlf, bulk, expecte
     got = _outcome(paths, Horizon(t_syn=1))
     assert got == _outcome(paths, Horizon(t_syn=1), line=True)
     assert isinstance(got[0], list) if expected is list else got[0] is expected
+
+
+@pytest.mark.parametrize("edit, where", [
+    (_utc_offset, r"p\.csv:6: timestamp \S+\+01:00 carries a UTC offset"),
+    (lambda lines: lines[:1] + [r.replace(",", "Z,", 1) for r in lines[1:]],
+     r"p\.csv:2: timestamp \S+Z carries a UTC offset"),
+], ids=["one offset stamp", "every stamp offset"])
+def test_utc_offset_stamps_name_their_line(tmp_path, edit, where):
+    paths = (tmp_path / "p.csv", tmp_path / "d.csv", tmp_path / "pv.csv")
+    save_dataset(make_demo_dataset(seed=5, n_days=3), *paths)
+    paths[0].write_text("\n".join(edit(paths[0].read_text().splitlines())) + "\n")
+    with pytest.raises(DataFormatError, match=where):
+        load_dataset(*paths, Horizon(t_syn=1))
 
 
 def test_malformed_row_deep_in_a_15_minute_file(tmp_path):

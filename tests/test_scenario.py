@@ -239,6 +239,23 @@ class TestScenarioJson:
         with pytest.raises(ValueError, match=match):
             ScenarioModel.from_json(json.dumps(edited))
 
+    @pytest.mark.parametrize("edit, match", [
+        (lambda raw: raw.pop("representatives"), "scenario: missing field 'representatives'"),
+        (lambda raw: raw.pop("n_clusters"), "scenario: missing field 'n_clusters'"),
+        (lambda raw: raw["representatives"][1].pop("pv_cf"),
+         "scenario representative 1: missing field 'pv_cf'"),
+        (lambda raw: raw.clear(), "scenario: missing field 'n_clusters'"),
+    ], ids=["representatives", "n_clusters", "day pv_cf", "empty object"])
+    def test_missing_field_named(self, raw, edit, match):
+        edited = copy.deepcopy(raw)
+        edit(edited)
+        with pytest.raises(ValueError, match=match):
+            ScenarioModel.from_json(json.dumps(edited))
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ValueError, match="scenario is not a JSON object"):
+            ScenarioModel.from_json("[1, 2]")
+
     def test_non_finite_representative_rejected(self, raw):
         edited = copy.deepcopy(raw)
         edited["representatives"][0]["price"][3] = float("nan")
