@@ -174,32 +174,30 @@ def add_capacity_bounds(model: ModelInstance, data: ProblemData):
             (f"ess_pow_lo.{name}.k", LE, 0.0, [(plus, -1.0), (minus, 1.0), (p_max, -1.0)]))
 
 
+def _gross_flow_terms(model: ModelInstance, data: ProblemData, name: str):
+    """The terms of g_k, the gross energy through the cell in each step:
+    MWh removed per MW delivered to the bus, MWh stored per MW drawn."""
+    tau, ess = data.horizon.tau_hours, data.ess[name]
+    return [(model.columns("P_ess_plus", name), tau / ess.eta_d),
+            (model.columns("P_ess_minus", name), tau * ess.eta_c)]
+
+
 def add_ess_dynamics(model: ModelInstance, data: ProblemData):
     """State-of-energy recursion and the end-vs-start periodicity row.
 
     E[k+1] = E[k] - (tau/eta_d) * p_plus + tau * eta_c * p_minus, and
     E[K] >= E[0]: the period ends with at least the energy it started with.
     """
-    tau = data.horizon.tau_hours
     k_steps = data.horizon.n_steps
-    for name, ess in data.ess.items():
-        discharge_coef = tau / ess.eta_d   # MWh removed per MW delivered to bus
-        charge_coef = tau * ess.eta_c      # MWh stored per MW drawn from bus
+    for name in data.ess:
+        (plus, discharge_coef), (minus, charge_coef) = _gross_flow_terms(model, data, name)
         soe = model.columns("E_soe", name)
         _add_step_rows(model, "dynamics", k_steps, (
             f"soe_dyn.{name}.k", EQ, 0.0,
             [(soe[1:], 1.0), (soe[:-1], -1.0),
-             (model.columns("P_ess_plus", name), discharge_coef),
-             (model.columns("P_ess_minus", name), -charge_coef)]))
+             (plus, discharge_coef), (minus, -charge_coef)]))
         model.add_row([(soe[k_steps], 1.0), (soe[0], -1.0)], GE, 0.0,
                       f"soe_periodic.{name}", "dynamics")
-
-
-def _gross_flow_terms(model: ModelInstance, data: ProblemData, name: str):
-    """The terms of g_k, the gross energy through the cell in each step."""
-    tau, ess = data.horizon.tau_hours, data.ess[name]
-    return [(model.columns("P_ess_plus", name), tau / ess.eta_d),
-            (model.columns("P_ess_minus", name), tau * ess.eta_c)]
 
 
 def add_crate_mccormick(model: ModelInstance, data: ProblemData):

@@ -6,6 +6,7 @@ from hessmg.data import EssSpec, Horizon, SourceSpec, make_demo_dataset
 from hessmg.lp import GE, LE
 from hessmg.scenario import build_scenario
 from hessmg.solve import SolveOptions, solve
+from test_wear import _gross
 
 BATTERY = EssSpec(
     name="battery", eta_c=0.83, eta_d=0.88, cost_energy=900.0,
@@ -230,13 +231,6 @@ class TestSmallSolves:
             assert net >= -1e-9, name
             served += plus[0] - minus[0]
         assert served >= 4.0 - 2.8 - 1e-9
-
-
-def _gross(model, data, name, x):
-    """Gross energy through the cell per step, from the powers in x."""
-    tau, ess = data.horizon.tau_hours, data.ess[name]
-    return tau * (x[model.columns("P_ess_plus", name)] / ess.eta_d
-                  + ess.eta_c * x[model.columns("P_ess_minus", name)])
 
 
 def _lifted(data, fixed=None):
