@@ -11,7 +11,7 @@ import os
 import sys
 
 from . import run as runner
-from .builder import ProblemData, build
+from .builder import build
 from .data import Horizon, load_dataset, make_demo_dataset, write_demo_files
 from .mps import write_mps
 from .scenario import build_scenario
@@ -107,9 +107,8 @@ def cmd_export_mps(args):
     cfg = _merged_config(args)
     ctx = runner.context_from_config(cfg, cache_dir=args.out_dir)
     ess = args.ess.split(",") if args.ess else list(ctx.catalog)
-    data = ProblemData.from_scenario(ctx.scenario, ctx.horizon, ctx.sources,
-                                     {n: ctx.catalog[n] for n in ess})
-    write_mps(build(data), args.out)
+    exp = runner.ExperimentConfig(id="export", ess_subset=tuple(ess))
+    write_mps(build(runner.problem_data(ctx, exp)), args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -156,8 +155,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. A fault in the inputs (a malformed file, field
+    or flag, or a path that cannot be read) prints one line and gives 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"hessmg: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

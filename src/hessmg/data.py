@@ -11,14 +11,16 @@ the regular layout (the exact header line, ``\n`` or ``\r\n`` line ends,
 no blank lines, no quotes, the same number of cells on every line, every
 timestamp a canonical ``YYYY-MM-DDTHH:MM:SS`` stamp of a real date and
 time, every value a finite number) is read in bulk: one split of the
-whole text into cells, the stamps checked and turned into integer seconds
-with NumPy, the values parsed by ``float`` one column at a time, and the
-days grouped by integer division. Any other file is read line by line with
-``csv`` and ``datetime.fromisoformat``, which accept more (quotes, blank
-lines, a space separator, stamps without seconds or with fractions of a
-second; a stamp with a UTC offset is an error) and report every malformed
-row with its ``path:line``. Both paths give the same days, warnings and
-errors for every input the bulk path takes.
+whole text into cells, the stamps checked and turned into integers with
+NumPy, the values parsed by ``float`` one column at a time. Any other file
+is read line by line with ``csv`` and ``datetime.fromisoformat``, which
+accept more (quotes, blank lines, a space separator, stamps without
+seconds or with fractions of a second; a stamp with a UTC offset is an
+error) and report every malformed row with its ``path:line``. Both paths
+give the same thing, each row's stamp in integer microseconds and its
+values, and one grouping step turns that into days: it keeps the last row
+of a repeated stamp, keeps the days that hold exactly the step grid, drops
+a partial first or last day with a warning and rejects any other day.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import numpy as np
 PRICE_HEADER = ("timestamp", "price_eur_per_mwh")
 DEMAND_HEADER = ("timestamp", "ch_mw", "wh_mw")
 PV_HEADER = ("timestamp", "pv_cf")
+_DAY_US = 86_400_000_000     # microseconds per day
 
 
 class DataFormatError(ValueError):
@@ -212,9 +215,9 @@ class HistoricalDay:
 
 
 def _read_signal_file(path, header, n_values):
-    """Parse a `timestamp,value...` CSV into {datetime: (v, ...)} rows,
-    line by line; a repeated timestamp keeps its last row."""
-    rows = {}
+    """Parse a `timestamp,value...` CSV line by line into (stamps in
+    microseconds, one value array per column), one entry per row."""
+    stamps, values = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -240,43 +243,11 @@ def _read_signal_file(path, header, n_values):
                     "stamps are local wall-clock times without one")
             if not all(map(math.isfinite, vals)):
                 raise DataFormatError(f"{path}:{lineno}: non-finite value")
-            rows[ts] = vals
-    return rows
-
-
-def _group_days(timestamps, horizon, label):
-    """Split sorted timestamps into complete days; flag gaps and edge stubs."""
-    step = dt.timedelta(minutes=horizon.tau_minutes)
-    spd = horizon.steps_per_day
-    by_date = {}
-    for ts in timestamps:
-        by_date.setdefault(ts.date(), []).append(ts)
-    complete = []
-    dates = sorted(by_date)
-    for i, day in enumerate(dates):
-        stamps = sorted(by_date[day])
-        expected = [dt.datetime.combine(day, dt.time()) + j * step for j in range(spd)]
-        if stamps == expected:
-            complete.append(day)
-        elif i in (0, len(dates) - 1) and set(stamps) < set(expected):
-            warnings.warn(
-                f"{label}: dropping incomplete day {day} ({len(stamps)}/{spd} steps)",
-                IncompleteDayWarning, stacklevel=3)
-        else:
-            raise DataFormatError(f"{label}: gap inside day {day}")
-    return complete
-
-
-def _line_days(rows, complete, horizon):
-    """{date: [one array per value column]} for the complete days of a file
-    read line by line."""
-    step = dt.timedelta(minutes=horizon.tau_minutes)
-    out = {}
-    for day in complete:
-        vals = [rows[dt.datetime.combine(day, dt.time()) + j * step]
-                for j in range(horizon.steps_per_day)]
-        out[day] = [np.array([v[i] for v in vals]) for i in range(len(vals[0]))]
-    return out
+            stamps.append(ts.toordinal() * _DAY_US + ts.microsecond
+                          + (ts.hour * 3600 + ts.minute * 60 + ts.second) * 1_000_000)
+            values.extend(vals)
+    return (np.array(stamps, dtype=np.int64),
+            list(np.array(values, dtype=float).reshape(-1, n_values).T))
 
 
 # Canonical stamp YYYY-MM-DDTHH:MM:SS: separator positions and codes, and
@@ -321,8 +292,8 @@ def _stamp_seconds(codes):
 
 def _read_bulk(path, header, n_values):
     """A signal file in the regular layout (see the module docstring) as
-    (sorted distinct stamps in seconds, one value array per column), where
-    a repeated stamp keeps its last row; None for any other file."""
+    (stamps in microseconds, one value array per column), one entry per
+    row; None for any other file."""
     try:
         with open(path, newline="") as fh:
             text = fh.read()
@@ -360,18 +331,23 @@ def _read_bulk(path, header, n_values):
         return None
     if not all(np.isfinite(c).all() for c in columns):
         return None
-    order = np.argsort(secs, kind="stable")
-    secs = secs[order]
-    last = np.append(secs[1:] != secs[:-1], True)
-    return secs[last], [c[order[last]] for c in columns]
+    return secs * 1_000_000, columns
 
 
-def _bulk_days(secs, columns, horizon, label):
-    """{date: [one array per value column]} for the complete days of a file
-    read in bulk; flags gaps and edge stubs exactly as `_group_days` does."""
+def _complete_days(stamps, columns, horizon, label):
+    """{date: [one array per value column]} for the complete days of one
+    file, from its rows in any order (stamps in microseconds). A repeated
+    stamp keeps its last row. A day must hold exactly the stamps of the step
+    grid; the first or last day may hold only part of them and is then
+    dropped with a warning. Any other day is an error."""
+    # the first of a stamp in reversed row order is its last row
+    n_rows = len(stamps)
+    stamps, first = np.unique(stamps[::-1], return_index=True)
+    columns = [c[n_rows - 1 - first] for c in columns]
     spd = horizon.steps_per_day
-    days, start, count = np.unique(secs // 86400, return_index=True, return_counts=True)
-    on_grid = ~np.logical_or.reduceat(secs % (60 * horizon.tau_minutes) != 0, start)
+    day_of = stamps // _DAY_US
+    days, start, count = np.unique(day_of, return_index=True, return_counts=True)
+    on_grid = ~np.isin(days, day_of[stamps % (60_000_000 * horizon.tau_minutes) != 0])
     complete = on_grid & (count == spd)
     for i in np.flatnonzero(~complete).tolist():
         day = dt.date.fromordinal(int(days[i]))
@@ -397,13 +373,10 @@ def load_dataset(price_path, demand_path, pv_path, horizon: Horizon) -> list[His
              (pv_path, PV_HEADER, 1, "pv"))
     parsed = [_read_bulk(path, header, n) or _read_signal_file(path, header, n)
               for path, header, n, _ in files]
-
+    # a loop, not a comprehension: the warning's stacklevel counts frames
     per_file = []
-    for rows, (*_, label) in zip(parsed, files):
-        if isinstance(rows, dict):
-            per_file.append(_line_days(rows, _group_days(rows, horizon, label), horizon))
-        else:
-            per_file.append(_bulk_days(*rows, horizon, label))
+    for (stamps, columns), (*_, label) in zip(parsed, files):
+        per_file.append(_complete_days(stamps, columns, horizon, label))
     price, demand, pv = per_file
 
     return [HistoricalDay(date=day, price=price[day][0], demand_ch=demand[day][0],

@@ -170,14 +170,20 @@ def _design_values(model, x, kind, names) -> dict[str, float]:
     return dict(zip(names, v.tolist()))
 
 
-def run_one(ctx: RunContext, exp: ExperimentConfig,
-            options: SolveOptions | None = None) -> DesignResult:
-    """Build, solve, verify and audit a single experiment."""
+def problem_data(ctx: RunContext, exp: ExperimentConfig) -> ProblemData:
+    """The model inputs of one experiment: the context's scenario with the
+    experiment's storage technologies, each of which the catalog must hold."""
     unknown = set(exp.ess_subset) - set(ctx.catalog)
     if unknown:
         raise ValueError(f"{exp.id}: technologies not in catalog: {sorted(unknown)}")
     ess = {name: ctx.catalog[name] for name in exp.ess_subset}
-    data = ProblemData.from_scenario(ctx.scenario, ctx.horizon, ctx.sources, ess)
+    return ProblemData.from_scenario(ctx.scenario, ctx.horizon, ctx.sources, ess)
+
+
+def run_one(ctx: RunContext, exp: ExperimentConfig,
+            options: SolveOptions | None = None) -> DesignResult:
+    """Build, solve, verify and audit a single experiment."""
+    data = problem_data(ctx, exp)
     # JSON configs spell pinned design variables as "kind.entity" strings
     fixed = {tuple(k.split(".")) if isinstance(k, str) else k: v
              for k, v in exp.fixed.items()}
@@ -194,8 +200,8 @@ def run_one(ctx: RunContext, exp: ExperimentConfig,
     sources = _design_values(model, sol.x, "P_max_src", [GRID, PV])
     return DesignResult(
         exp_id=exp.id, status=sol.status,
-        e_max=_design_values(model, sol.x, "E_max", list(ess)),
-        p_max=_design_values(model, sol.x, "P_max_ess", list(ess)),
+        e_max=_design_values(model, sol.x, "E_max", list(data.ess)),
+        p_max=_design_values(model, sol.x, "P_max_ess", list(data.ess)),
         p_grid_max=sources[GRID], p_pv_max=sources[PV],
         breakdown=breakdown, traces=extract_traces(sol.x, model, data),
         objective=sol.objective, solve_seconds=sol.wall_time,

@@ -288,6 +288,20 @@ def _gap_in_middle_day(lines):
     return lines[:30] + lines[31:]
 
 
+def _fraction_in_middle_day(lines):
+    stamp, value = lines[30].split(",")
+    return lines[:30] + [f"{stamp}.500,{value}"] + lines[31:]
+
+
+def _extra_fraction_on_last_day(lines):
+    stamp, value = lines[-3].split(",")
+    return lines + [f"{stamp}.250,{value}"]
+
+
+def _header_only(lines):
+    return lines[:1]
+
+
 @pytest.mark.parametrize("edit, crlf, bulk, expected", [
     (_blank_lines, False, False, list),
     (lambda lines: lines, True, True, list),
@@ -297,8 +311,12 @@ def _gap_in_middle_day(lines):
     (_feb_30, False, False, DataFormatError),
     (_off_grid, False, True, DataFormatError),
     (_gap_in_middle_day, False, True, DataFormatError),
+    (_fraction_in_middle_day, False, False, DataFormatError),
+    (_extra_fraction_on_last_day, False, False, DataFormatError),
+    (_header_only, False, False, list),
 ], ids=["blank lines", "crlf", "quoted cells", "space and minutes", "utc offset",
-        "feb 30", "off grid", "gap in middle day"])
+        "feb 30", "off grid", "gap in middle day", "fraction in middle day",
+        "extra fraction on last day", "header only"])
 def test_edited_price_file_matches_line_path(tmp_path, edit, crlf, bulk, expected):
     paths = (tmp_path / "p.csv", tmp_path / "d.csv", tmp_path / "pv.csv")
     save_dataset(make_demo_dataset(seed=5, n_days=3), *paths)
@@ -308,6 +326,31 @@ def test_edited_price_file_matches_line_path(tmp_path, edit, crlf, bulk, expecte
     got = _outcome(paths, Horizon(t_syn=1))
     assert got == _outcome(paths, Horizon(t_syn=1), line=True)
     assert isinstance(got[0], list) if expected is list else got[0] is expected
+
+
+@pytest.mark.parametrize("edit, expected", [
+    (_fraction_in_middle_day, (DataFormatError, "prices: gap inside day 2021-01-02")),
+    (_extra_fraction_on_last_day, (DataFormatError, "prices: gap inside day 2021-01-03")),
+    (_header_only, ([], [])),
+], ids=["fraction in middle day", "extra fraction on last day", "header only"])
+def test_fractional_stamps_and_empty_files(tmp_path, edit, expected):
+    """A stamp a fraction of a second off the grid is not truncated onto
+    it, and a file with no rows gives no days and no warning."""
+    paths = (tmp_path / "p.csv", tmp_path / "d.csv", tmp_path / "pv.csv")
+    save_dataset(make_demo_dataset(seed=5, n_days=3), *paths)
+    paths[0].write_text("\n".join(edit(paths[0].read_text().splitlines())) + "\n")
+    assert _outcome(paths, Horizon(t_syn=1)) == expected
+
+
+@pytest.mark.parametrize("line", [False, True], ids=["bulk", "line"])
+def test_repeated_stamp_keeps_its_last_row(tmp_path, line):
+    paths = (tmp_path / "p.csv", tmp_path / "d.csv", tmp_path / "pv.csv")
+    save_dataset(make_demo_dataset(seed=5, n_days=2), *paths)
+    lines = paths[0].read_text().splitlines()
+    stamp = lines[5].split(",")[0]
+    paths[0].write_text("\n".join(lines + [f"{stamp},-1.0", f"{stamp},-2.0"]) + "\n")
+    days, caught = _outcome(paths, Horizon(t_syn=1), line=line)
+    assert caught == [] and days[0].price[4] == -2.0
 
 
 @pytest.mark.parametrize("edit, where", [

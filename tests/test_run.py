@@ -357,14 +357,30 @@ class TestCli:
         assert result["status"] == "optimal"
         assert len(result["traces"]["demand_CH"]) == 3 * 24
 
-    def test_config_horizon_wins_over_scenario(self, workspace, tmp_path):
+    def test_config_horizon_wins_over_scenario(self, workspace, tmp_path, capsys):
         root, cfg_path = workspace  # the config sets t_syn = 2
         scenario = tmp_path / "scenario.json"
         assert main(["synth", "--config", str(cfg_path), "--days", "3",
                      "--out", str(scenario)]) == 0
-        with pytest.raises(BuildError, match="scenario supplies 3 days, horizon needs 2"):
-            main(["optimize", "--config", str(cfg_path), "--scenario", str(scenario),
-                  "--out-dir", str(tmp_path / "run")])
+        assert main(["optimize", "--config", str(cfg_path), "--scenario", str(scenario),
+                     "--out-dir", str(tmp_path / "run")]) == 2
+        assert "scenario supplies 3 days, horizon needs 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, extra, message", [
+        ("optimize", ["--scenario", "{tmp}/bad.json"], "scenario: missing field 'centroids'"),
+        ("optimize", ["--scenario", "{tmp}/missing.json"], "No such file or directory"),
+        ("export-mps", ["--ess", "battery,foo", "--out", "{tmp}/m.mps"],
+         "export: technologies not in catalog: ['foo']"),
+    ], ids=["incomplete scenario", "missing scenario", "unknown technology"])
+    def test_input_faults_print_one_line(self, workspace, tmp_path, capsys,
+                                         command, extra, message):
+        root, cfg_path = workspace
+        (tmp_path / "bad.json").write_text('{"n_clusters": 1}')
+        args = [command, "--config", str(cfg_path), "--out-dir", str(tmp_path)]
+        assert main(args + [a.format(tmp=tmp_path) for a in extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hessmg: error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_sub_hourly_scenario_sets_the_step(self, tmp_path):
         scenario = tmp_path / "scenario.json"

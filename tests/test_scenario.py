@@ -245,7 +245,24 @@ class TestScenarioJson:
         (lambda raw: raw["representatives"][1].pop("pv_cf"),
          "scenario representative 1: missing field 'pv_cf'"),
         (lambda raw: raw.clear(), "scenario: missing field 'n_clusters'"),
-    ], ids=["representatives", "n_clusters", "day pv_cf", "empty object"])
+        (_set("representatives", 5), "scenario: field 'representatives' is not a list of objects"),
+        (lambda raw: raw["representatives"].append(3),
+         "scenario: field 'representatives' is not a list of objects"),
+        (_set("n_clusters", "2"), "scenario: field 'n_clusters' is not an integer"),
+        (_set("n_clusters", True), "scenario: field 'n_clusters' is not an integer"),
+        (_set("labels", "0101"), "scenario: field 'labels' is not a list of integers"),
+        (_set("sequence", [0, 1, 0.5, 1]), "scenario: field 'sequence' is not a list of integers"),
+        (_set("weights", [0.5, "0.5"]), "scenario: field 'weights' is not a list of numbers"),
+        (_set("transition", [[1.0, 0.0], 1.0]),
+         "scenario: field 'transition' is not a list of number lists"),
+        (lambda raw: raw["representatives"][0].__setitem__("price", "12.0"),
+         "scenario representative 0: field 'price' is not a list of numbers"),
+        (lambda raw: raw["representatives"][1].__setitem__("date", 20210101),
+         "scenario representative 1: field 'date' is not a string"),
+    ], ids=["representatives", "n_clusters", "day pv_cf", "empty object",
+            "representatives int", "representative int", "n_clusters string",
+            "n_clusters bool", "labels string", "sequence float", "weights string",
+            "transition row number", "day price string", "day date number"])
     def test_missing_field_named(self, raw, edit, match):
         edited = copy.deepcopy(raw)
         edit(edited)

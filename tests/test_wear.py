@@ -6,6 +6,8 @@ expression of the storage powers. The earlier model epigraphed the swing
 here only as a reference builder.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,3 +158,21 @@ def test_optimal_designs_respect_physics(seed, tau, t_syn, zero_pv, price_low):
         booked = sol.value(model, "Q_throughput", name)
         gross = _gross(model, data, name, sol.x).sum()
         assert booked == pytest.approx(gross, rel=1e-6, abs=1e-6), name
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       price_low=st.floats(-200.0, 50.0),
+       keep=st.lists(st.booleans(), min_size=3, max_size=3),
+       added=st.integers(0, 2))
+def test_adding_a_technology_never_costs_more(seed, price_low, keep, added):
+    """On one hourly day, a portfolio plus one more technology has an
+    optimum no worse than the portfolio alone: the new one may stay unbuilt."""
+    data = _instance(seed, price_low=price_low)
+    names = list(data.ess)
+    new = names[added % len(names)]
+    portfolio = {n: data.ess[n] for n, k in zip(names, keep) if k and n != new}
+    without = solve(build(dataclasses.replace(data, ess=portfolio)))
+    with_new = solve(build(dataclasses.replace(data, ess={**portfolio, new: data.ess[new]})))
+    assert without.optimal and with_new.optimal
+    assert with_new.objective <= without.objective + 1e-7 * max(1.0, abs(without.objective))
