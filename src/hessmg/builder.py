@@ -1,5 +1,5 @@
 """Assembly of the co-design LP: power flows, storage dynamics, C-rate
-limit, throughput accounting, and the total-cost-of-ownership objective.
+limit, and the total-cost-of-ownership objective.
 
 Conventions: bus-side storage powers are decision variables (discharge
 ``P_ess_plus`` and charge ``P_ess_minus`` in MW at the DC bus), while grid
@@ -9,8 +9,9 @@ variable bounded above by availability, so curtailment is free.
 
 Storage wear is counted on the gross energy through the cell in step k,
 ``g_k = (tau/eta_d) * P_ess_plus[k] + tau * eta_c * P_ess_minus[k]`` (MWh
-drawn from plus MWh stored). g_k is a linear expression, not a column: the
-C-rate row bounds it and the throughput row sums it. It is never below the
+drawn from plus MWh stored). g_k is a linear expression, not a column,
+defined once by ``gross_flow_terms``: the SoE recursion and the C-rate row
+use it, and the objective prices wear on it directly. It is never below the
 net change |E[k+1] - E[k]| and equals it whenever the cell does not charge
 and discharge in the same step, so losses burnt by paired flows pay wear.
 """
@@ -113,7 +114,6 @@ def register_variables(model: ModelInstance, data: ProblemData):
     for name, ess in data.ess.items():
         model.add_var("E_max", name, lb=0.0, ub=ess.e_cap_max)
         model.add_var("P_max_ess", name, lb=0.0, ub=ess.p_cap_max)
-        model.add_var("Q_throughput", name, lb=0.0)
         model.add_var("capex_epigraph", name, lb=0.0)
         model.add_vars([("E_soe", name, 0.0, ess.e_cap_max)], k_steps + 1)
         model.add_vars([("P_ess_plus", name, 0.0, ess.p_cap_max),
@@ -174,9 +174,10 @@ def add_capacity_bounds(model: ModelInstance, data: ProblemData):
             (f"ess_pow_lo.{name}.k", LE, 0.0, [(plus, -1.0), (minus, 1.0), (p_max, -1.0)]))
 
 
-def _gross_flow_terms(model: ModelInstance, data: ProblemData, name: str):
+def gross_flow_terms(model: ModelInstance, data: ProblemData, name: str):
     """The terms of g_k, the gross energy through the cell in each step:
-    MWh removed per MW delivered to the bus, MWh stored per MW drawn."""
+    MWh removed per MW delivered to the bus, MWh stored per MW drawn, as
+    ``[(P_ess_plus columns, MWh per MW), (P_ess_minus columns, MWh per MW)]``."""
     tau, ess = data.horizon.tau_hours, data.ess[name]
     return [(model.columns("P_ess_plus", name), tau / ess.eta_d),
             (model.columns("P_ess_minus", name), tau * ess.eta_c)]
@@ -190,7 +191,7 @@ def add_ess_dynamics(model: ModelInstance, data: ProblemData):
     """
     k_steps = data.horizon.n_steps
     for name in data.ess:
-        (plus, discharge_coef), (minus, charge_coef) = _gross_flow_terms(model, data, name)
+        (plus, discharge_coef), (minus, charge_coef) = gross_flow_terms(model, data, name)
         soe = model.columns("E_soe", name)
         _add_step_rows(model, "dynamics", k_steps, (
             f"soe_dyn.{name}.k", EQ, 0.0,
@@ -218,19 +219,7 @@ def add_crate_mccormick(model: ModelInstance, data: ProblemData):
         _add_step_rows(
             model, "mccormick", data.horizon.n_steps,
             (f"q_crate.{name}.k", LE, 0.0,
-             _gross_flow_terms(model, data, name) + [(e_max, -ess.crate_max)]))
-
-
-def add_throughput(model: ModelInstance, data: ProblemData):
-    """Q_e equals the gross energy through the cell summed over the period,
-    sum_k (tau/eta_d) * P_ess_plus[k] + tau * eta_c * P_ess_minus[k]."""
-    for name in data.ess:
-        terms = _gross_flow_terms(model, data, name)
-        cols = np.concatenate([[model.var("Q_throughput", name).column]]
-                              + [c for c, _ in terms])
-        coefs = np.concatenate([[1.0]] + [np.full(len(c), -v) for c, v in terms])
-        model.add_rows("throughput", [f"throughput.{name}"], cols[None, :],
-                       coefs[None, :], EQ, 0.0)
+             gross_flow_terms(model, data, name) + [(e_max, -ess.crate_max)]))
 
 
 def add_peak(model: ModelInstance, data: ProblemData):
@@ -276,7 +265,6 @@ def build(data: ProblemData, fixed: dict | None = None,
     add_capacity_bounds(model, data)
     add_ess_dynamics(model, data)
     add_crate_mccormick(model, data)
-    add_throughput(model, data)
     add_peak(model, data)
     if initial_soe_frac is not None:
         add_initial_soe(model, data, initial_soe_frac)

@@ -44,7 +44,7 @@ def _merged_config(args) -> dict:
     required = ("catalog",) if cfg.get("scenario") else ("prices", "demand", "pv", "catalog")
     for key in required:
         if key not in cfg:
-            raise SystemExit(f"missing input: --{key} or config entry '{key}'")
+            raise ValueError(f"missing input: --{key} or config entry '{key}'")
     return cfg
 
 
@@ -86,11 +86,11 @@ def cmd_optimize(args):
 
 def cmd_experiments(args):
     cfg = _merged_config(args)
-    os.makedirs(args.out_dir, exist_ok=True)
-    ctx = runner.context_from_config(cfg, cache_dir=args.out_dir)
     experiments = runner.experiments_from_config(cfg)
     if not experiments:
-        raise SystemExit("config defines no experiments")
+        raise ValueError("missing input: config defines no experiments")
+    os.makedirs(args.out_dir, exist_ok=True)
+    ctx = runner.context_from_config(cfg, cache_dir=args.out_dir)
     results = runner.run_experiments(ctx, experiments, jobs=args.jobs)
     runner.write_summary(results, list(ctx.catalog),
                          os.path.join(args.out_dir, "summary.csv"))
@@ -156,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand. A fault in the inputs (a malformed file, field
-    or flag, or a path that cannot be read) prints one line and gives 2."""
+    or flag, a missing input, or a path that cannot be read) prints one
+    line and gives 2; a design that is not optimal gives 1."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .builder import GRID, PV, ProblemData
+from .builder import GRID, PV, ProblemData, gross_flow_terms
 from .lp import GE, ModelInstance
 
 EUR_PER_KEUR = 1000.0
@@ -54,7 +54,8 @@ def objective_opex(model: ModelInstance, data: ProblemData):
 
     Yearly cost = annualized grid energy bill (exports credited at
     f_sell * price) + storage O&M (fixed on installed power, variable on
-    annualized gross throughput) + PV O&M + grid connection tariff
+    the annualized gross flow g_k through the cell, charged on the storage
+    powers through ``gross_flow_terms``) + PV O&M + grid connection tariff
     components.
     """
     h = data.horizon
@@ -69,8 +70,8 @@ def objective_opex(model: ModelInstance, data: ProblemData):
                         -fac * ann * h.tau_hours * grid.f_sell * price_keur)
     for name, ess in data.ess.items():
         model.add_objective_term(model.var("P_max_ess", name), fac * ess.om_power)
-        model.add_objective_term(model.var("Q_throughput", name),
-                                 fac * ann * ess.om_energy)
+        for cols, mwh in gross_flow_terms(model, data, name):
+            model.add_objective(cols, fac * ann * ess.om_energy * mwh)
     model.add_objective_term(model.var("P_max_src", PV),
                              fac * data.sources.pv.om_per_mw_yr)
     model.add_objective_term(model.var("P_max_src", GRID), fac * grid.var_per_mw)
@@ -82,16 +83,18 @@ def objective_resale(model: ModelInstance, data: ProblemData):
     """Subtract discounted end-of-life value of storage and PV.
 
     Storage resale scales with remaining cycle life: energy-priced value of
-    the installed capacity minus the cycle-weighted value of the throughput
-    consumed over the optimization period.
+    the installed capacity minus the cycle-weighted value of the gross flow
+    g_k through the cell over the optimization period, charged on the
+    storage powers through ``gross_flow_terms``.
     """
     h = data.horizon
     disc = eol_discount(h.discount_rate, h.years)
     for name, ess in data.ess.items():
         model.add_objective_term(model.var("E_max", name),
                                  -disc * ess.resale_factor * ess.cost_energy)
-        model.add_objective_term(model.var("Q_throughput", name),
-                                 disc * ess.resale_factor * ess.cost_energy / ess.cycle_life)
+        wear = disc * ess.resale_factor * ess.cost_energy / ess.cycle_life
+        for cols, mwh in gross_flow_terms(model, data, name):
+            model.add_objective(cols, wear * mwh)
     pv = data.sources.pv
     model.add_objective_term(model.var("P_max_src", PV),
                              -disc * pv.resale_factor * pv.cost_per_mw)
@@ -142,10 +145,10 @@ def audit(x, model: ModelInstance, data: ProblemData,
     Peak offtake and per-storage capex are re-derived from the dispatch and
     sizing values rather than read from their epigraph variables, and each
     storage's throughput is the gross energy through its cell recomputed
-    from ``P_ess_plus``/``P_ess_minus`` and the catalog efficiencies, never
-    read from ``Q_throughput``. When `solver_objective` is given, a
-    mismatch beyond `rel_tol` (relative) raises AuditError with per-term
-    detail.
+    from ``P_ess_plus``/``P_ess_minus`` and the catalog efficiencies, not
+    taken from the builder's ``gross_flow_terms`` or the objective vector.
+    When `solver_objective` is given, a mismatch beyond `rel_tol`
+    (relative) raises AuditError with per-term detail.
     """
     x = np.asarray(x)
     h = data.horizon

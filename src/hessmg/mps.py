@@ -87,9 +87,14 @@ def write_mps(model: ModelInstance, path, name: str = "HESSMG"):
     types = np.array([_SENSE_TO_TYPE[s] for s in SENSES], dtype=object)
     rhs = model.rhs_vector()
     lower, upper = model.bounds_arrays()
-    # the objective is row 0, so it leads every column
-    cost = sp.csr_matrix(model.objective_vector()[None, :])
-    csc = sp.vstack([cost, model.row_matrix()], format="csr").tocsc()
+    # the objective is row 0, so it leads every column; a column in no row
+    # and without cost gets an explicit zero cost, or it would not be written
+    a = model.row_matrix()
+    c = model.objective_vector()
+    cost_cols = np.flatnonzero((c != 0.0) | (np.bincount(a.indices, minlength=len(c)) == 0))
+    cost = sp.csr_matrix((c[cost_cols], cost_cols, [0, len(cost_cols)]),
+                         shape=(1, len(c)))
+    csc = sp.vstack([cost, a], format="csr").tocsc()
 
     with open(path, "w", newline="\n") as fh:
         fh.write(f"NAME {name}\nROWS\n N {OBJ_ROW}\n")
@@ -193,6 +198,12 @@ class _Reader:
     def error(self, lineno, message):
         return MpsFormatError(f"{self.path}:{lineno}: {message}")
 
+    def number(self, text, lineno) -> float:
+        try:
+            return float(text)
+        except ValueError:
+            raise self.error(lineno, f"not a number: {text!r}") from None
+
     def header(self, head, lineno):
         self.section = head[0].upper()
         if self.section == "ENDATA":
@@ -281,6 +292,8 @@ class _Reader:
         raise self.error(lineno, "RANGES not supported")
 
     def row(self, tokens, lineno):
+        if len(tokens) != 2:
+            raise self.error(lineno, "ROWS entry is not a type and a name")
         rtype, name = tokens[0].upper(), tokens[1]
         if rtype not in _ROW_TYPE:
             raise self.error(lineno, f"bad row type {rtype}")
@@ -303,21 +316,25 @@ class _Reader:
             if i is None:
                 raise self.error(lineno, f"unknown row {name}")
             rows.append(i)
-            values.append(float(value))
+            values.append(self.number(value, lineno))
         self.entries.append((np.full(len(rows), j, dtype=np.int64),
                              np.array(rows, dtype=np.int64), np.array(values)))
 
     def rhs_entry(self, tokens, lineno):
+        if len(tokens) % 2 == 0:
+            raise self.error(lineno, "odd RHS entry")
         for name, value in zip(tokens[1::2], tokens[2::2]):
             i = self.row_index.get(name)
             if i is None:
                 raise self.error(lineno, f"unknown row {name}")
             if i < 0:
-                self.obj_constant = -float(value)
+                self.obj_constant = -self.number(value, lineno)
             else:
-                self.rhs[i] = float(value)
+                self.rhs[i] = self.number(value, lineno)
 
     def bound(self, tokens, lineno):
+        if len(tokens) < 3:
+            raise self.error(lineno, "BOUNDS entry without a column")
         btype, name = tokens[0].upper(), tokens[2]
         if name not in self.col_index:
             raise self.error(lineno, f"unknown column {name}")
@@ -325,7 +342,11 @@ class _Reader:
             raise self.error(lineno, f"integer bound {btype} not supported")
         if btype not in ("UP", "LO", "FX", "FR", "MI", "PL"):
             raise self.error(lineno, f"bad bound type {btype}")
-        value = float(tokens[3]) if len(tokens) > 3 else None
+        value = None
+        if btype in ("UP", "LO", "FX"):
+            if len(tokens) != 4:
+                raise self.error(lineno, f"bound {btype} needs one value")
+            value = self.number(tokens[3], lineno)
         self.bounds.append((btype, self.col_index[name], value))
 
     def objsense(self, tokens, lineno):

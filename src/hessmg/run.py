@@ -9,7 +9,7 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .builder import GRID, PV, ProblemData, build
 from .costs import CostBreakdown, audit
 from .data import (EssSpec, GridSpec, Horizon, HistoricalDay, PvSpec,
                    SourceSpec, load_catalog, load_dataset)
-from .scenario import ScenarioModel, build_scenario
+from .scenario import ScenarioModel, _is_int, _is_number, _list_of, build_scenario
 from .solve import SolveOptions, VerifyReport, solve as solve_model, verify
 
 TRACE_HEADER = ("step", "series", "value")
@@ -293,10 +293,66 @@ def sources_from_dict(raw: dict) -> SourceSpec:
     )
 
 
+def _is_text(value):
+    return isinstance(value, str)
+
+
+def _is_object(value):
+    return isinstance(value, dict)
+
+
+# run config field -> (its JSON type in words, a check of that type)
+_TEXT, _OBJECT = ("a string", _is_text), ("an object", _is_object)
+_CONFIG_FIELDS = {
+    "prices": _TEXT, "demand": _TEXT, "pv": _TEXT, "catalog": _TEXT, "scenario": _TEXT,
+    "clusters": ("an integer", _is_int), "seed": ("an integer", _is_int),
+    "horizon": _OBJECT, "sources": _OBJECT,
+    "experiments": ("a list of objects", _list_of(_is_object)),
+}
+_SOURCES_FIELDS = {"grid": _OBJECT, "pv": _OBJECT, "eta_demand": ("a number", _is_number)}
+_EXPERIMENT_FIELDS = {
+    "id": ("a string or an integer", lambda value: _is_text(value) or _is_int(value)),
+    "ess": ("a list of strings", _list_of(_is_text)),
+    "fixed": ("an object of numbers",
+              lambda value: _is_object(value) and all(map(_is_number, value.values()))),
+}
+
+
+def _spec_fields(cls) -> dict:
+    """The fields of a settings dataclass: integers where it declares int."""
+    return {f.name: ("an integer", _is_int) if f.type in (int, "int") else ("a number", _is_number)
+            for f in fields(cls)}
+
+
+def _check_fields(raw: dict, allowed: dict, path, prefix=""):
+    """Raise ValueError naming the first field of `raw` that `allowed`
+    lacks or that has another JSON type."""
+    for name, value in raw.items():
+        if name not in allowed:
+            raise ValueError(f"{path}: unknown field {prefix + name!r}")
+        kind, check = allowed[name]
+        if not check(value):
+            raise ValueError(f"{path}: field {prefix + name!r} is not {kind}")
+
+
 def load_run_config(path) -> dict:
-    """Read the run configuration JSON; fill defaults, leave paths untouched."""
+    """Read the run configuration JSON; fill defaults, leave paths untouched.
+    A field that no setting takes, or that has another JSON type, raises
+    ValueError naming it."""
     with open(path) as fh:
         raw = json.load(fh)
+    if not _is_object(raw):
+        raise ValueError(f"{path}: run config is not a JSON object")
+    _check_fields(raw, _CONFIG_FIELDS, path)
+    _check_fields(raw.get("horizon", {}), _spec_fields(Horizon), path, "horizon.")
+    sources = raw.get("sources", {})
+    _check_fields(sources, _SOURCES_FIELDS, path, "sources.")
+    _check_fields(sources.get("grid", {}), _spec_fields(GridSpec), path, "sources.grid.")
+    _check_fields(sources.get("pv", {}), _spec_fields(PvSpec), path, "sources.pv.")
+    for i, exp in enumerate(raw.get("experiments", [])):
+        if "id" not in exp:
+            raise ValueError(f"{path}: experiments[{i}]: missing field 'id'")
+        _check_fields(exp, _EXPERIMENT_FIELDS, path, f"experiments[{i}].")
     raw.setdefault("clusters", 20)
     raw.setdefault("seed", 0)
     raw.setdefault("horizon", {})

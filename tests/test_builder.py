@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hessmg.builder import (GRID, PV, BuildError, ProblemData, build)
+from hessmg.costs import eol_discount, npv_factor
 from hessmg.data import EssSpec, Horizon, SourceSpec, make_demo_dataset
 from hessmg.lp import GE, LE
 from hessmg.scenario import build_scenario
@@ -49,18 +50,19 @@ class TestStructure:
         data = _data(ess={"battery": BATTERY})
         k = data.horizon.n_steps
         model = build(data)
-        # sources: 2 capacities + peak + 3 per step; storage: 4 designs,
+        # sources: 2 capacities + peak + 3 per step; storage: 3 designs,
         # K+1 states, 2 per step (wear is an expression of the powers)
-        assert model.n_vars == 3 + 3 * k + 4 + (k + 1) + 2 * k
-        assert (model.n_vars, model.n_rows) == (152, 270)
+        assert model.n_vars == 3 + 3 * k + 3 + (k + 1) + 2 * k
+        assert (model.n_vars, model.n_rows) == (151, 269)
         assert not any(model.has_var(kind, "battery", j)
                        for kind in ("R_crate", "q_aux") for j in range(k))
+        assert not model.has_var("Q_throughput", "battery")
 
     def test_row_families_present(self):
         model = build(_data(ess={"battery": BATTERY}))
         families = {r.family for r in model.rows}
         assert families == {"bounds", "balance", "dynamics", "mccormick",
-                            "throughput", "peak", "capex"}
+                            "peak", "capex"}
 
     def test_mismatched_series_length(self):
         with pytest.raises(BuildError, match="steps"):
@@ -149,18 +151,23 @@ class TestCoefficients:
             f"q_crate.battery.k{k}" for k in range(24)]
 
     def test_throughput_row(self):
+        # no throughput row: the objective charges wear per MWh of gross
+        # flow on the storage powers, (tau/eta_d) P+ and tau eta_c P-
         horizon = Horizon(tau_minutes=15, t_syn=1)
         data = ProblemData(
             horizon=horizon, sources=SourceSpec(), ess={"battery": BATTERY},
             price=np.zeros(96), demand_ch=np.zeros(96), demand_wh=np.zeros(96),
             pv_cf=np.zeros(96))
         model = build(data)
-        row = _row(model, "throughput.battery")
-        assert row.sense == "==" and row.rhs == 0.0 and len(row.cols) == 1 + 2 * 96
-        assert _coef(model, row, "Q_throughput", "battery") == 1.0
+        assert not any(name.startswith("throughput") for name in model.row_names)
+        wear = (npv_factor(0.04, 20) * 365.0 * 3.0
+                + eol_discount(0.04, 20) * 0.85 * 900.0 / 5000.0)
+        c = model.objective_vector()
         for k in (0, 95):
-            assert _coef(model, row, "P_ess_plus", "battery", k) == pytest.approx(-0.25 / 0.88)
-            assert _coef(model, row, "P_ess_minus", "battery", k) == pytest.approx(-0.25 * 0.83)
+            plus = model.var("P_ess_plus", "battery", k).column
+            minus = model.var("P_ess_minus", "battery", k).column
+            assert c[plus] == pytest.approx(wear * 0.25 / 0.88, rel=1e-12)
+            assert c[minus] == pytest.approx(wear * 0.25 * 0.83, rel=1e-12)
 
     def test_static_grid_converter_bounds(self):
         model = build(_data())

@@ -92,14 +92,21 @@ class TestObjectiveCoefficients:
         assert c[col] == pytest.approx(-resale, rel=1e-12)
 
     def test_throughput_wear_coefficient(self):
-        data = _data(price=50.0, ess={"battery": BATTERY})
-        model = build(data)
-        c = model.objective_vector()
-        col = model.var("Q_throughput", "battery").column
-        fac = npv_factor(0.04, 20)
-        ann = 365.0
-        wear = eol_discount(0.04, 20) * 0.85 * 900.0 / 5000.0
-        assert c[col] == pytest.approx(fac * ann * 3.0 + wear, rel=1e-12)
+        # O&M and lost resale are each charged per MWh of gross flow on the
+        # storage powers: (tau/eta_d) P+ and tau eta_c P- at tau = 15 min
+        om = npv_factor(0.04, 20) * 365.0 * 3.0
+        lost_resale = eol_discount(0.04, 20) * 0.85 * 900.0 / 5000.0
+        for spec, wear in ((BATTERY, om + lost_resale),
+                           (dataclasses.replace(BATTERY, cycle_life=np.inf), om),
+                           (dataclasses.replace(BATTERY, om_energy=0.0), lost_resale)):
+            model = build(_data(price=50.0, ess={"battery": spec},
+                                horizon=Horizon(tau_minutes=15, t_syn=1)))
+            c = model.objective_vector()
+            for k in (0, 95):
+                plus = model.var("P_ess_plus", "battery", k).column
+                minus = model.var("P_ess_minus", "battery", k).column
+                assert c[plus] == pytest.approx(wear * 0.25 / 0.88, rel=1e-12)
+                assert c[minus] == pytest.approx(wear * 0.25 * 0.83, rel=1e-12)
 
     def test_fixed_connection_fees_enter_the_constant(self):
         data = _data(price=50.0)
@@ -159,16 +166,17 @@ class TestAudit:
         minus = sol.x[model.columns("P_ess_minus", "battery")]
         gross = plus.sum() / 0.88 + 0.83 * minus.sum()   # tau = 1 h
         assert gross > 1.0
-        assert sol.value(model, "Q_throughput", "battery") == pytest.approx(gross, rel=1e-9)
+        assert audit(sol.x, model, data).total == pytest.approx(sol.objective, rel=1e-9)
+        # one more MWh through the cell costs its wear, O&M plus lost resale,
+        # in the audit and in the objective alike
         x = sol.x.copy()
-        # the booked throughput is ignored: audit recomputes it from P+/P-
-        x[model.var("Q_throughput", "battery").column] = 0.0
-        assert audit(x, model, data).total == pytest.approx(sol.objective, rel=1e-9)
-        # one more MWh through the cell costs its wear, O&M plus lost resale
         x[model.var("P_ess_minus", "battery", 0).column] += 1.0 / 0.83
         wear = (npv_factor(0.04, 20) * 365.0 * 0.001
                 + eol_discount(0.04, 20) * 0.85 * 5.0 / 5000.0)
         assert audit(x, model, data).total - sol.objective == pytest.approx(wear, rel=1e-9)
+        c = model.objective_vector()
+        moved = (c @ x + model.objective_constant) - (c @ sol.x + model.objective_constant)
+        assert moved == pytest.approx(wear, rel=1e-9)
 
     def test_corrupted_solution_raises(self):
         data, model, sol = self._solved(price=50.0, ch=1.0)

@@ -1,12 +1,13 @@
 import hashlib
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from hessmg.builder import ProblemData, build
-from hessmg.data import Horizon, SourceSpec, load_catalog, make_demo_dataset
+from hessmg.data import Horizon, PvSpec, SourceSpec, load_catalog, make_demo_dataset
 from hessmg.lp import EQ, GE, INF, LE, ModelError, ModelInstance
 from hessmg import mps
 from hessmg.mps import MpsFormatError, read_mps, write_mps
@@ -192,14 +193,15 @@ def _golden_instances():
 
 
 # sha256 and size of write_mps output, recorded with the row-by-row writer
-# that the array-based one replaced and moved by two model changes since:
-# soe_periodic compares E[K] with E[0] (it read E[1]), and wear is counted on
-# the gross flow through each cell (no q_aux columns, no q_epi rows)
+# that the array-based one replaced and moved by three model changes since:
+# soe_periodic compares E[K] with E[0] (it read E[1]), wear is counted on
+# the gross flow through each cell (no q_aux columns, no q_epi rows), and
+# wear is charged on the storage powers (no Q_throughput, no throughput row)
 GOLDEN_HASHES = {
-    "day_bsf": ("877d599988e73b1bbeca53dbef80e4aaea7f95db4d125afac4117e582f847685", 116779),
-    "15min_battery": ("e9163a6b96c8eb6190b3f2f13db3e0e2edf22c4fd21f5c15e977b296f54728ff",
-                      619344),
-    "pinned": ("3cbb8b781486e6b1da4e6f6a30d9b75941ff0b2f6cd81db670c22a82095117cf", 173552),
+    "day_bsf": ("c3cdb509ba4a3e381f3f469ec5b08445acd5da24166ec6994e3fd5a6ee6926d4", 113798),
+    "15min_battery": ("99ab43ff1ea61a18ece498ac8dcc4743f0bbe19aae24d48352a6114d3181ef66",
+                      610017),
+    "pinned": ("dfecb587ec94eeaa8e3e41c5b46890c6536ade4c8a832855ea2f8cc7bbb2380c", 169654),
 }
 
 
@@ -326,6 +328,47 @@ class TestMps:
         path.write_text(GOLDEN_MPS.replace(" p.x cover 1", " p.x nosuch 1"))
         with pytest.raises(MpsFormatError, match="unknown row"):
             read_mps(path)
+
+    @pytest.mark.parametrize("old, new, line", [
+        (" E link\n", " E\n", 5),
+        (" UP BND p.x 4", " UP BND", 18),
+        (" p.x cover 1", " p.x cover one", 8),
+        (" RHS cover 1", " RHS cover one", 15),
+        (" UP BND p.x 4", " UP BND p.x four", 18),
+        (" RHS cover 1", " RHS cover", 15),
+        (" UP BND p.x 4", " UP BND p.x", 18),
+        (" UP BND p.x 4", " UP BND p.x 4 5", 18),
+    ], ids=["row without name", "bound without column", "columns value",
+            "rhs value", "bound value", "rhs without value", "bound without value",
+            "bound with two values"])
+    def test_reader_names_the_malformed_line(self, tmp_path, old, new, line):
+        path = tmp_path / "bad.mps"
+        path.write_text(GOLDEN_MPS.replace(old, new))
+        with pytest.raises(MpsFormatError, match=f"^{re.escape(str(path))}:{line}: "):
+            read_mps(path)
+
+    def test_isolated_columns_round_trip(self, tmp_path):
+        # a column in no row and without cost is written with a zero cost
+        model = _tiny_model()
+        model.add_var("p", "boxed", lb=1.0, ub=3.0)
+        model.add_var("p", "free_standing")
+        path = tmp_path / "isolated.mps"
+        write_mps(model, path)
+        assert " p.free_standing COST 0\n" in path.read_text()
+        assert read_mps(path).signature() == model.signature()
+
+    def test_free_pv_without_sun_round_trips(self, tmp_path):
+        # zero-cost PV with no availability leaves P_max_src.PV isolated
+        horizon = Horizon(t_syn=1)
+        k = horizon.n_steps
+        data = ProblemData(
+            horizon=horizon, sources=SourceSpec(pv=PvSpec(cost_per_mw=0.0, om_per_mw_yr=0.0)),
+            ess={"battery": _battery()}, price=np.full(k, 50.0),
+            demand_ch=np.ones(k), demand_wh=np.zeros(k), pv_cf=np.zeros(k))
+        model = build(data)
+        path = tmp_path / "free_pv.mps"
+        write_mps(model, path)
+        assert read_mps(path).signature() == model.signature()
 
 
 def _battery():

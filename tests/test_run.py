@@ -366,16 +366,26 @@ class TestCli:
                      "--out-dir", str(tmp_path / "run")]) == 2
         assert "scenario supplies 3 days, horizon needs 2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, extra, message", [
-        ("optimize", ["--scenario", "{tmp}/bad.json"], "scenario: missing field 'centroids'"),
-        ("optimize", ["--scenario", "{tmp}/missing.json"], "No such file or directory"),
-        ("export-mps", ["--ess", "battery,foo", "--out", "{tmp}/m.mps"],
+    @pytest.mark.parametrize("command, extra, config, message", [
+        ("optimize", ["--scenario", "{tmp}/bad.json"], {},
+         "scenario: missing field 'centroids'"),
+        ("optimize", ["--scenario", "{tmp}/missing.json"], {}, "No such file or directory"),
+        ("export-mps", ["--ess", "battery,foo", "--out", "{tmp}/m.mps"], {},
          "export: technologies not in catalog: ['foo']"),
-    ], ids=["incomplete scenario", "missing scenario", "unknown technology"])
+        ("optimize", [], {"clusters": "3"}, "field 'clusters' is not an integer"),
+        ("optimize", [], {"horizon": {"tau": 60}}, "unknown field 'horizon.tau'"),
+        ("optimize", [], {"sources": {"grid": {"cap": 3}}},
+         "unknown field 'sources.grid.cap'"),
+    ], ids=["incomplete scenario", "missing scenario", "unknown technology",
+            "string clusters", "unknown horizon field", "unknown grid field"])
     def test_input_faults_print_one_line(self, workspace, tmp_path, capsys,
-                                         command, extra, message):
+                                         command, extra, config, message):
         root, cfg_path = workspace
         (tmp_path / "bad.json").write_text('{"n_clusters": 1}')
+        if config:
+            cfg = {**json.loads(cfg_path.read_text()), **config}
+            cfg_path = tmp_path / "config.json"
+            cfg_path.write_text(json.dumps(cfg))
         args = [command, "--config", str(cfg_path), "--out-dir", str(tmp_path)]
         assert main(args + [a.format(tmp=tmp_path) for a in extra]) == 2
         err = capsys.readouterr().err
@@ -393,6 +403,16 @@ class TestCli:
         cfg["horizon"] = {"tau_minutes": 60}
         assert context_from_config(cfg).horizon.tau_minutes == 60
 
-    def test_missing_inputs_fail_fast(self, tmp_path):
-        with pytest.raises(SystemExit, match="missing input"):
-            main(["optimize", "--out-dir", str(tmp_path)])
+    def test_missing_inputs_fail_fast(self, workspace, tmp_path, capsys):
+        # a missing input is an input fault (2), unlike a design that is not
+        # optimal (1)
+        assert main(["optimize", "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "hessmg: error: missing input: --prices or config entry 'prices'\n")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**json.loads(workspace[1].read_text()),
+                                        "experiments": []}))
+        assert main(["experiments", "--config", str(cfg_path),
+                     "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "hessmg: error: missing input: config defines no experiments\n")
