@@ -128,8 +128,8 @@ def add_source_flows(model: ModelInstance, data: ProblemData):
     eta_pv * cf_k * P_pv_max (curtailment allowed).
     """
     grid, pv = data.sources.grid, data.sources.pv
-    pv_max = model.var("P_max_src", PV).column
-    g_max = model.var("P_max_src", GRID).column
+    pv_max = model.var("P_max_src", PV)
+    g_max = model.var("P_max_src", GRID)
     imp = model.columns("P_src_plus", GRID)
     exp = model.columns("P_src_minus", GRID)
     net = [(imp, grid.eta_c), (exp, -1.0 / grid.eta_d)]
@@ -158,8 +158,8 @@ def add_balance(model: ModelInstance, data: ProblemData):
 def add_capacity_bounds(model: ModelInstance, data: ProblemData):
     """Couplings whose right-hand sides are design variables."""
     for name, ess in data.ess.items():
-        e_max = model.var("E_max", name).column
-        p_max = model.var("P_max_ess", name).column
+        e_max = model.var("E_max", name)
+        p_max = model.var("P_max_ess", name)
         soe = model.columns("E_soe", name)
         groups = [(f"soe_cap.{name}.k", LE, 0.0, [(soe, 1.0), (e_max, -1.0)])]
         if ess.dod_min_frac > 0.0:
@@ -215,7 +215,7 @@ def add_crate_mccormick(model: ModelInstance, data: ProblemData):
     for name, ess in data.ess.items():
         if ess.e_cap_max <= 0 or ess.crate_max <= 0:
             raise BuildError(f"{name}: capacity and C-rate ceilings must be positive")
-        e_max = model.var("E_max", name).column
+        e_max = model.var("E_max", name)
         _add_step_rows(
             model, "mccormick", data.horizon.n_steps,
             (f"q_crate.{name}.k", LE, 0.0,
@@ -225,23 +225,27 @@ def add_crate_mccormick(model: ModelInstance, data: ProblemData):
 def add_peak(model: ModelInstance, data: ProblemData):
     """Peak offtake epigraph over the grid-side import series."""
     _add_step_rows(model, "peak", data.horizon.n_steps, (
-        "peak.k", GE, 0.0, [(model.var("P_peak", GRID).column, 1.0),
+        "peak.k", GE, 0.0, [(model.var("P_peak", GRID), 1.0),
                             (model.columns("P_src_plus", GRID), -1.0)]))
 
 
 def apply_fixed_values(model: ModelInstance, fixed: dict):
     """Pin design variables, e.g. {("E_max", "battery"): 1.0}.
 
-    A pin must lie within the column's declared bounds: the C-rate row is
-    exact only while E_max stays under its catalog ceiling.
+    A pin must name a design variable of the model and lie within its
+    declared bounds: the C-rate row is exact only while E_max stays under
+    its catalog ceiling.
     """
     lower, upper = model.bounds_arrays()
-    for (kind, entity), value in fixed.items():
-        ref = model.var(kind, entity)
-        lb, ub = float(lower[ref.column]), float(upper[ref.column])
+    for key, value in fixed.items():
+        name = ".".join(map(str, key))
+        if len(key) != 2 or not model.has_var(*key):
+            raise BuildError(f"unknown pin {name}: not a design variable of this model")
+        col = model.var(*key)
+        lb, ub = float(lower[col]), float(upper[col])
         if not lb <= value <= ub:
-            raise BuildError(f"pinned {ref.name} = {value} lies outside [{lb}, {ub}]")
-        model.set_bounds(ref, value, value)
+            raise BuildError(f"pinned {name} = {value} lies outside [{lb}, {ub}]")
+        model.set_bounds(col, value, value)
 
 
 def add_initial_soe(model: ModelInstance, data: ProblemData, frac: float):

@@ -27,11 +27,8 @@ def _add_data_flags(p):
 
 
 def _merged_config(args) -> dict:
-    if args.config:
-        cfg = runner.load_run_config(args.config)
-    else:
-        cfg = {"clusters": 20, "seed": 0, "horizon": {}, "sources": {},
-               "experiments": []}
+    cfg = (runner.load_run_config(args.config) if args.config
+           else runner.run_config({}, "command line"))
     for key in ("prices", "demand", "pv", "catalog"):
         val = getattr(args, key, None)
         if val:
@@ -60,7 +57,7 @@ def cmd_synth(args):
     horizon = Horizon(**{**cfg["horizon"],
                          **({"t_syn": args.days} if args.days else {})})
     days = load_dataset(cfg["prices"], cfg["demand"], cfg["pv"], horizon)
-    w = args.clusters or cfg.get("clusters", 20)
+    w = args.clusters or cfg["clusters"]
     scenario = build_scenario(days, w, horizon.t_syn, cfg["seed"])
     with open(args.out, "w") as fh:
         fh.write(scenario.to_json())

@@ -16,6 +16,7 @@ from .builder import GRID, PV, ProblemData, gross_flow_terms
 from .lp import GE, ModelInstance
 
 EUR_PER_KEUR = 1000.0
+AUDIT_REL_TOL = 1e-6     # largest relative gap between audit and solver objective
 
 
 def npv_factor(rate: float, years: int) -> float:
@@ -38,15 +39,15 @@ def objective_capex(model: ModelInstance, data: ProblemData):
     """Storage capex epigraphs (max of energy- and power-priced cost) + PV."""
     caps, names, cols, coefs = [], [], [], []
     for name, ess in data.ess.items():
-        cap = model.var("capex_epigraph", name).column
+        cap = model.var("capex_epigraph", name)
         caps.append(cap)
         names += [f"capex_energy.{name}", f"capex_power.{name}"]
-        cols += [[cap, model.var("E_max", name).column],
-                 [cap, model.var("P_max_ess", name).column]]
+        cols += [[cap, model.var("E_max", name)],
+                 [cap, model.var("P_max_ess", name)]]
         coefs += [[1.0, -ess.cost_energy], [1.0, -ess.cost_power]]
     model.add_rows("capex", names, cols, coefs, GE, 0.0)
     model.add_objective(caps, 1.0)
-    model.add_objective_term(model.var("P_max_src", PV), data.sources.pv.cost_per_mw)
+    model.add_objective(model.var("P_max_src", PV), data.sources.pv.cost_per_mw)
 
 
 def objective_opex(model: ModelInstance, data: ProblemData):
@@ -69,13 +70,12 @@ def objective_opex(model: ModelInstance, data: ProblemData):
     model.add_objective(model.columns("P_src_minus", GRID),
                         -fac * ann * h.tau_hours * grid.f_sell * price_keur)
     for name, ess in data.ess.items():
-        model.add_objective_term(model.var("P_max_ess", name), fac * ess.om_power)
+        model.add_objective(model.var("P_max_ess", name), fac * ess.om_power)
         for cols, mwh in gross_flow_terms(model, data, name):
             model.add_objective(cols, fac * ann * ess.om_energy * mwh)
-    model.add_objective_term(model.var("P_max_src", PV),
-                             fac * data.sources.pv.om_per_mw_yr)
-    model.add_objective_term(model.var("P_max_src", GRID), fac * grid.var_per_mw)
-    model.add_objective_term(model.var("P_peak", GRID), fac * grid.peak_per_mw)
+    model.add_objective(model.var("P_max_src", PV), fac * data.sources.pv.om_per_mw_yr)
+    model.add_objective(model.var("P_max_src", GRID), fac * grid.var_per_mw)
+    model.add_objective(model.var("P_peak", GRID), fac * grid.peak_per_mw)
     model.objective_constant += fac * (grid.conn_fixed + grid.tran_fixed)
 
 
@@ -90,14 +90,13 @@ def objective_resale(model: ModelInstance, data: ProblemData):
     h = data.horizon
     disc = eol_discount(h.discount_rate, h.years)
     for name, ess in data.ess.items():
-        model.add_objective_term(model.var("E_max", name),
-                                 -disc * ess.resale_factor * ess.cost_energy)
+        model.add_objective(model.var("E_max", name),
+                            -disc * ess.resale_factor * ess.cost_energy)
         wear = disc * ess.resale_factor * ess.cost_energy / ess.cycle_life
         for cols, mwh in gross_flow_terms(model, data, name):
             model.add_objective(cols, wear * mwh)
     pv = data.sources.pv
-    model.add_objective_term(model.var("P_max_src", PV),
-                             -disc * pv.resale_factor * pv.cost_per_mw)
+    model.add_objective(model.var("P_max_src", PV), -disc * pv.resale_factor * pv.cost_per_mw)
 
 
 @dataclass
@@ -138,8 +137,7 @@ class AuditError(AssertionError):
 
 
 def audit(x, model: ModelInstance, data: ProblemData,
-          solver_objective: float | None = None,
-          rel_tol: float = 1e-6) -> CostBreakdown:
+          solver_objective: float | None = None) -> CostBreakdown:
     """Recompute every cost term from primal values, bypassing the objective row.
 
     Peak offtake and per-storage capex are re-derived from the dispatch and
@@ -147,7 +145,7 @@ def audit(x, model: ModelInstance, data: ProblemData,
     storage's throughput is the gross energy through its cell recomputed
     from ``P_ess_plus``/``P_ess_minus`` and the catalog efficiencies, not
     taken from the builder's ``gross_flow_terms`` or the objective vector.
-    When `solver_objective` is given, a mismatch beyond `rel_tol`
+    When `solver_objective` is given, a mismatch beyond AUDIT_REL_TOL
     (relative) raises AuditError with per-term detail.
     """
     x = np.asarray(x)
@@ -158,7 +156,7 @@ def audit(x, model: ModelInstance, data: ProblemData,
     disc = eol_discount(h.discount_rate, h.years)
 
     def val(kind, entity):
-        return x[model.var(kind, entity).column]
+        return x[model.var(kind, entity)]
 
     imports = x[model.columns("P_src_plus", GRID)]
     exports = x[model.columns("P_src_minus", GRID)]
@@ -202,7 +200,7 @@ def audit(x, model: ModelInstance, data: ProblemData,
 
     if solver_objective is not None:
         gap = abs(total - solver_objective)
-        if gap > rel_tol * max(1.0, abs(solver_objective)):
+        if gap > AUDIT_REL_TOL * max(1.0, abs(solver_objective)):
             raise AuditError(
                 "objective audit failure: "
                 f"recomputed {total:.9g} vs solver {solver_objective:.9g} "

@@ -251,14 +251,12 @@ def _read_signal_file(path, header, n_values):
 
 
 # Canonical stamp YYYY-MM-DDTHH:MM:SS: separator positions and codes, and
-# the digit positions of year, month, day, hour, minute and second.
+# the digit positions.
 _STAMP_LEN = 19
 _SEP_AT = [4, 7, 10, 13, 16]
 _SEP_CODE = np.frombuffer(b"--T::", dtype=np.uint8)
 _DIGIT_AT = np.array([i for i in range(_STAMP_LEN) if i not in _SEP_AT])
-_FIELDS = ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19))
-_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
-_DAYS_BEFORE_MONTH = np.cumsum(_MONTH_DAYS) - _MONTH_DAYS
+_EPOCH_SECONDS = dt.date(1970, 1, 1).toordinal() * 86400
 
 
 def _stamp_seconds(codes):
@@ -268,26 +266,14 @@ def _stamp_seconds(codes):
     (exactly the stamps of that form that ``datetime.fromisoformat``
     takes)."""
     digits = codes - np.uint8(ord("0"))     # a code below "0" wraps above 9
-    if (codes[_SEP_AT] != _SEP_CODE[:, None]).any() or (digits[_DIGIT_AT] > 9).any():
+    if ((codes[_SEP_AT] != _SEP_CODE[:, None]).any() or (digits[_DIGIT_AT] > 9).any()
+            or (digits[:4] == 0).all(axis=0).any()):   # NumPy takes year 0000
         return None
-    fields = []
-    for a, b in _FIELDS:
-        value = digits[a].astype(np.int64)
-        for i in range(a + 1, b):
-            value = 10 * value + digits[i]
-        fields.append(value)
-    year, month, day, hour, minute, second = fields
-    if not ((year >= 1) & (month >= 1) & (month <= 12)).all():
+    try:   # NumPy checks the calendar: month and day ranges, leap years, 24:00
+        stamps = np.ascontiguousarray(codes.T).view(f"S{_STAMP_LEN}").astype("datetime64[s]")
+    except ValueError:
         return None
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    month_days = _MONTH_DAYS[month] + (leap & (month == 2))
-    if not ((day >= 1) & (day <= month_days) & (hour < 24) & (minute < 60)
-            & (second < 60)).all():
-        return None
-    y = year - 1
-    ordinal = (365 * y + y // 4 - y // 100 + y // 400
-               + _DAYS_BEFORE_MONTH[month] + (leap & (month > 2)) + day)
-    return ordinal * 86400 + hour * 3600 + minute * 60 + second
+    return stamps.ravel().astype(np.int64) + _EPOCH_SECONDS
 
 
 def _read_bulk(path, header, n_values):

@@ -35,22 +35,6 @@ class ModelError(ValueError):
     """Ill-formed model: bad coefficient, bounds, or duplicate variable."""
 
 
-@dataclass(frozen=True)
-class VariableRef:
-    """Handle to one column: (kind, entity, step) with step=None for designs."""
-
-    kind: str
-    entity: str
-    step: int | None
-    column: int
-
-    @property
-    def name(self) -> str:
-        if self.step is None:
-            return f"{self.kind}.{self.entity}"
-        return f"{self.kind}.{self.entity}.k{self.step}"
-
-
 @dataclass
 class Row:
     cols: list[int]
@@ -112,9 +96,7 @@ class ModelInstance:
     """Sparse LP: bounded columns, sensed rows, dense minimize objective."""
 
     def __init__(self):
-        self._singles: dict[tuple, VariableRef] = {}   # (kind, entity, step)
-        self._ranges: dict[tuple, range] = {}          # (kind, entity) -> steps
-        self._stepped: set[tuple] = set()   # (kind, entity) with stepped singles
+        self._index: dict[tuple, int | range] = {}   # (kind, entity) -> column(s)
         self._lb = _Blocks(float)
         self._ub = _Blocks(float)
         self._c = _Blocks(float)
@@ -147,17 +129,13 @@ class ModelInstance:
         self._c.append(np.zeros(len(names)))
         self._col_names.extend(names)
 
-    def add_var(self, kind, entity, step=None, lb=0.0, ub=INF) -> VariableRef:
-        key = (kind, entity, step)
-        if self._column(*key) is not None or (
-                step is not None and (kind, entity) in self._ranges):
-            raise ModelError(f"duplicate variable {key}")
-        ref = VariableRef(kind, entity, step, self.n_vars)
-        self.add_columns([ref.name], [lb], [ub])
-        self._singles[key] = ref
-        if step is not None:
-            self._stepped.add((kind, entity))
-        return ref
+    def add_var(self, kind, entity, lb=0.0, ub=INF) -> int:
+        """Register one design column and return its index."""
+        if (kind, entity) in self._index:
+            raise ModelError(f"duplicate variable {(kind, entity)}")
+        self.add_columns([f"{kind}.{entity}"], [lb], [ub])
+        self._index[(kind, entity)] = self.n_vars - 1
+        return self.n_vars - 1
 
     def add_vars(self, specs, n_steps: int):
         """Register steps 0..n_steps-1 of every ``(kind, entity, lb, ub)`` in
@@ -166,7 +144,7 @@ class ModelInstance:
         width = len(specs)
         keys = [(kind, entity) for kind, entity, _, _ in specs]
         for key in keys:
-            if key in self._ranges or key in self._stepped or keys.count(key) > 1:
+            if key in self._index or keys.count(key) > 1:
                 raise ModelError(f"duplicate variable {key}")
         prefixes = [f"{kind}.{entity}.k" for kind, entity in keys]
         names = [p + k for k in map(str, range(n_steps)) for p in prefixes]
@@ -176,35 +154,35 @@ class ModelInstance:
         self.add_columns(names, lower, upper)
         first = self.n_vars - width * n_steps
         for i, key in enumerate(keys):
-            self._ranges[key] = range(first + i, self.n_vars, width)
+            self._index[key] = range(first + i, self.n_vars, width)
 
     def _column(self, kind, entity, step):
-        steps = self._ranges.get((kind, entity))
-        if steps is not None and step is not None and 0 <= step < len(steps):
-            return steps[step]
-        ref = self._singles.get((kind, entity, step))
-        return None if ref is None else ref.column
+        cols = self._index.get((kind, entity))
+        if step is None:
+            return cols if isinstance(cols, int) else None
+        return cols[step] if isinstance(cols, range) and 0 <= step < len(cols) else None
 
-    def var(self, kind, entity, step=None) -> VariableRef:
-        ref = self._singles.get((kind, entity, step))
-        if ref is not None:
-            return ref
+    def var(self, kind, entity, step=None) -> int:
+        """Column of a design variable, or of one step of a per-step one."""
         col = self._column(kind, entity, step)
         if col is None:
             raise KeyError((kind, entity, step))
-        return VariableRef(kind, entity, step, col)
+        return col
 
     def has_var(self, kind, entity, step=None) -> bool:
         return self._column(kind, entity, step) is not None
 
     def columns(self, kind, entity) -> np.ndarray:
         """Column of every step of a per-step variable, in step order."""
-        steps = self._ranges[(kind, entity)]
+        steps = self._index.get((kind, entity))
+        if not isinstance(steps, range):
+            raise KeyError((kind, entity))
         return np.arange(steps.start, steps.stop, steps.step)
 
     def entities(self, kind) -> list[str]:
         """Entities that have a per-step variable of `kind`."""
-        return [e for k, e in self._ranges if k == kind]
+        return [e for (k, e), cols in self._index.items()
+                if k == kind and isinstance(cols, range)]
 
     @property
     def col_names(self) -> list[str]:
@@ -228,11 +206,11 @@ class ModelInstance:
     def bounds_arrays(self):
         return self._lb.array.copy(), self._ub.array.copy()
 
-    def set_bounds(self, ref: VariableRef, lb, ub):
+    def set_bounds(self, col: int, lb, ub):
         if math.isnan(lb) or math.isnan(ub) or lb > ub:
-            raise ModelError(f"bad bounds [{lb}, {ub}] for {ref.name}")
-        self._lb.array[ref.column] = lb
-        self._ub.array[ref.column] = ub
+            raise ModelError(f"bad bounds [{lb}, {ub}] for {self._col_names[col]}")
+        self._lb.array[col] = lb
+        self._ub.array[col] = ub
 
     # -- rows --------------------------------------------------------------
 
@@ -325,28 +303,24 @@ class ModelInstance:
         self._csr = self._rows = None
 
     def add_row(self, terms, sense, rhs, name, family):
-        """terms: iterable of (VariableRef | column, coefficient)."""
-        cols, coefs = [], []
-        for ref, coef in terms:
-            cols.append(ref.column if isinstance(ref, VariableRef) else int(ref))
-            coefs.append(coef)
-        self.add_rows(family, [name], np.array(cols, dtype=np.int64)[None, :],
-                      np.array(coefs, dtype=float)[None, :], sense, rhs)
+        """terms: iterable of (column, coefficient)."""
+        terms = list(terms)
+        cols = np.array([col for col, _ in terms], dtype=np.int64)
+        coefs = np.array([coef for _, coef in terms], dtype=float)
+        self.add_rows(family, [name], cols[None, :], coefs[None, :], sense, rhs)
 
     # -- objective ---------------------------------------------------------
 
     def add_objective(self, cols, coefs):
-        """Add coefficients to the objective, in order, column by column."""
-        cols = np.asarray(cols, dtype=np.int64)
+        """Add coefficients to the objective, in order, column by column;
+        `cols` is one column or several."""
+        cols = np.atleast_1d(np.asarray(cols, dtype=np.int64))
         coefs = np.full(cols.shape, coefs) if np.ndim(coefs) == 0 else np.asarray(coefs, float)
         bad = ~np.isfinite(coefs)
         if bad.any():
             raise ModelError("non-finite objective coefficient for "
                              f"{self._col_names[cols[bad.argmax()]]}")
         np.add.at(self._c.array, cols, coefs)
-
-    def add_objective_term(self, ref: VariableRef, coef: float):
-        self.add_objective([ref.column], [coef])
 
     @property
     def objective(self) -> dict[int, float]:

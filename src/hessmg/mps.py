@@ -233,7 +233,7 @@ class _Reader:
             if not tokens or bulk[1](tokens):
                 return
         handle = {None: self.stray, "NAME": None, "ROWS": self.row,
-                  "COLUMNS": self.column, "RHS": self.rhs_entry, "RANGES": self.ranges,
+                  "COLUMNS": self.column_entry, "RHS": self.rhs_entry, "RANGES": self.ranges,
                   "BOUNDS": self.bound, "OBJSENSE": self.objsense}[self.section]
         for k, line in enumerate(text.split("\n")):
             tokens = line.split()
@@ -304,7 +304,7 @@ class _Reader:
             self.row_codes.append(_ROW_TYPE[rtype])
             self.row_names.append(name)
 
-    def column(self, tokens, lineno):
+    def column_entry(self, tokens, lineno):
         if any("MARKER" in t for t in tokens):
             raise self.error(lineno, "integer markers are not supported")
         j = self.col_index.setdefault(tokens[0], len(self.col_index))

@@ -5,6 +5,7 @@ plus the storage-combination experiment matrix and file outputs.
 from __future__ import annotations
 
 import concurrent.futures
+import copy
 import csv
 import hashlib
 import json
@@ -18,7 +19,7 @@ from .costs import CostBreakdown, audit
 from .data import (EssSpec, GridSpec, Horizon, HistoricalDay, PvSpec,
                    SourceSpec, load_catalog, load_dataset)
 from .scenario import ScenarioModel, _is_int, _is_number, _list_of, build_scenario
-from .solve import SolveOptions, VerifyReport, solve as solve_model, verify
+from .solve import VerifyReport, solve as solve_model, verify
 
 TRACE_HEADER = ("step", "series", "value")
 
@@ -163,7 +164,7 @@ def paired_flow_warnings(report: VerifyReport) -> list[str]:
 def _design_values(model, x, kind, names) -> dict[str, float]:
     """Reported design values: within BOUND_SNAP of a column bound they are
     that bound."""
-    cols = [model.var(kind, n).column for n in names]
+    cols = [model.var(kind, n) for n in names]
     lower, upper = model.bounds_arrays()
     v, lo, hi = x[cols], lower[cols], upper[cols]
     v = np.where(np.abs(v - lo) <= BOUND_SNAP, lo, np.where(np.abs(v - hi) <= BOUND_SNAP, hi, v))
@@ -181,14 +182,16 @@ def problem_data(ctx: RunContext, exp: ExperimentConfig) -> ProblemData:
 
 
 def run_one(ctx: RunContext, exp: ExperimentConfig,
-            options: SolveOptions | None = None) -> DesignResult:
-    """Build, solve, verify and audit a single experiment."""
-    data = problem_data(ctx, exp)
+            data: ProblemData | None = None) -> DesignResult:
+    """Build, solve, verify and audit a single experiment; `data` is its
+    ``problem_data`` when the caller has made that already."""
+    if data is None:
+        data = problem_data(ctx, exp)
     # JSON configs spell pinned design variables as "kind.entity" strings
-    fixed = {tuple(k.split(".")) if isinstance(k, str) else k: v
+    fixed = {tuple(k.split(".", 1)) if isinstance(k, str) else k: v
              for k, v in exp.fixed.items()}
     model = build(data, fixed=fixed or None)
-    sol = solve_model(model, options)
+    sol = solve_model(model)
     if not sol.optimal:
         return DesignResult(
             exp_id=exp.id, status=sol.status, e_max={}, p_max={},
@@ -211,16 +214,18 @@ def run_one(ctx: RunContext, exp: ExperimentConfig,
 
 
 def run_experiments(ctx: RunContext, experiments: list[ExperimentConfig],
-                    options: SolveOptions | None = None,
                     jobs: int = 1) -> list[DesignResult]:
-    """Run the matrix; failures are isolated per experiment; sorted by id."""
+    """Run the matrix; sorted by id. An input fault of any experiment (a
+    technology the catalog lacks) raises before the first design is solved;
+    a failure while solving is isolated to its experiment's result."""
     ids = [e.id for e in experiments]
     if len(set(ids)) != len(ids):
         raise ValueError("experiment ids must be unique")
+    data = {exp.id: problem_data(ctx, exp) for exp in experiments}
 
     def guarded(exp):
         try:
-            return run_one(ctx, exp, options)
+            return run_one(ctx, exp, data[exp.id])
         except Exception as exc:  # isolate per-experiment failures
             return DesignResult(
                 exp_id=exp.id, status="error", e_max={}, p_max={},
@@ -335,14 +340,30 @@ def _check_fields(raw: dict, allowed: dict, path, prefix=""):
             raise ValueError(f"{path}: field {prefix + name!r} is not {kind}")
 
 
+# what a run config leaves unset; "experiments" is the paper's storage matrix
+RUN_DEFAULTS = {
+    "clusters": 20, "seed": 0, "horizon": {}, "sources": {},
+    "experiments": [{"id": "1", "ess": ["battery"]},
+                    {"id": "2", "ess": ["battery", "supercapacitor"]},
+                    {"id": "3", "ess": ["battery", "flywheel"]},
+                    {"id": "4", "ess": ["battery", "supercapacitor", "flywheel"]}],
+}
+
+
 def load_run_config(path) -> dict:
-    """Read the run configuration JSON; fill defaults, leave paths untouched.
-    A field that no setting takes, or that has another JSON type, raises
-    ValueError naming it."""
+    """Read the run configuration JSON and pass it through ``run_config``."""
     with open(path) as fh:
         raw = json.load(fh)
     if not _is_object(raw):
         raise ValueError(f"{path}: run config is not a JSON object")
+    return run_config(raw, path)
+
+
+def run_config(raw: dict, path) -> dict:
+    """`raw` with RUN_DEFAULTS filled in; paths are left untouched. A field
+    that no setting takes, or that has another JSON type, and a pinned
+    design variable that the experiment does not have, raise ValueError
+    naming it and `path`."""
     _check_fields(raw, _CONFIG_FIELDS, path)
     _check_fields(raw.get("horizon", {}), _spec_fields(Horizon), path, "horizon.")
     sources = raw.get("sources", {})
@@ -353,16 +374,13 @@ def load_run_config(path) -> dict:
         if "id" not in exp:
             raise ValueError(f"{path}: experiments[{i}]: missing field 'id'")
         _check_fields(exp, _EXPERIMENT_FIELDS, path, f"experiments[{i}].")
-    raw.setdefault("clusters", 20)
-    raw.setdefault("seed", 0)
-    raw.setdefault("horizon", {})
-    raw.setdefault("sources", {})
-    raw.setdefault("experiments",
-                   [{"id": "1", "ess": ["battery"]},
-                    {"id": "2", "ess": ["battery", "supercapacitor"]},
-                    {"id": "3", "ess": ["battery", "flywheel"]},
-                    {"id": "4", "ess": ["battery", "supercapacitor", "flywheel"]}])
-    return raw
+        pins = {f"P_max_src.{GRID}", f"P_max_src.{PV}"} | {
+            f"{kind}.{name}" for kind in ("E_max", "P_max_ess") for name in exp.get("ess", [])}
+        for pin in exp.get("fixed", {}):
+            if pin not in pins:
+                raise ValueError(f"{path}: experiments[{i}].fixed: unknown pin {pin!r}; "
+                                 f"this experiment has {', '.join(sorted(pins))}")
+    return {**copy.deepcopy(RUN_DEFAULTS), **raw}
 
 
 def context_from_config(cfg: dict, cache_dir=None) -> RunContext:

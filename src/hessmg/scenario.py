@@ -17,6 +17,11 @@ import numpy as np
 from .data import HistoricalDay
 
 N_FEATURES = 12  # 4 statistics x 3 signals (price, total demand, pv cf)
+KMEANS_RESTARTS = 10     # seeded k-means++/Lloyd runs; the best one is kept
+LLOYD_MAX_ITER = 300
+LLOYD_TOL = 1e-12        # relative objective decrease that ends Lloyd
+STATIONARY_MAX_ITER = 10_000
+STATIONARY_TOL = 1e-14   # L1 change of the power iterate that ends it
 
 
 def extract_features(day: HistoricalDay) -> np.ndarray:
@@ -59,10 +64,10 @@ def _kmeans_pp_init(x, w, rng):
     return centroids
 
 
-def _lloyd(x, centroids, max_iter=300, tol=1e-12):
+def _lloyd(x, centroids):
     """Lloyd iterations; empty clusters are reseeded to the farthest point."""
     prev_obj = np.inf
-    for _ in range(max_iter):
+    for _ in range(LLOYD_MAX_ITER):
         d2 = np.sum((x[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         labels = np.argmin(d2, axis=1)
         obj = d2[np.arange(len(x)), labels].sum()
@@ -75,7 +80,7 @@ def _lloyd(x, centroids, max_iter=300, tol=1e-12):
                 centroids[j] = members.mean(axis=0)
             else:
                 centroids[j] = x[np.argmax(d2[np.arange(len(x)), labels])]
-        if prev_obj - obj <= tol * max(1.0, abs(prev_obj)):
+        if prev_obj - obj <= LLOYD_TOL * max(1.0, abs(prev_obj)):
             break
         prev_obj = obj
     d2 = np.sum((x[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
@@ -84,17 +89,17 @@ def _lloyd(x, centroids, max_iter=300, tol=1e-12):
     return centroids, labels, obj
 
 
-def kmeans(features: np.ndarray, w: int, seed: int, n_restarts: int = 10):
+def kmeans(features: np.ndarray, w: int, seed: int):
     """Cluster standardized feature rows into w groups.
 
-    Best of `n_restarts` seeded k-means++/Lloyd runs; deterministic for a
+    Best of KMEANS_RESTARTS seeded k-means++/Lloyd runs; deterministic for a
     fixed seed. Returns (centroids, labels).
     """
     x = np.asarray(features, dtype=float)
     if w < 1 or w > len(x):
         raise ValueError(f"need 1 <= clusters <= {len(x)}, got {w}")
     best = None
-    for restart in range(n_restarts):
+    for restart in range(KMEANS_RESTARTS):
         rng = np.random.default_rng((seed, restart))
         centroids, labels, obj = _lloyd(x, _kmeans_pp_init(x, w, rng))
         if best is None or obj < best[2]:
@@ -312,12 +317,12 @@ def build_scenario(days: list[HistoricalDay], w: int, t_syn: int, seed: int) -> 
     return model
 
 
-def stationary_distribution(transition, n_iter=10_000, tol=1e-14) -> np.ndarray:
+def stationary_distribution(transition) -> np.ndarray:
     """Stationary vector of a row-stochastic matrix by power iteration."""
     pi = np.full(len(transition), 1.0 / len(transition))
-    for _ in range(n_iter):
+    for _ in range(STATIONARY_MAX_ITER):
         nxt = pi @ transition
-        if np.abs(nxt - pi).sum() < tol:
+        if np.abs(nxt - pi).sum() < STATIONARY_TOL:
             return nxt
         pi = nxt
     return pi

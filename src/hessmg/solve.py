@@ -19,11 +19,13 @@ from .lp import EQ, GE, LE, SENSES, ModelInstance
 from . import simplex
 
 
+FEAS_TOL = 1e-7     # primal feasibility tolerance of both engines
+OPT_TOL = 1e-7      # dual feasibility (optimality) tolerance of both engines
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     engine: str = "highs"       # highs | simplex (reference)
-    feas_tol: float = 1e-7
-    opt_tol: float = 1e-7
     max_iter: int | None = None
 
 
@@ -42,7 +44,7 @@ class Solution:
         return self.status == simplex.OPTIMAL
 
     def value(self, model: ModelInstance, kind, entity, step=None) -> float:
-        return float(self.x[model.var(kind, entity, step).column])
+        return float(self.x[model.var(kind, entity, step)])
 
 
 def to_equality_form(model: ModelInstance):
@@ -63,7 +65,7 @@ def to_equality_form(model: ModelInstance):
 def _solve_simplex(model, options):
     a, b, lo, hi, c, n = to_equality_form(model)
     status, x, obj, iters = simplex.simplex_solve(
-        c, a, b, lo, hi, feas_tol=options.feas_tol, opt_tol=options.opt_tol,
+        c, a, b, lo, hi, feas_tol=FEAS_TOL, opt_tol=OPT_TOL,
         max_iter=options.max_iter)
     return status, x[:n], obj, iters
 
@@ -99,8 +101,8 @@ def _solve_highs(model, options):
     a_eq = a[eq_rows] if len(eq_rows) else None
     b_eq = rhs[eq_rows] if len(eq_rows) else None
     lower, upper = model.bounds_arrays()
-    highs_options = {"primal_feasibility_tolerance": options.feas_tol,
-                     "dual_feasibility_tolerance": options.opt_tol}
+    highs_options = {"primal_feasibility_tolerance": FEAS_TOL,
+                     "dual_feasibility_tolerance": OPT_TOL}
     if options.max_iter is not None:
         highs_options["maxiter"] = options.max_iter
     res = scipy.optimize.linprog(

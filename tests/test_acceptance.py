@@ -306,10 +306,10 @@ ENDATA
 def test_8_mps_round_trip(tmp_path):
     """Golden single-variable file byte-exact; full model re-parses identically."""
     tiny = ModelInstance()
-    x = tiny.add_var("x", "", None, lb=0.0, ub=INF)
+    x = tiny.add_var("x", "", lb=0.0, ub=INF)
     tiny.col_names = ["x"]
     tiny.add_row([(x, 1.0)], GE, 3.0, "floor", "t")
-    tiny.add_objective_term(x, 1.0)
+    tiny.add_objective(x, 1.0)
     golden_path = tmp_path / "tiny.mps"
     write_mps(tiny, golden_path, name="ACCEPT")
     golden_ok = golden_path.read_text() == GOLDEN_MPS

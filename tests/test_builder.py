@@ -36,7 +36,7 @@ def _row(model, name):
 
 
 def _coef(model, row, kind, entity, step=None):
-    col = model.var(kind, entity, step).column
+    col = model.var(kind, entity, step)
     return dict(zip(row.cols, row.coefs)).get(col, 0.0)
 
 
@@ -164,8 +164,8 @@ class TestCoefficients:
                 + eol_discount(0.04, 20) * 0.85 * 900.0 / 5000.0)
         c = model.objective_vector()
         for k in (0, 95):
-            plus = model.var("P_ess_plus", "battery", k).column
-            minus = model.var("P_ess_minus", "battery", k).column
+            plus = model.var("P_ess_plus", "battery", k)
+            minus = model.var("P_ess_minus", "battery", k)
             assert c[plus] == pytest.approx(wear * 0.25 / 0.88, rel=1e-12)
             assert c[minus] == pytest.approx(wear * 0.25 * 0.83, rel=1e-12)
 
@@ -173,13 +173,13 @@ class TestCoefficients:
         model = build(_data())
         imp = model.var("P_src_plus", GRID, 0)
         exp = model.var("P_src_minus", GRID, 0)
-        assert model.upper[imp.column] == pytest.approx(2.8 / 0.95)
-        assert model.upper[exp.column] == pytest.approx(2.8 * 0.95)
+        assert model.upper[imp] == pytest.approx(2.8 / 0.95)
+        assert model.upper[exp] == pytest.approx(2.8 * 0.95)
 
     def test_apply_fixed_values(self):
         model = build(_data(ess={"battery": BATTERY}),
                       fixed={("E_max", "battery"): 2.0, ("P_max_src", PV): 0.0})
-        col = model.var("E_max", "battery").column
+        col = model.var("E_max", "battery")
         assert model.lower[col] == model.upper[col] == 2.0
 
     def test_initial_soe_row(self):
@@ -249,10 +249,11 @@ def _lifted(data, fixed=None):
     for name, ess in data.ess.items():
         e_cap, r_cap = ess.e_cap_max, ess.crate_max
         e_max = model.var("E_max", name)
+        model.add_vars([("R_crate", name, 0.0, r_cap)], data.horizon.n_steps)
         for k in range(data.horizon.n_steps):
             g = [(model.var("P_ess_plus", name, k), tau / ess.eta_d),
                  (model.var("P_ess_minus", name, k), tau * ess.eta_c)]
-            r = model.add_var("R_crate", name, k, lb=0.0, ub=r_cap)
+            r = model.var("R_crate", name, k)
             model.add_row(g + [(r, -e_cap), (e_max, -r_cap)], GE,
                           -e_cap * r_cap, f"q_mcc2.{name}.k{k}", "mccormick")
             model.add_row(g + [(r, -e_cap)], LE, 0.0,

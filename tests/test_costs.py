@@ -56,7 +56,7 @@ class TestObjectiveCoefficients:
         data = _data(price=80.0, horizon=h)
         model = build(data)
         c = model.objective_vector()
-        col = model.var("P_src_plus", GRID, 5).column
+        col = model.var("P_src_plus", GRID, 5)
         expected = npv_factor(0.04, 20) * 365.0 * 1.0 * 80.0 / 1000.0
         assert c[col] == pytest.approx(expected, rel=1e-12)
 
@@ -64,8 +64,8 @@ class TestObjectiveCoefficients:
         data = _data(price=80.0)
         model = build(data)
         c = model.objective_vector()
-        imp = c[model.var("P_src_plus", GRID, 5).column]
-        exp = c[model.var("P_src_minus", GRID, 5).column]
+        imp = c[model.var("P_src_plus", GRID, 5)]
+        exp = c[model.var("P_src_minus", GRID, 5)]
         assert exp == pytest.approx(-0.9 * imp, rel=1e-12)
 
     def test_capex_is_epigraph_of_max(self):
@@ -76,15 +76,15 @@ class TestObjectiveCoefficients:
         p_row = rows["capex_power.battery"]
         coefs_e = dict(zip(e_row.cols, e_row.coefs))
         coefs_p = dict(zip(p_row.cols, p_row.coefs))
-        assert coefs_e[model.var("E_max", "battery").column] == -900.0
-        assert coefs_p[model.var("P_max_ess", "battery").column] == -1590.0
-        assert model.objective[model.var("capex_epigraph", "battery").column] == 1.0
+        assert coefs_e[model.var("E_max", "battery")] == -900.0
+        assert coefs_p[model.var("P_max_ess", "battery")] == -1590.0
+        assert model.objective[model.var("capex_epigraph", "battery")] == 1.0
 
     def test_resale_coefficient(self):
         data = _data(price=50.0, ess={"battery": BATTERY})
         model = build(data)
         c = model.objective_vector()
-        col = model.var("E_max", "battery").column
+        col = model.var("E_max", "battery")
         # capacity resale minus the opex/capex contributions that also touch
         # E_max: here E_max only carries the resale term
         resale = 0.85 * 900.0 * 1.04 ** -20
@@ -103,8 +103,8 @@ class TestObjectiveCoefficients:
                                 horizon=Horizon(tau_minutes=15, t_syn=1)))
             c = model.objective_vector()
             for k in (0, 95):
-                plus = model.var("P_ess_plus", "battery", k).column
-                minus = model.var("P_ess_minus", "battery", k).column
+                plus = model.var("P_ess_plus", "battery", k)
+                minus = model.var("P_ess_minus", "battery", k)
                 assert c[plus] == pytest.approx(wear * 0.25 / 0.88, rel=1e-12)
                 assert c[minus] == pytest.approx(wear * 0.25 * 0.83, rel=1e-12)
 
@@ -118,7 +118,7 @@ class TestObjectiveCoefficients:
         data = _data(price=50.0)
         model = build(data)
         c = model.objective_vector()
-        col = model.var("P_max_src", PV).column
+        col = model.var("P_max_src", PV)
         fac = npv_factor(0.04, 20)
         expected = 300.0 + fac * 15.0 - eol_discount(0.04, 20) * 0.75 * 300.0
         assert c[col] == pytest.approx(expected, rel=1e-12)
@@ -152,7 +152,7 @@ class TestAudit:
         data, model, sol = self._solved(price=50.0, ch=1.0)
         x = sol.x.copy()
         # inflate the epigraph variable: audit must ignore it
-        x[model.var("P_peak", GRID).column] += 100.0
+        x[model.var("P_peak", GRID)] += 100.0
         b = audit(x, model, data)
         assert b.grid_connection["peak"] == pytest.approx(
             9.03 / 0.95, rel=1e-9)
@@ -170,7 +170,7 @@ class TestAudit:
         # one more MWh through the cell costs its wear, O&M plus lost resale,
         # in the audit and in the objective alike
         x = sol.x.copy()
-        x[model.var("P_ess_minus", "battery", 0).column] += 1.0 / 0.83
+        x[model.var("P_ess_minus", "battery", 0)] += 1.0 / 0.83
         wear = (npv_factor(0.04, 20) * 365.0 * 0.001
                 + eol_discount(0.04, 20) * 0.85 * 5.0 / 5000.0)
         assert audit(x, model, data).total - sol.objective == pytest.approx(wear, rel=1e-9)
@@ -181,7 +181,7 @@ class TestAudit:
     def test_corrupted_solution_raises(self):
         data, model, sol = self._solved(price=50.0, ch=1.0)
         x = sol.x.copy()
-        x[model.var("P_src_plus", GRID, 3).column] *= 2.0
+        x[model.var("P_src_plus", GRID, 3)] *= 2.0
         with pytest.raises(AuditError, match="audit failure"):
             audit(x, model, data, solver_objective=sol.objective)
 
@@ -198,6 +198,6 @@ class TestAudit:
         bill_b = audit(sol.x, model_b, data_b).opex_npv
         fac = npv_factor(0.04, 20)
         fixed = fac * (1.2 + 1.8 + 3.0 * sol.value(model_a, "P_max_src", GRID)
-                       + 9.03 * max(sol.x[model_a.var("P_src_plus", GRID, k).column]
+                       + 9.03 * max(sol.x[model_a.var("P_src_plus", GRID, k)]
                                     for k in range(24)))
         assert bill_b - fixed == pytest.approx(scale * (bill_a - fixed), rel=1e-9)

@@ -20,8 +20,8 @@ def _tiny_model():
     y = m.add_var("p", "y", lb=-INF, ub=INF)
     m.add_row([(x, 1.0), (y, 1.0)], GE, 1.0, "cover", "demo")
     m.add_row([(x, 1.0), (y, -1.0)], EQ, 0.5, "link", "demo")
-    m.add_objective_term(x, 2.0)
-    m.add_objective_term(y, 3.0)
+    m.add_objective(x, 2.0)
+    m.add_objective(y, 3.0)
     m.objective_constant = 5.0
     return m
 
@@ -29,18 +29,34 @@ def _tiny_model():
 class TestModelInstance:
     def test_variable_registry(self):
         m = ModelInstance()
-        ref = m.add_var("E_soe", "battery", 3, lb=0.0, ub=2.0)
-        assert ref.name == "E_soe.battery.k3"
-        assert m.var("E_soe", "battery", 3) is ref
+        m.add_vars([("E_soe", "battery", 0.0, 2.0)], 4)
+        col = m.var("E_soe", "battery", 3)
+        assert col == 3 and m.col_names[col] == "E_soe.battery.k3"
         assert m.has_var("E_soe", "battery", 3)
         assert not m.has_var("E_soe", "battery", 4)
-        assert m.n_vars == 1
+        assert not m.has_var("E_soe", "battery")
+        assert m.n_vars == 4
+        # a design variable is one column, named without a step
+        e_max = m.add_var("E_max", "battery", ub=5.0)
+        assert e_max == 4 and m.var("E_max", "battery") == e_max
+        assert m.col_names[e_max] == "E_max.battery"
+        assert not m.has_var("E_max", "battery", 0)
+        assert m.entities("E_soe") == ["battery"] and m.entities("E_max") == []
+        with pytest.raises(KeyError):
+            m.columns("E_max", "battery")
+        with pytest.raises(KeyError):
+            m.var("E_soe", "battery")
 
     def test_duplicate_variable_rejected(self):
         m = ModelInstance()
         m.add_var("a", "x")
         with pytest.raises(ModelError, match="duplicate"):
             m.add_var("a", "x")
+        with pytest.raises(ModelError, match="duplicate"):
+            m.add_vars([("a", "x", 0.0, 1.0)], 2)
+        m.add_vars([("a", "y", 0.0, 1.0)], 2)
+        with pytest.raises(ModelError, match="duplicate"):
+            m.add_var("a", "y")
 
     def test_bad_bounds_rejected(self):
         m = ModelInstance()
@@ -53,7 +69,7 @@ class TestModelInstance:
         m = ModelInstance()
         x = m.add_var("a", "x")
         m.add_row([(x, 1.0), (x, 2.5)], LE, 1.0, "r", "t")
-        assert m.rows[0].cols == [x.column]
+        assert m.rows[0].cols == [x]
         assert m.rows[0].coefs == [3.5]
 
     def test_zero_coefficients_dropped(self):
@@ -61,13 +77,15 @@ class TestModelInstance:
         x = m.add_var("a", "x")
         y = m.add_var("a", "y")
         m.add_row([(x, 0.0), (y, 1.0)], LE, 1.0, "r", "t")
-        assert m.rows[0].cols == [y.column]
+        assert m.rows[0].cols == [y]
 
     def test_empty_and_nonfinite_rows_rejected(self):
         m = ModelInstance()
         x = m.add_var("a", "x")
         with pytest.raises(ModelError, match="empty row"):
             m.add_row([(x, 0.0)], LE, 1.0, "r", "t")
+        with pytest.raises(ModelError, match="empty row"):
+            m.add_row([], LE, 1.0, "r", "t")
         with pytest.raises(ModelError, match="non-finite"):
             m.add_row([(x, math.inf)], LE, 1.0, "r", "t")
         with pytest.raises(ModelError, match="non-finite"):
@@ -77,9 +95,9 @@ class TestModelInstance:
 
     def test_objective_terms_accumulate(self):
         m = _tiny_model()
-        m.add_objective_term(m.var("p", "x"), 1.0)
+        m.add_objective(m.var("p", "x"), 1.0)
         c = m.objective_vector()
-        assert c[m.var("p", "x").column] == 3.0
+        assert c[m.var("p", "x")] == 3.0
 
     def test_dense_views(self):
         m = _tiny_model()
@@ -119,7 +137,7 @@ class TestModelInstance:
         assert [(r.cols, r.coefs) for r in block.rows] == [
             ([1], [2.5]), ([2, 3], [1.0, 2.0]), ([4], [6.0])]
         assert block.col_names[:3] == ["p.a.k0", "p.b.k0", "p.a.k1"]
-        assert block.var("p", "b", 2).column == 5
+        assert block.var("p", "b", 2) == 5
 
     def test_block_checks_every_row(self):
         m = ModelInstance()
@@ -249,7 +267,7 @@ class TestMps:
         m = ModelInstance()
         x = m.add_var("v", "x", lb=0.0, ub=0.1 + 0.2)  # 0.30000000000000004
         m.add_row([(x, 1.0 / 3.0)], LE, math.pi, "r", "t")
-        m.add_objective_term(x, 2.0 ** -40)
+        m.add_objective(x, 2.0 ** -40)
         path = tmp_path / "prec.mps"
         write_mps(m, path)
         again = read_mps(path)

@@ -88,6 +88,13 @@ class TestRunOne:
         with pytest.raises(ValueError, match="not in catalog"):
             run_one(ctx, ExperimentConfig(id="x", ess_subset=("gravity",)))
 
+    @pytest.mark.parametrize("pin", ["E_max.nosuch", "E_max", "P_max_ess.flywheel",
+                                     "E_soe.battery"])
+    def test_unknown_pin_names_it(self, ctx, pin):
+        with pytest.raises(BuildError, match=f"unknown pin {pin}:"):
+            run_one(ctx, ExperimentConfig(id="x", ess_subset=("battery",),
+                                          fixed={pin: 1.0}))
+
 
 def _one_day_ctx(catalog, negative_hours=0):
     """The first demo day as a one-day scenario, its first hours priced at
@@ -162,13 +169,26 @@ class TestMatrix:
             run_experiments(ctx, [e, e])
 
     def test_failure_is_isolated(self, ctx):
+        # a pin outside its bounds fails in the build, one design only
+        ceiling = ctx.catalog["battery"].e_cap_max
         results = run_experiments(ctx, [
-            ExperimentConfig(id="bad", ess_subset=("gravity",)),
+            ExperimentConfig(id="bad", ess_subset=("battery",),
+                             fixed={"E_max.battery": ceiling + 1.0}),
             ExperimentConfig(id="good", ess_subset=("battery",)),
         ])
         by_id = {r.exp_id: r for r in results}
-        assert by_id["bad"].status == "error" and by_id["bad"].error
+        assert by_id["bad"].status == "error" and "outside" in by_id["bad"].error
         assert by_id["good"].status == "optimal"
+
+    def test_unknown_technology_stops_before_any_solve(self, ctx, monkeypatch):
+        solved = []
+        monkeypatch.setattr("hessmg.run.run_one", lambda *args: solved.append(args))
+        with pytest.raises(ValueError, match=r"bad: technologies not in catalog: \['gravity'\]"):
+            run_experiments(ctx, [
+                ExperimentConfig(id="good", ess_subset=("battery",)),
+                ExperimentConfig(id="bad", ess_subset=("gravity",)),
+            ])
+        assert solved == []
 
 
 class TestOutputs:
@@ -376,8 +396,18 @@ class TestCli:
         ("optimize", [], {"horizon": {"tau": 60}}, "unknown field 'horizon.tau'"),
         ("optimize", [], {"sources": {"grid": {"cap": 3}}},
          "unknown field 'sources.grid.cap'"),
+        ("experiments", [], {"experiments": [{"id": "a", "ess": ["battery"],
+                                              "fixed": {"E_max.nosuch": 1}}]},
+         "experiments[0].fixed: unknown pin 'E_max.nosuch'"),
+        ("experiments", [], {"experiments": [{"id": "a", "ess": ["battery"],
+                                              "fixed": {"E_max": 1}}]},
+         "experiments[0].fixed: unknown pin 'E_max'"),
+        ("experiments", [], {"experiments": [{"id": "a", "ess": ["battery"]},
+                                             {"id": "b", "ess": ["foo"]}]},
+         "b: technologies not in catalog: ['foo']"),
     ], ids=["incomplete scenario", "missing scenario", "unknown technology",
-            "string clusters", "unknown horizon field", "unknown grid field"])
+            "string clusters", "unknown horizon field", "unknown grid field",
+            "unknown pin", "undotted pin", "experiment technology"])
     def test_input_faults_print_one_line(self, workspace, tmp_path, capsys,
                                          command, extra, config, message):
         root, cfg_path = workspace
@@ -416,3 +446,15 @@ class TestCli:
                      "--out-dir", str(tmp_path)]) == 2
         assert capsys.readouterr().err == (
             "hessmg: error: missing input: config defines no experiments\n")
+
+    def test_flags_only_experiments_run_the_default_matrix(self, workspace, tmp_path):
+        # flags take the same defaults as a config file without the field
+        cfg = json.loads(workspace[1].read_text())
+        out = tmp_path / "exp"
+        assert main(["experiments", *(f"--{key}={cfg[key]}"
+                                      for key in ("prices", "demand", "pv", "catalog")),
+                     "--out-dir", str(out)]) == 0
+        results = json.loads((out / "results.json").read_text())
+        assert [(r["exp_id"], sorted(r["e_max_mwh"])) for r in results] == [
+            ("1", ["battery"]), ("2", ["battery", "supercapacitor"]),
+            ("3", ["battery", "flywheel"]), ("4", ["battery", "flywheel", "supercapacitor"])]

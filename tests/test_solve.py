@@ -97,7 +97,7 @@ class TestVerify:
         _, model = _model()
         sol = solve(model, SolveOptions(engine="highs"))
         x = sol.x.copy()
-        x[model.var("E_soe", "battery", 10).column] += 0.5
+        x[model.var("E_soe", "battery", 10)] += 0.5
         report = verify(model, x)
         assert report.family_violation["dynamics"] > 0.4
         assert report.worst_row["dynamics"].startswith("soe_dyn.battery")
@@ -125,7 +125,7 @@ class TestVerify:
         _, model = _model()
         sol = solve(model, SolveOptions(engine="highs"))
         x = sol.x.copy()
-        x[model.var("E_max", "battery").column] = BATTERY.e_cap_max + 1.0
+        x[model.var("E_max", "battery")] = BATTERY.e_cap_max + 1.0
         assert verify(model, x).bound_violation >= 1.0
 
     def test_complementarity_of_import_export(self):
@@ -143,6 +143,6 @@ class TestVerify:
         x = sol.x.copy()
         imp = model.var("P_src_plus", GRID, 0)
         exp = model.var("P_src_minus", GRID, 0)
-        x[imp.column] = max(x[imp.column], 1.0)
-        x[exp.column] = 1.0
+        x[imp] = max(x[imp], 1.0)
+        x[exp] = 1.0
         assert verify(model, x).pair_products["G"][0] >= 1.0

@@ -46,7 +46,7 @@ def _swing_build(data):
             (f"q_epi_up.{name}.k", GE, 0.0, [(q, 1.0), (nxt, -1.0), (cur, 1.0)]),
             (f"q_epi_dn.{name}.k", GE, 0.0, [(q, 1.0), (nxt, 1.0), (cur, -1.0)]),
             (f"q_crate.{name}.k", LE, 0.0,
-             [(q, 1.0), (model.var("E_max", name).column, -ess.crate_max)]))
+             [(q, 1.0), (model.var("E_max", name), -ess.crate_max)]))
         model.add_objective(q, om_scale * ess.om_energy
                             + disc * ess.resale_factor * ess.cost_energy / ess.cycle_life)
     builder.add_peak(model, data)
