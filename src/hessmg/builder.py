@@ -229,18 +229,29 @@ def add_peak(model: ModelInstance, data: ProblemData):
                             (model.columns("P_src_plus", GRID), -1.0)]))
 
 
-def apply_fixed_values(model: ModelInstance, fixed: dict):
-    """Pin design variables, e.g. {("E_max", "battery"): 1.0}.
+def design_pins(ess) -> list[tuple[str, str]]:
+    """The design sizes a study may pin in a model with the storage
+    technologies `ess`, as (kind, entity): the grid and PV contract sizes
+    and each technology's energy and power ratings."""
+    return [("P_max_src", GRID), ("P_max_src", PV)] + [
+        (kind, name) for kind in ("E_max", "P_max_ess") for name in ess]
 
-    A pin must name a design variable of the model and lie within its
+
+def apply_fixed_values(model: ModelInstance, data: ProblemData, fixed: dict):
+    """Pin design sizes, e.g. {("E_max", "battery"): 1.0} or, as JSON
+    configs spell it, {"E_max.battery": 1.0}.
+
+    A pin must be one of ``design_pins(data.ess)`` and lie within its
     declared bounds: the C-rate row is exact only while E_max stays under
     its catalog ceiling.
     """
+    pins = design_pins(data.ess)
     lower, upper = model.bounds_arrays()
     for key, value in fixed.items():
+        key = tuple(key.split(".", 1)) if isinstance(key, str) else tuple(key)
         name = ".".join(map(str, key))
-        if len(key) != 2 or not model.has_var(*key):
-            raise BuildError(f"unknown pin {name}: not a design variable of this model")
+        if key not in pins:
+            raise BuildError(f"unknown pin {name}: not a design size of this model")
         col = model.var(*key)
         lb, ub = float(lower[col]), float(upper[col])
         if not lb <= value <= ub:
@@ -273,7 +284,7 @@ def build(data: ProblemData, fixed: dict | None = None,
     if initial_soe_frac is not None:
         add_initial_soe(model, data, initial_soe_frac)
     if fixed:
-        apply_fixed_values(model, fixed)
+        apply_fixed_values(model, data, fixed)
     costs.objective_capex(model, data)
     costs.objective_opex(model, data)
     costs.objective_resale(model, data)

@@ -102,7 +102,7 @@ def cmd_experiments(args):
 
 def cmd_export_mps(args):
     cfg = _merged_config(args)
-    ctx = runner.context_from_config(cfg, cache_dir=args.out_dir)
+    ctx = runner.context_from_config(cfg)
     ess = args.ess.split(",") if args.ess else list(ctx.catalog)
     exp = runner.ExperimentConfig(id="export", ess_subset=tuple(ess))
     write_mps(build(runner.problem_data(ctx, exp)), args.out)
@@ -144,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-mps", help="write the model in free MPS format")
     _add_data_flags(p)
     p.add_argument("--scenario")
-    p.add_argument("--out-dir", default=".")
     p.add_argument("--ess")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export_mps)

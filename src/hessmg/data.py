@@ -1,4 +1,5 @@
-"""Input data model: time series, technology catalog, tariff parameters.
+"""Input data model: time series, technology catalog, tariff parameters,
+and the one field check of JSON input objects (``check_object``).
 
 Internal unit conventions: power in MW, energy in MWh, money in k EUR.
 Catalog files use EUR/kWh and EUR/kW, which are numerically identical to
@@ -31,6 +32,7 @@ import datetime as dt
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -198,13 +200,17 @@ class HistoricalDay:
             if len(getattr(self, name)) != n:
                 raise DataFormatError(
                     f"{self.date}: {name} has {len(getattr(self, name))} entries, expected {n}")
-        for name in ("price", "demand_ch", "demand_wh", "pv_cf"):
-            if not np.isfinite(getattr(self, name)).all():
+        # one check over all four series; the offending one is named only on failure
+        values = np.array((self.price, self.demand_ch, self.demand_wh, self.pv_cf))
+        if (np.isfinite(values).all() and values[1:].min(initial=0.0) >= 0
+                and values[3].max(initial=1.0) <= 1):
+            return
+        for name, row in zip(("price", "demand_ch", "demand_wh", "pv_cf"), values):
+            if not np.isfinite(row).all():
                 raise DataFormatError(f"{self.date}: non-finite {name}")
-        if np.any(self.demand_ch < 0) or np.any(self.demand_wh < 0):
+        if values[1:3].min() < 0:
             raise DataFormatError(f"{self.date}: negative demand")
-        if np.any(self.pv_cf < 0) or np.any(self.pv_cf > 1):
-            raise DataFormatError(f"{self.date}: capacity factor out of range")
+        raise DataFormatError(f"{self.date}: capacity factor out of range")
 
     def __eq__(self, other):
         if not isinstance(other, HistoricalDay):
@@ -212,6 +218,43 @@ class HistoricalDay:
         return self.date == other.date and all(
             np.array_equal(getattr(self, n), getattr(other, n))
             for n in ("price", "demand_ch", "demand_wh", "pv_cf"))
+
+
+class JsonType(NamedTuple):
+    """The JSON type a field of a checked JSON object must have."""
+
+    words: str                       # e.g. "a list of integers"
+    check: Callable[[object], bool]
+
+
+# JSON true and false load as bool, a subclass of int, but are not numbers
+INTEGER = JsonType("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+NUMBER = JsonType("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool))
+STRING = JsonType("a string", lambda v: isinstance(v, str))
+OBJECT = JsonType("an object", lambda v: isinstance(v, dict))
+
+
+def list_of(words: str, item: JsonType) -> JsonType:
+    """The JSON type `words`: a list whose every entry has type `item`."""
+    return JsonType(words, lambda value: isinstance(value, list) and all(map(item.check, value)))
+
+
+def check_object(raw, fields: dict[str, JsonType], what, prefix="", required=()):
+    """Raise ValueError unless `raw` is a JSON object that holds only
+    fields of `fields`, each of the JSON type given there, and every field
+    in `required`. The message starts with `what` and spells a field
+    `prefix` + its name."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    for name in raw:
+        if name not in fields:
+            raise ValueError(f"{what}: unknown field {prefix + name!r}")
+    for name in required:
+        if name not in raw:
+            raise ValueError(f"{what}: missing field {prefix + name!r}")
+    for name, (words, check) in fields.items():
+        if name in raw and not check(raw[name]):
+            raise ValueError(f"{what}: field {prefix + name!r} is not {words}")
 
 
 def _read_signal_file(path, header, n_values):

@@ -156,21 +156,14 @@ class ModelInstance:
         for i, key in enumerate(keys):
             self._index[key] = range(first + i, self.n_vars, width)
 
-    def _column(self, kind, entity, step):
-        cols = self._index.get((kind, entity))
-        if step is None:
-            return cols if isinstance(cols, int) else None
-        return cols[step] if isinstance(cols, range) and 0 <= step < len(cols) else None
-
     def var(self, kind, entity, step=None) -> int:
         """Column of a design variable, or of one step of a per-step one."""
-        col = self._column(kind, entity, step)
-        if col is None:
-            raise KeyError((kind, entity, step))
-        return col
-
-    def has_var(self, kind, entity, step=None) -> bool:
-        return self._column(kind, entity, step) is not None
+        cols = self._index.get((kind, entity))
+        if step is None and isinstance(cols, int):
+            return cols
+        if step is not None and isinstance(cols, range) and 0 <= step < len(cols):
+            return cols[step]
+        raise KeyError((kind, entity, step))
 
     def columns(self, kind, entity) -> np.ndarray:
         """Column of every step of a per-step variable, in step order."""

@@ -14,11 +14,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .builder import GRID, PV, ProblemData, build
+from .builder import GRID, PV, ProblemData, build, design_pins
 from .costs import CostBreakdown, audit
-from .data import (EssSpec, GridSpec, Horizon, HistoricalDay, PvSpec,
-                   SourceSpec, load_catalog, load_dataset)
-from .scenario import ScenarioModel, _is_int, _is_number, _list_of, build_scenario
+from .data import (INTEGER, NUMBER, OBJECT, STRING, EssSpec, GridSpec, Horizon,
+                   HistoricalDay, JsonType, PvSpec, SourceSpec, check_object,
+                   list_of, load_catalog, load_dataset)
+from .scenario import ScenarioModel, build_scenario
 from .solve import VerifyReport, solve as solve_model, verify
 
 TRACE_HEADER = ("step", "series", "value")
@@ -49,6 +50,14 @@ class DesignResult:
     solve_seconds: float
     error: str | None = None
     warnings: list[str] = field(default_factory=list)
+
+    @classmethod
+    def failed(cls, exp_id, status, error, solve_seconds=0.0) -> "DesignResult":
+        """A design without a solution: no sizes, costs or traces."""
+        nan = float("nan")
+        return cls(exp_id=exp_id, status=status, e_max={}, p_max={}, p_grid_max=nan,
+                   p_pv_max=nan, breakdown=None, traces={}, objective=nan,
+                   solve_seconds=solve_seconds, error=error)
 
     def as_dict(self):
         out = {
@@ -187,17 +196,11 @@ def run_one(ctx: RunContext, exp: ExperimentConfig,
     ``problem_data`` when the caller has made that already."""
     if data is None:
         data = problem_data(ctx, exp)
-    # JSON configs spell pinned design variables as "kind.entity" strings
-    fixed = {tuple(k.split(".", 1)) if isinstance(k, str) else k: v
-             for k, v in exp.fixed.items()}
-    model = build(data, fixed=fixed or None)
+    model = build(data, fixed=exp.fixed or None)
     sol = solve_model(model)
     if not sol.optimal:
-        return DesignResult(
-            exp_id=exp.id, status=sol.status, e_max={}, p_max={},
-            p_grid_max=float("nan"), p_pv_max=float("nan"), breakdown=None,
-            traces={}, objective=float("nan"), solve_seconds=sol.wall_time,
-            error=f"solver status {sol.status}")
+        return DesignResult.failed(exp.id, sol.status, f"solver status {sol.status}",
+                                   sol.wall_time)
     report = verify(model, sol.x)
     breakdown = audit(sol.x, model, data, solver_objective=sol.objective)
     sources = _design_values(model, sol.x, "P_max_src", [GRID, PV])
@@ -227,11 +230,7 @@ def run_experiments(ctx: RunContext, experiments: list[ExperimentConfig],
         try:
             return run_one(ctx, exp, data[exp.id])
         except Exception as exc:  # isolate per-experiment failures
-            return DesignResult(
-                exp_id=exp.id, status="error", e_max={}, p_max={},
-                p_grid_max=float("nan"), p_pv_max=float("nan"), breakdown=None,
-                traces={}, objective=float("nan"), solve_seconds=0.0,
-                error=str(exc))
+            return DesignResult.failed(exp.id, "error", str(exc))
 
     if jobs <= 1:
         results = [guarded(e) for e in experiments]
@@ -298,46 +297,25 @@ def sources_from_dict(raw: dict) -> SourceSpec:
     )
 
 
-def _is_text(value):
-    return isinstance(value, str)
-
-
-def _is_object(value):
-    return isinstance(value, dict)
-
-
-# run config field -> (its JSON type in words, a check of that type)
-_TEXT, _OBJECT = ("a string", _is_text), ("an object", _is_object)
+# run config field -> its JSON type
 _CONFIG_FIELDS = {
-    "prices": _TEXT, "demand": _TEXT, "pv": _TEXT, "catalog": _TEXT, "scenario": _TEXT,
-    "clusters": ("an integer", _is_int), "seed": ("an integer", _is_int),
-    "horizon": _OBJECT, "sources": _OBJECT,
-    "experiments": ("a list of objects", _list_of(_is_object)),
+    "prices": STRING, "demand": STRING, "pv": STRING, "catalog": STRING, "scenario": STRING,
+    "clusters": INTEGER, "seed": INTEGER, "horizon": OBJECT, "sources": OBJECT,
+    "experiments": list_of("a list of objects", OBJECT),
 }
-_SOURCES_FIELDS = {"grid": _OBJECT, "pv": _OBJECT, "eta_demand": ("a number", _is_number)}
+_SOURCES_FIELDS = {"grid": OBJECT, "pv": OBJECT, "eta_demand": NUMBER}
 _EXPERIMENT_FIELDS = {
-    "id": ("a string or an integer", lambda value: _is_text(value) or _is_int(value)),
-    "ess": ("a list of strings", _list_of(_is_text)),
-    "fixed": ("an object of numbers",
-              lambda value: _is_object(value) and all(map(_is_number, value.values()))),
+    "id": JsonType("a string or an integer",
+                   lambda value: STRING.check(value) or INTEGER.check(value)),
+    "ess": list_of("a list of strings", STRING),
+    "fixed": JsonType("an object of numbers", lambda value: OBJECT.check(value)
+                      and all(map(NUMBER.check, value.values()))),
 }
 
 
 def _spec_fields(cls) -> dict:
     """The fields of a settings dataclass: integers where it declares int."""
-    return {f.name: ("an integer", _is_int) if f.type in (int, "int") else ("a number", _is_number)
-            for f in fields(cls)}
-
-
-def _check_fields(raw: dict, allowed: dict, path, prefix=""):
-    """Raise ValueError naming the first field of `raw` that `allowed`
-    lacks or that has another JSON type."""
-    for name, value in raw.items():
-        if name not in allowed:
-            raise ValueError(f"{path}: unknown field {prefix + name!r}")
-        kind, check = allowed[name]
-        if not check(value):
-            raise ValueError(f"{path}: field {prefix + name!r} is not {kind}")
+    return {f.name: INTEGER if f.type in (int, "int") else NUMBER for f in fields(cls)}
 
 
 # what a run config leaves unset; "experiments" is the paper's storage matrix
@@ -353,33 +331,27 @@ RUN_DEFAULTS = {
 def load_run_config(path) -> dict:
     """Read the run configuration JSON and pass it through ``run_config``."""
     with open(path) as fh:
-        raw = json.load(fh)
-    if not _is_object(raw):
-        raise ValueError(f"{path}: run config is not a JSON object")
-    return run_config(raw, path)
+        return run_config(json.load(fh), path)
 
 
 def run_config(raw: dict, path) -> dict:
     """`raw` with RUN_DEFAULTS filled in; paths are left untouched. A field
-    that no setting takes, or that has another JSON type, and a pinned
-    design variable that the experiment does not have, raise ValueError
-    naming it and `path`."""
-    _check_fields(raw, _CONFIG_FIELDS, path)
-    _check_fields(raw.get("horizon", {}), _spec_fields(Horizon), path, "horizon.")
+    that no setting takes, or that has another JSON type, an experiment
+    without an id, and a pin that is not one of the experiment's
+    ``design_pins`` raise ValueError naming it and `path`."""
+    check_object(raw, _CONFIG_FIELDS, path)
+    check_object(raw.get("horizon", {}), _spec_fields(Horizon), path, "horizon.")
     sources = raw.get("sources", {})
-    _check_fields(sources, _SOURCES_FIELDS, path, "sources.")
-    _check_fields(sources.get("grid", {}), _spec_fields(GridSpec), path, "sources.grid.")
-    _check_fields(sources.get("pv", {}), _spec_fields(PvSpec), path, "sources.pv.")
+    check_object(sources, _SOURCES_FIELDS, path, "sources.")
+    check_object(sources.get("grid", {}), _spec_fields(GridSpec), path, "sources.grid.")
+    check_object(sources.get("pv", {}), _spec_fields(PvSpec), path, "sources.pv.")
     for i, exp in enumerate(raw.get("experiments", [])):
-        if "id" not in exp:
-            raise ValueError(f"{path}: experiments[{i}]: missing field 'id'")
-        _check_fields(exp, _EXPERIMENT_FIELDS, path, f"experiments[{i}].")
-        pins = {f"P_max_src.{GRID}", f"P_max_src.{PV}"} | {
-            f"{kind}.{name}" for kind in ("E_max", "P_max_ess") for name in exp.get("ess", [])}
+        check_object(exp, _EXPERIMENT_FIELDS, path, f"experiments[{i}].", required=("id",))
+        pins = list(map(".".join, design_pins(exp.get("ess", []))))
         for pin in exp.get("fixed", {}):
             if pin not in pins:
                 raise ValueError(f"{path}: experiments[{i}].fixed: unknown pin {pin!r}; "
-                                 f"this experiment has {', '.join(sorted(pins))}")
+                                 f"this experiment has {', '.join(pins)}")
     return {**copy.deepcopy(RUN_DEFAULTS), **raw}
 
 

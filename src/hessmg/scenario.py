@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import HistoricalDay
+from .data import INTEGER, NUMBER, OBJECT, STRING, HistoricalDay, check_object, list_of
 
 N_FEATURES = 12  # 4 statistics x 3 signals (price, total demand, pv cf)
 KMEANS_RESTARTS = 10     # seeded k-means++/Lloyd runs; the best one is kept
@@ -162,44 +162,17 @@ def sample_sequence(transition, weights, t_syn: int, seed: int) -> np.ndarray:
     return seq
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _list_of(check):
-    return lambda value: isinstance(value, list) and all(map(check, value))
-
-
-# field -> (its JSON type in words, a check of that type)
-_NUMBERS = ("a list of numbers", _list_of(_is_number))
-_INTEGERS = ("a list of integers", _list_of(_is_int))
-_MATRIX = ("a list of number lists", _list_of(_list_of(_is_number)))
+# field -> its JSON type
+_NUMBERS = list_of("a list of numbers", NUMBER)
+_INTEGERS = list_of("a list of integers", INTEGER)
+_MATRIX = list_of("a list of number lists", _NUMBERS)
 _SCENARIO_FIELDS = {
-    "n_clusters": ("an integer", _is_int), "centroids": _MATRIX, "labels": _INTEGERS,
+    "n_clusters": INTEGER, "centroids": _MATRIX, "labels": _INTEGERS,
     "rep_days": _INTEGERS, "weights": _NUMBERS, "transition": _MATRIX,
-    "sequence": _INTEGERS,
-    "representatives": ("a list of objects", _list_of(lambda value: isinstance(value, dict))),
+    "sequence": _INTEGERS, "representatives": list_of("a list of objects", OBJECT),
 }
-_DAY_FIELDS = {"date": ("a string", lambda value: isinstance(value, str)),
-               "price": _NUMBERS, "demand_ch": _NUMBERS, "demand_wh": _NUMBERS,
-               "pv_cf": _NUMBERS}
-
-
-def _require_fields(raw, fields, what):
-    """Raise ValueError naming the first of `fields` that `raw` lacks, or
-    else the first it holds with another JSON type."""
-    if not isinstance(raw, dict):
-        raise ValueError(f"{what} is not a JSON object")
-    missing = [f for f in fields if f not in raw]
-    if missing:
-        raise ValueError(f"{what}: missing field {missing[0]!r}")
-    for name, (kind, check) in fields.items():
-        if not check(raw[name]):
-            raise ValueError(f"{what}: field {name!r} is not {kind}")
+_DAY_FIELDS = {"date": STRING, "price": _NUMBERS, "demand_ch": _NUMBERS,
+               "demand_wh": _NUMBERS, "pv_cf": _NUMBERS}
 
 
 @dataclass
@@ -266,12 +239,12 @@ class ScenarioModel:
     @classmethod
     def from_json(cls, text: str) -> "ScenarioModel":
         """Read a scenario written by `to_json`; raises ValueError (or
-        DataFormatError for a day) when a field is missing, has another
-        JSON type or its contents do not fit together."""
+        DataFormatError for a day) when a field is missing or unknown, has
+        another JSON type or its contents do not fit together."""
         raw = json.loads(text)
-        _require_fields(raw, _SCENARIO_FIELDS, "scenario")
+        check_object(raw, _SCENARIO_FIELDS, "scenario", required=_SCENARIO_FIELDS)
         for i, d in enumerate(raw["representatives"]):
-            _require_fields(d, _DAY_FIELDS, f"scenario representative {i}")
+            check_object(d, _DAY_FIELDS, f"scenario representative {i}", required=_DAY_FIELDS)
         reps = [HistoricalDay(
             date=dt.date.fromisoformat(d["date"]),
             price=np.array(d["price"]),

@@ -54,9 +54,8 @@ class TestStructure:
         # K+1 states, 2 per step (wear is an expression of the powers)
         assert model.n_vars == 3 + 3 * k + 3 + (k + 1) + 2 * k
         assert (model.n_vars, model.n_rows) == (151, 269)
-        assert not any(model.has_var(kind, "battery", j)
-                       for kind in ("R_crate", "q_aux") for j in range(k))
-        assert not model.has_var("Q_throughput", "battery")
+        assert not [n for n in model.col_names
+                    if n.startswith(("R_crate.", "q_aux.", "Q_throughput."))]
 
     def test_row_families_present(self):
         model = build(_data(ess={"battery": BATTERY}))

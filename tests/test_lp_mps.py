@@ -32,15 +32,16 @@ class TestModelInstance:
         m.add_vars([("E_soe", "battery", 0.0, 2.0)], 4)
         col = m.var("E_soe", "battery", 3)
         assert col == 3 and m.col_names[col] == "E_soe.battery.k3"
-        assert m.has_var("E_soe", "battery", 3)
-        assert not m.has_var("E_soe", "battery", 4)
-        assert not m.has_var("E_soe", "battery")
+        for step in (4, -1):
+            with pytest.raises(KeyError):
+                m.var("E_soe", "battery", step)
         assert m.n_vars == 4
         # a design variable is one column, named without a step
         e_max = m.add_var("E_max", "battery", ub=5.0)
         assert e_max == 4 and m.var("E_max", "battery") == e_max
         assert m.col_names[e_max] == "E_max.battery"
-        assert not m.has_var("E_max", "battery", 0)
+        with pytest.raises(KeyError):
+            m.var("E_max", "battery", 0)
         assert m.entities("E_soe") == ["battery"] and m.entities("E_max") == []
         with pytest.raises(KeyError):
             m.columns("E_max", "battery")

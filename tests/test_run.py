@@ -89,7 +89,7 @@ class TestRunOne:
             run_one(ctx, ExperimentConfig(id="x", ess_subset=("gravity",)))
 
     @pytest.mark.parametrize("pin", ["E_max.nosuch", "E_max", "P_max_ess.flywheel",
-                                     "E_soe.battery"])
+                                     "E_soe.battery", "P_peak.G", "capex_epigraph.battery"])
     def test_unknown_pin_names_it(self, ctx, pin):
         with pytest.raises(BuildError, match=f"unknown pin {pin}:"):
             run_one(ctx, ExperimentConfig(id="x", ess_subset=("battery",),
@@ -331,13 +331,14 @@ class TestCli:
         assert (out / "traces_a.csv").exists()
         assert (out / "traces_b.csv").exists()
 
-    def test_export_mps(self, workspace, tmp_path):
+    def test_export_mps(self, workspace, tmp_path, monkeypatch):
         root, cfg_path = workspace
-        out = tmp_path / "model.mps"
-        assert main(["export-mps", "--config", str(cfg_path),
-                     "--out-dir", str(tmp_path), "--out", str(out)]) == 0
-        text = out.read_text()
+        monkeypatch.chdir(tmp_path)
+        assert main(["export-mps", "--config", str(cfg_path), "--out", "model.mps"]) == 0
+        text = (tmp_path / "model.mps").read_text()
         assert text.startswith("NAME") and text.rstrip().endswith("ENDATA")
+        # the MPS file is all it writes: no scenario cache in the working directory
+        assert os.listdir(tmp_path) == ["model.mps"]
 
     def test_optimize_reuses_scenario_json(self, workspace, tmp_path, capsys):
         root, cfg_path = workspace
@@ -402,12 +403,18 @@ class TestCli:
         ("experiments", [], {"experiments": [{"id": "a", "ess": ["battery"],
                                               "fixed": {"E_max": 1}}]},
          "experiments[0].fixed: unknown pin 'E_max'"),
+        ("experiments", [], {"experiments": [{"id": "a", "ess": ["battery"],
+                                              "fixed": {"capex_epigraph.battery": 0}}]},
+         "experiments[0].fixed: unknown pin 'capex_epigraph.battery'"),
         ("experiments", [], {"experiments": [{"id": "a", "ess": ["battery"]},
                                              {"id": "b", "ess": ["foo"]}]},
          "b: technologies not in catalog: ['foo']"),
+        ("experiments", [], {"experiments": [{"ess": ["battery"]}]},
+         "missing field 'experiments[0].id'"),
     ], ids=["incomplete scenario", "missing scenario", "unknown technology",
             "string clusters", "unknown horizon field", "unknown grid field",
-            "unknown pin", "undotted pin", "experiment technology"])
+            "unknown pin", "undotted pin", "epigraph pin", "experiment technology",
+            "experiment without id"])
     def test_input_faults_print_one_line(self, workspace, tmp_path, capsys,
                                          command, extra, config, message):
         root, cfg_path = workspace
@@ -416,7 +423,9 @@ class TestCli:
             cfg = {**json.loads(cfg_path.read_text()), **config}
             cfg_path = tmp_path / "config.json"
             cfg_path.write_text(json.dumps(cfg))
-        args = [command, "--config", str(cfg_path), "--out-dir", str(tmp_path)]
+        args = [command, "--config", str(cfg_path)]
+        if command != "export-mps":
+            args += ["--out-dir", str(tmp_path)]
         assert main(args + [a.format(tmp=tmp_path) for a in extra]) == 2
         err = capsys.readouterr().err
         assert err.startswith("hessmg: error: ") and message in err

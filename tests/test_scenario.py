@@ -259,10 +259,14 @@ class TestScenarioJson:
          "scenario representative 0: field 'price' is not a list of numbers"),
         (lambda raw: raw["representatives"][1].__setitem__("date", 20210101),
          "scenario representative 1: field 'date' is not a string"),
+        (_set("clusters", 2), "scenario: unknown field 'clusters'"),
+        (lambda raw: raw["representatives"][0].__setitem__("demand", []),
+         "scenario representative 0: unknown field 'demand'"),
     ], ids=["representatives", "n_clusters", "day pv_cf", "empty object",
             "representatives int", "representative int", "n_clusters string",
             "n_clusters bool", "labels string", "sequence float", "weights string",
-            "transition row number", "day price string", "day date number"])
+            "transition row number", "day price string", "day date number",
+            "unknown field", "day unknown field"])
     def test_missing_field_named(self, raw, edit, match):
         edited = copy.deepcopy(raw)
         edit(edited)
