@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EssSpec, Horizon, SourceSpec
+from .data import SERIES, EssSpec, Horizon, SourceSpec
 from .lp import EQ, GE, INF, LE, SENSES, ModelInstance
 from .scenario import ScenarioModel
 
@@ -48,7 +48,7 @@ class ProblemData:
 
     def __post_init__(self):
         k = self.horizon.n_steps
-        for name in ("price", "demand_ch", "demand_wh", "pv_cf"):
+        for name in SERIES:
             arr = np.asarray(getattr(self, name), dtype=float)
             setattr(self, name, arr)
             if len(arr) != k:
@@ -61,13 +61,9 @@ class ProblemData:
         if len(days) != horizon.t_syn:
             raise BuildError(
                 f"scenario supplies {len(days)} days, horizon needs {horizon.t_syn}")
-        return cls(
-            horizon=horizon, sources=sources, ess=dict(ess),
-            price=np.concatenate([d.price for d in days]),
-            demand_ch=np.concatenate([d.demand_ch for d in days]),
-            demand_wh=np.concatenate([d.demand_wh for d in days]),
-            pv_cf=np.concatenate([d.pv_cf for d in days]),
-        )
+        return cls(horizon=horizon, sources=sources, ess=dict(ess),
+                   **{name: np.concatenate([getattr(d, name) for d in days])
+                      for name in SERIES})
 
 
 def _add_step_rows(model: ModelInstance, family: str, n: int, *groups):
@@ -259,17 +255,7 @@ def apply_fixed_values(model: ModelInstance, data: ProblemData, fixed: dict):
         model.set_bounds(col, value, value)
 
 
-def add_initial_soe(model: ModelInstance, data: ProblemData, frac: float):
-    """Optionally anchor E[0] at a fixed fraction of installed capacity."""
-    for name in data.ess:
-        model.add_row([
-            (model.columns("E_soe", name)[0], 1.0),
-            (model.var("E_max", name), -frac),
-        ], EQ, 0.0, f"soe_init.{name}", "dynamics")
-
-
-def build(data: ProblemData, fixed: dict | None = None,
-          initial_soe_frac: float | None = None) -> ModelInstance:
+def build(data: ProblemData, fixed: dict | None = None) -> ModelInstance:
     """Assemble the full co-design LP, objective included."""
     from . import costs
 
@@ -281,8 +267,6 @@ def build(data: ProblemData, fixed: dict | None = None,
     add_ess_dynamics(model, data)
     add_crate_mccormick(model, data)
     add_peak(model, data)
-    if initial_soe_frac is not None:
-        add_initial_soe(model, data, initial_soe_frac)
     if fixed:
         apply_fixed_values(model, data, fixed)
     costs.objective_capex(model, data)

@@ -12,16 +12,15 @@ import sys
 
 from . import run as runner
 from .builder import build
-from .data import Horizon, load_dataset, make_demo_dataset, write_demo_files
+from .data import SIGNAL_FILES, Horizon, load_dataset, make_demo_dataset, write_demo_files
 from .mps import write_mps
 from .scenario import build_scenario
 
 
 def _add_data_flags(p):
     p.add_argument("--config", help="run configuration JSON")
-    p.add_argument("--prices", help="price CSV (timestamp,price_eur_per_mwh)")
-    p.add_argument("--demand", help="demand CSV (timestamp,ch_mw,wh_mw)")
-    p.add_argument("--pv", help="PV CSV (timestamp,pv_cf)")
+    for f in SIGNAL_FILES:
+        p.add_argument(f"--{f.label}", help=f"{f.label} CSV ({','.join(f.header)})")
     p.add_argument("--catalog", help="storage technology catalog (INI)")
     p.add_argument("--seed", type=int, help="override config seed")
 

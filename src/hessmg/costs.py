@@ -120,16 +120,9 @@ class CostBreakdown:
                 self.energy_sold, self.energy_purchased)
 
     def as_dict(self):
-        return {
-            "total_cost_keur": self.total,
-            "capex_keur": self.capex,
-            "opex_keur": self.opex_npv,
-            "eol_value_keur": self.eol_value,
-            "energy_sold_mwh": self.energy_sold,
-            "energy_purchased_mwh": self.energy_purchased,
-            "capex_per_ess_keur": dict(self.capex_per_ess),
-            "grid_connection_yearly_keur": dict(self.grid_connection),
-        }
+        return {**dict(zip(self.CSV_COLUMNS, self.as_csv_values())),
+                "capex_per_ess_keur": dict(self.capex_per_ess),
+                "grid_connection_yearly_keur": dict(self.grid_connection)}
 
 
 class AuditError(AssertionError):

@@ -7,17 +7,18 @@ k EUR/MWh and k EUR/MW, so only capacity fields need rescaling. Spot
 prices are kept in EUR/MWh as they appear in market exports; the cost
 model converts them to k EUR when assembling objective coefficients.
 
-``load_dataset`` reads each signal CSV along one of two paths. A file in
-the regular layout (the exact header line, ``\n`` or ``\r\n`` line ends,
-no blank lines, no quotes, the same number of cells on every line, every
-timestamp a canonical ``YYYY-MM-DDTHH:MM:SS`` stamp of a real date and
-time, every value a finite number) is read in bulk: one split of the
-whole text into cells, the stamps checked and turned into integers with
-NumPy, the values parsed by ``float`` one column at a time. Any other file
-is read line by line with ``csv`` and ``datetime.fromisoformat``, which
-accept more (quotes, blank lines, a space separator, stamps without
-seconds or with fractions of a second; a stamp with a UTC offset is an
-error) and report every malformed row with its ``path:line``. Both paths
+``load_dataset`` reads each signal CSV of ``SIGNAL_FILES`` along one of
+two paths. A file in the regular layout (the exact header line, ``\n`` or
+``\r\n`` line ends, no blank lines, no quotes, the same number of cells on
+every line, every timestamp a canonical ``YYYY-MM-DDTHH:MM:SS`` stamp of a
+real date and time, every value a finite number) is read in bulk: one
+split of the whole text into cells, the stamps checked and turned into
+integers with NumPy, the values parsed by ``float`` one column at a time.
+Any other file is read line by line with ``csv`` and
+``datetime.fromisoformat``, which accept more (quotes, blank lines, a
+space separator, stamps without seconds or with fractions of a second; a
+stamp with a UTC offset is an error) and report every malformed row with
+its ``path:line``. Both paths
 give the same thing, each row's stamp in integer microseconds and its
 values, and one grouping step turns that into days: it keeps the last row
 of a repeated stamp, keeps the days that hold exactly the step grid, drops
@@ -36,9 +37,27 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-PRICE_HEADER = ("timestamp", "price_eur_per_mwh")
-DEMAND_HEADER = ("timestamp", "ch_mw", "wh_mw")
-PV_HEADER = ("timestamp", "pv_cf")
+# The series of one day, in HistoricalDay's field order. Every reader and
+# writer of a day (signal files, scenario files, the cache key, the LP
+# inputs) goes through this tuple.
+SERIES = ("price", "demand_ch", "demand_wh", "pv_cf")
+
+
+class SignalFile(NamedTuple):
+    """One signal CSV: the label its messages, flag and config entry use,
+    its header line, and the series its value columns hold, in order."""
+
+    label: str
+    header: tuple[str, ...]
+    series: tuple[str, ...]
+
+
+# the three signal CSVs, in load_dataset's and save_dataset's argument order
+SIGNAL_FILES = (
+    SignalFile("prices", ("timestamp", "price_eur_per_mwh"), ("price",)),
+    SignalFile("demand", ("timestamp", "ch_mw", "wh_mw"), ("demand_ch", "demand_wh")),
+    SignalFile("pv", ("timestamp", "pv_cf"), ("pv_cf",)),
+)
 _DAY_US = 86_400_000_000     # microseconds per day
 
 
@@ -196,16 +215,17 @@ class HistoricalDay:
 
     def __post_init__(self):
         n = len(self.price)
-        for name in ("demand_ch", "demand_wh", "pv_cf"):
+        for name in SERIES[1:]:
             if len(getattr(self, name)) != n:
                 raise DataFormatError(
                     f"{self.date}: {name} has {len(getattr(self, name))} entries, expected {n}")
-        # one check over all four series; the offending one is named only on failure
-        values = np.array((self.price, self.demand_ch, self.demand_wh, self.pv_cf))
+        # one check over all four series, one row each in SERIES order (price,
+        # two demands, capacity factor); the offending one is named only on failure
+        values = np.array([getattr(self, name) for name in SERIES])
         if (np.isfinite(values).all() and values[1:].min(initial=0.0) >= 0
                 and values[3].max(initial=1.0) <= 1):
             return
-        for name, row in zip(("price", "demand_ch", "demand_wh", "pv_cf"), values):
+        for name, row in zip(SERIES, values):
             if not np.isfinite(row).all():
                 raise DataFormatError(f"{self.date}: non-finite {name}")
         if values[1:3].min() < 0:
@@ -216,8 +236,7 @@ class HistoricalDay:
         if not isinstance(other, HistoricalDay):
             return NotImplemented
         return self.date == other.date and all(
-            np.array_equal(getattr(self, n), getattr(other, n))
-            for n in ("price", "demand_ch", "demand_wh", "pv_cf"))
+            np.array_equal(getattr(self, n), getattr(other, n)) for n in SERIES)
 
 
 class JsonType(NamedTuple):
@@ -397,47 +416,46 @@ def load_dataset(price_path, demand_path, pv_path, horizon: Horizon) -> list[His
     only dates complete in all three files are returned. A repeated
     timestamp keeps its last row; a non-finite value is an error.
     """
-    files = ((price_path, PRICE_HEADER, 1, "prices"),
-             (demand_path, DEMAND_HEADER, 2, "demand"),
-             (pv_path, PV_HEADER, 1, "pv"))
-    parsed = [_read_bulk(path, header, n) or _read_signal_file(path, header, n)
-              for path, header, n, _ in files]
+    paths = (price_path, demand_path, pv_path)
+    parsed = [_read_bulk(path, f.header, len(f.series))
+              or _read_signal_file(path, f.header, len(f.series))
+              for path, f in zip(paths, SIGNAL_FILES)]
     # a loop, not a comprehension: the warning's stacklevel counts frames
     per_file = []
-    for (stamps, columns), (*_, label) in zip(parsed, files):
-        per_file.append(_complete_days(stamps, columns, horizon, label))
-    price, demand, pv = per_file
-
-    return [HistoricalDay(date=day, price=price[day][0], demand_ch=demand[day][0],
-                          demand_wh=demand[day][1], pv_cf=pv[day][0])
-            for day in sorted(price.keys() & demand.keys() & pv.keys())]
+    for (stamps, columns), f in zip(parsed, SIGNAL_FILES):
+        per_file.append(_complete_days(stamps, columns, horizon, f.label))
+    dates = sorted(set(per_file[0]).intersection(*per_file[1:]))
+    return [HistoricalDay(date=day, **{name: column
+                                       for f, days in zip(SIGNAL_FILES, per_file)
+                                       for name, column in zip(f.series, days[day])})
+            for day in dates]
 
 
 def save_dataset(days, price_path, demand_path, pv_path):
     """Write days back out in the load_dataset CSV layout (exact round-trip)."""
-    def _write(path, header, per_step):
+    for path, f in zip((price_path, demand_path, pv_path), SIGNAL_FILES):
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(header)
+            w.writerow(f.header)
             for day in days:
-                for j in range(len(day.price)):
+                columns = [getattr(day, name) for name in f.series]
+                for j, values in enumerate(zip(*columns)):
                     ts = dt.datetime.combine(day.date, dt.time()) + dt.timedelta(
                         minutes=j * (1440 // len(day.price)))
-                    w.writerow([ts.isoformat()] + [f"{v:.17g}" for v in per_step(day, j)])
-
-    _write(price_path, PRICE_HEADER, lambda d, j: [d.price[j]])
-    _write(demand_path, DEMAND_HEADER, lambda d, j: [d.demand_ch[j], d.demand_wh[j]])
-    _write(pv_path, PV_HEADER, lambda d, j: [d.pv_cf[j]])
+                    w.writerow([ts.isoformat()] + [f"{v:.17g}" for v in values])
 
 
-# Catalog fields given in EUR/kWh, EUR/kW, kWh, kW; converted on load.
+# INI key -> (EssSpec field, scale): catalog files give EUR/kWh, EUR/kW,
+# kWh and kW, converted on load
 _CATALOG_FIELDS = {
-    "eta_c": 1.0, "eta_d": 1.0,
-    "cost_energy_eur_per_kwh": 1.0, "cost_power_eur_per_kw": 1.0,
-    "om_energy_eur_per_kwh": 1.0, "om_power_eur_per_kw_yr": 1.0,
-    "max_energy_kwh": 1e-3, "max_power_kw": 1e-3,
-    "crate_max_per_step": 1.0, "dod_min_frac": 1.0,
-    "cycle_life": 1.0, "resale_factor": 1.0,
+    "eta_c": ("eta_c", 1.0), "eta_d": ("eta_d", 1.0),
+    "cost_energy_eur_per_kwh": ("cost_energy", 1.0),
+    "cost_power_eur_per_kw": ("cost_power", 1.0),
+    "om_energy_eur_per_kwh": ("om_energy", 1.0),
+    "om_power_eur_per_kw_yr": ("om_power", 1.0),
+    "max_energy_kwh": ("e_cap_max", 1e-3), "max_power_kw": ("p_cap_max", 1e-3),
+    "crate_max_per_step": ("crate_max", 1.0), "dod_min_frac": ("dod_min_frac", 1.0),
+    "cycle_life": ("cycle_life", 1.0), "resale_factor": ("resale_factor", 1.0),
 }
 
 
@@ -451,27 +469,14 @@ def load_catalog(catalog_path) -> dict[str, EssSpec]:
     for name in parser.sections():
         section = parser[name]
         vals = {}
-        for key, scale in _CATALOG_FIELDS.items():
+        for key, (spec_field, scale) in _CATALOG_FIELDS.items():
             if key not in section:
                 raise CatalogError(f"{name}: missing field {key}")
             try:
-                vals[key] = float(section[key]) * scale
+                vals[spec_field] = float(section[key]) * scale
             except ValueError:
                 raise CatalogError(f"{name}: field {key} is not a number") from None
-        catalog[name] = EssSpec(
-            name=name,
-            eta_c=vals["eta_c"], eta_d=vals["eta_d"],
-            cost_energy=vals["cost_energy_eur_per_kwh"],
-            cost_power=vals["cost_power_eur_per_kw"],
-            om_energy=vals["om_energy_eur_per_kwh"],
-            om_power=vals["om_power_eur_per_kw_yr"],
-            e_cap_max=vals["max_energy_kwh"],
-            p_cap_max=vals["max_power_kw"],
-            crate_max=vals["crate_max_per_step"],
-            dod_min_frac=vals["dod_min_frac"],
-            cycle_life=vals["cycle_life"],
-            resale_factor=vals["resale_factor"],
-        )
+        catalog[name] = EssSpec(name=name, **vals)
     if not catalog:
         raise CatalogError(f"{catalog_path}: no technology records")
     return catalog

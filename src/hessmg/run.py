@@ -16,7 +16,7 @@ import numpy as np
 
 from .builder import GRID, PV, ProblemData, build, design_pins
 from .costs import CostBreakdown, audit
-from .data import (INTEGER, NUMBER, OBJECT, STRING, EssSpec, GridSpec, Horizon,
+from .data import (INTEGER, NUMBER, OBJECT, SERIES, STRING, EssSpec, GridSpec, Horizon,
                    HistoricalDay, JsonType, PvSpec, SourceSpec, check_object,
                    list_of, load_catalog, load_dataset)
 from .scenario import ScenarioModel, build_scenario
@@ -105,8 +105,8 @@ def scenario_cache_key(days: list[HistoricalDay], w: int, t_syn: int, seed: int)
     h.update(f"w={w};t={t_syn};seed={seed};".encode())
     for day in days:
         h.update(day.date.isoformat().encode())
-        for arr in (day.price, day.demand_ch, day.demand_wh, day.pv_cf):
-            h.update(np.ascontiguousarray(arr).tobytes())
+        for name in SERIES:
+            h.update(np.ascontiguousarray(getattr(day, name)).tobytes())
     return h.hexdigest()[:16]
 
 

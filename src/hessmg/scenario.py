@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import INTEGER, NUMBER, OBJECT, STRING, HistoricalDay, check_object, list_of
+from .data import (INTEGER, NUMBER, OBJECT, SERIES, STRING, HistoricalDay, check_object,
+                   list_of)
 
 N_FEATURES = 12  # 4 statistics x 3 signals (price, total demand, pv cf)
 KMEANS_RESTARTS = 10     # seeded k-means++/Lloyd runs; the best one is kept
@@ -171,8 +172,7 @@ _SCENARIO_FIELDS = {
     "rep_days": _INTEGERS, "weights": _NUMBERS, "transition": _MATRIX,
     "sequence": _INTEGERS, "representatives": list_of("a list of objects", OBJECT),
 }
-_DAY_FIELDS = {"date": STRING, "price": _NUMBERS, "demand_ch": _NUMBERS,
-               "demand_wh": _NUMBERS, "pv_cf": _NUMBERS}
+_DAY_FIELDS = {"date": STRING, **dict.fromkeys(SERIES, _NUMBERS)}
 
 
 @dataclass
@@ -195,15 +195,18 @@ class ScenarioModel:
     def validate(self):
         """Raise ValueError unless the artifacts fit together: a
         probability vector, a row-stochastic transition matrix, one
-        representative per cluster (all of one length, each a day of its
-        own cluster), and a sequence that visits every cluster and no other
+        representative per cluster (all of one nonzero length, each a day of
+        its own cluster), and a sequence that visits every cluster and no other
         index."""
         w = self.n_clusters
         if w < 1 or len(self.representatives) != w:
             raise ValueError(f"{len(self.representatives)} representatives "
                              f"for {w} clusters")
-        if len({len(d.price) for d in self.representatives}) != 1:
+        lengths = {len(d.price) for d in self.representatives}
+        if len(lengths) != 1:
             raise ValueError("representatives differ in length")
+        if lengths == {0}:
+            raise ValueError("representatives hold no steps")
         if self.weights.shape != (w,) or not abs(self.weights.sum() - 1.0) <= 1e-12:
             raise ValueError("weights are not a probability vector over the clusters")
         if (self.transition.shape != (w, w) or not np.all(self.transition >= 0)
@@ -219,22 +222,11 @@ class ScenarioModel:
             raise ValueError("a representative is not a day of its own cluster")
 
     def to_json(self) -> str:
-        def day_dict(d):
-            return {"date": d.date.isoformat(),
-                    "price": d.price.tolist(),
-                    "demand_ch": d.demand_ch.tolist(),
-                    "demand_wh": d.demand_wh.tolist(),
-                    "pv_cf": d.pv_cf.tolist()}
-        return json.dumps({
-            "n_clusters": self.n_clusters,
-            "centroids": self.centroids.tolist(),
-            "labels": self.labels.tolist(),
-            "rep_days": self.rep_days.tolist(),
-            "weights": self.weights.tolist(),
-            "transition": self.transition.tolist(),
-            "sequence": self.sequence.tolist(),
-            "representatives": [day_dict(d) for d in self.representatives],
-        }, indent=2)
+        raw = {name: getattr(self, name) for name in _SCENARIO_FIELDS}
+        raw["representatives"] = [
+            {"date": d.date.isoformat(), **{name: getattr(d, name) for name in SERIES}}
+            for d in self.representatives]
+        return json.dumps(raw, indent=2, default=np.ndarray.tolist)  # arrays as lists
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioModel":
@@ -243,15 +235,16 @@ class ScenarioModel:
         another JSON type or its contents do not fit together."""
         raw = json.loads(text)
         check_object(raw, _SCENARIO_FIELDS, "scenario", required=_SCENARIO_FIELDS)
+        reps = []
         for i, d in enumerate(raw["representatives"]):
-            check_object(d, _DAY_FIELDS, f"scenario representative {i}", required=_DAY_FIELDS)
-        reps = [HistoricalDay(
-            date=dt.date.fromisoformat(d["date"]),
-            price=np.array(d["price"]),
-            demand_ch=np.array(d["demand_ch"]),
-            demand_wh=np.array(d["demand_wh"]),
-            pv_cf=np.array(d["pv_cf"]),
-        ) for d in raw["representatives"]]
+            check_object(d, _DAY_FIELDS, "scenario", f"representatives[{i}].",
+                         required=_DAY_FIELDS)
+            try:
+                date = dt.date.fromisoformat(d["date"])
+            except ValueError as exc:
+                raise ValueError(f"scenario: field 'representatives[{i}].date' "
+                                 f"is not an ISO date ({exc})") from None
+            reps.append(HistoricalDay(date, **{name: np.array(d[name]) for name in SERIES}))
         model = cls(
             n_clusters=raw["n_clusters"],
             centroids=np.array(raw["centroids"]),

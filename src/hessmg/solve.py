@@ -26,7 +26,6 @@ OPT_TOL = 1e-7      # dual feasibility (optimality) tolerance of both engines
 @dataclass(frozen=True)
 class SolveOptions:
     engine: str = "highs"       # highs | simplex (reference)
-    max_iter: int | None = None
 
 
 @dataclass
@@ -62,11 +61,10 @@ def to_equality_form(model: ModelInstance):
             np.concatenate([upper, slack_hi]), c, n)
 
 
-def _solve_simplex(model, options):
+def _solve_simplex(model):
     a, b, lo, hi, c, n = to_equality_form(model)
     status, x, obj, iters = simplex.simplex_solve(
-        c, a, b, lo, hi, feas_tol=FEAS_TOL, opt_tol=OPT_TOL,
-        max_iter=options.max_iter)
+        c, a, b, lo, hi, feas_tol=FEAS_TOL, opt_tol=OPT_TOL)
     return status, x[:n], obj, iters
 
 
@@ -92,7 +90,7 @@ def _bound_violation(model: ModelInstance, x) -> float:
                      np.max(np.maximum(x - upper, 0.0), initial=0.0)))
 
 
-def _solve_highs(model, options):
+def _solve_highs(model):
     a = model.row_matrix()
     rhs = model.rhs_vector()
     le_rows, eq_rows, ge_rows = _rows_by_sense(model)
@@ -101,14 +99,11 @@ def _solve_highs(model, options):
     a_eq = a[eq_rows] if len(eq_rows) else None
     b_eq = rhs[eq_rows] if len(eq_rows) else None
     lower, upper = model.bounds_arrays()
-    highs_options = {"primal_feasibility_tolerance": FEAS_TOL,
-                     "dual_feasibility_tolerance": OPT_TOL}
-    if options.max_iter is not None:
-        highs_options["maxiter"] = options.max_iter
     res = scipy.optimize.linprog(
         model.objective_vector(), A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
         bounds=np.column_stack([lower, upper]), method="highs",
-        options=highs_options)
+        options={"primal_feasibility_tolerance": FEAS_TOL,
+                 "dual_feasibility_tolerance": OPT_TOL})
     status = {0: simplex.OPTIMAL, 1: simplex.ITERATION_LIMIT,
               2: simplex.INFEASIBLE, 3: simplex.UNBOUNDED}.get(res.status, res.message)
     x = res.x if res.x is not None else np.zeros(model.n_vars)
@@ -125,9 +120,9 @@ def solve(model: ModelInstance, options: SolveOptions | None = None) -> Solution
         raise ValueError(f"unknown engine {engine!r}")
     start = time.perf_counter()
     if engine == "simplex":
-        status, x, obj, iters = _solve_simplex(model, options)
+        status, x, obj, iters = _solve_simplex(model)
     else:
-        status, x, obj, iters = _solve_highs(model, options)
+        status, x, obj, iters = _solve_highs(model)
     elapsed = time.perf_counter() - start
     resid = max_primal_residual(model, x) if status == simplex.OPTIMAL else float("nan")
     return Solution(status=status, x=np.asarray(x),

@@ -69,7 +69,8 @@ def test_1_oracle_equivalence():
         price=price, demand_ch=demand, demand_wh=np.zeros(6), pv_cf=np.zeros(6))
     fixed = {("E_max", "battery"): 40.0, ("P_max_ess", "battery"): 1.0,
              ("P_max_src", PV): 0.0, ("P_max_src", GRID): 2.8}
-    model = build(data, fixed=fixed, initial_soe_frac=0.5)
+    model = build(data, fixed=fixed)
+    model.set_bounds(model.columns("E_soe", "battery")[0], 20.0, 20.0)  # half of E_max
     sol = solve(model, SolveOptions(engine="highs"))
     assert sol.optimal
 

@@ -181,12 +181,6 @@ class TestCoefficients:
         col = model.var("E_max", "battery")
         assert model.lower[col] == model.upper[col] == 2.0
 
-    def test_initial_soe_row(self):
-        model = build(_data(ess={"battery": BATTERY}), initial_soe_frac=0.5)
-        row = _row(model, "soe_init.battery")
-        assert row.sense == "=="
-        assert _coef(model, row, "E_max", "battery") == -0.5
-
 
 class TestSmallSolves:
     def test_grid_only_import_matches_conversion_loss(self):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import datetime as dt
 import re
 import warnings
@@ -10,12 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hessmg import data
-from hessmg.data import (DEMAND_HEADER, PRICE_HEADER, PV_HEADER, CatalogError,
-                         DataFormatError, GridSpec, Horizon, HistoricalDay,
-                         IncompleteDayWarning, load_catalog, load_dataset,
-                         make_demo_dataset, save_dataset)
+from hessmg.data import (SERIES, SIGNAL_FILES, CatalogError, DataFormatError, EssSpec,
+                         GridSpec, Horizon, HistoricalDay, IncompleteDayWarning,
+                         load_catalog, load_dataset, make_demo_dataset, save_dataset)
 
-LAYOUTS = ((PRICE_HEADER, 1), (DEMAND_HEADER, 2), (PV_HEADER, 1))
+LAYOUTS = tuple((f.header, len(f.series)) for f in SIGNAL_FILES)
+
+
+def test_series_are_the_day_fields_each_in_one_signal_file():
+    assert SERIES == tuple(f.name for f in dataclasses.fields(HistoricalDay))[1:]
+    assert tuple(name for f in SIGNAL_FILES for name in f.series) == SERIES
+    assert all(len(f.header) == 1 + len(f.series) for f in SIGNAL_FILES)
 
 
 def test_horizon_basics():
@@ -141,9 +147,8 @@ class TestLoadDataset:
 
     def test_historical_day_rejects_non_finite(self):
         day = make_demo_dataset(seed=5, n_days=1)[0]
-        for name in ("price", "demand_ch", "demand_wh", "pv_cf"):
-            values = {n: getattr(day, n).copy()
-                      for n in ("price", "demand_ch", "demand_wh", "pv_cf")}
+        for name in SERIES:
+            values = {n: getattr(day, n).copy() for n in SERIES}
             values[name][2] = np.nan if name != "demand_wh" else np.inf
             with pytest.raises(DataFormatError, match=f"non-finite {name}"):
                 HistoricalDay(date=day.date, **values)
@@ -400,8 +405,12 @@ class TestCatalog:
         with pytest.raises(CatalogError, match="missing field"):
             load_catalog(p)
 
+    def test_catalog_fields_map_onto_each_spec_field_once(self):
+        targets = [spec_field for spec_field, _ in data._CATALOG_FIELDS.values()]
+        assert sorted(targets) == sorted(
+            f.name for f in dataclasses.fields(EssSpec) if f.name != "name")
+
     def test_zero_efficiency_rejected(self, tmp_path, case_catalog):
-        import dataclasses
         with pytest.raises(CatalogError, match="eta_c"):
             dataclasses.replace(case_catalog["battery"], eta_c=0.0)
 

@@ -189,8 +189,8 @@ RESOURCES = pathlib.Path(__file__).resolve().parents[1] / "src" / "hessmg" / "re
 
 def _golden_instances():
     """Seeded models whose MPS bytes are pinned: one hourly day with all
-    storage; three 15-min days, battery only, zero-PV steps and E[0] pinned
-    to half capacity; two hourly days with fixed design values."""
+    storage; three 15-min days, battery only, with zero-PV steps; two
+    hourly days with fixed design values."""
     cat = load_catalog(RESOURCES / "catalog_case_study.ini")
     days = make_demo_dataset(seed=3, n_days=20)
     data = ProblemData.from_scenario(build_scenario(days, w=1, t_syn=1, seed=3),
@@ -202,7 +202,7 @@ def _golden_instances():
                                      Horizon(tau_minutes=15, t_syn=3), SourceSpec(),
                                      {"battery": cat["battery"]})
     assert (data.pv_cf == 0).any()
-    yield "15min_battery", build(data, initial_soe_frac=0.5)
+    yield "15min_battery", build(data)
 
     days = make_demo_dataset(seed=8, n_days=15)
     data = ProblemData.from_scenario(
@@ -215,11 +215,13 @@ def _golden_instances():
 # that the array-based one replaced and moved by three model changes since:
 # soe_periodic compares E[K] with E[0] (it read E[1]), wear is counted on
 # the gross flow through each cell (no q_aux columns, no q_epi rows), and
-# wear is charged on the storage powers (no Q_throughput, no throughput row)
+# wear is charged on the storage powers (no Q_throughput, no throughput row).
+# 15min_battery was re-recorded when the initial-SoE option went: its file
+# is the earlier one without the soe_init.battery row and its two entries.
 GOLDEN_HASHES = {
     "day_bsf": ("c3cdb509ba4a3e381f3f469ec5b08445acd5da24166ec6994e3fd5a6ee6926d4", 113798),
-    "15min_battery": ("99ab43ff1ea61a18ece498ac8dcc4743f0bbe19aae24d48352a6114d3181ef66",
-                      610017),
+    "15min_battery": ("3db8b427fccf3758c18e71cedb7cf67fcceb277649ccec9a9d4f22b050735616",
+                      609923),
     "pinned": ("dfecb587ec94eeaa8e3e41c5b46890c6536ade4c8a832855ea2f8cc7bbb2380c", 169654),
 }
 

@@ -8,7 +8,7 @@ import pytest
 
 from hessmg.builder import BuildError
 from hessmg.cli import main
-from hessmg.data import Horizon, SourceSpec, make_demo_dataset, write_demo_files
+from hessmg.data import SERIES, Horizon, SourceSpec, make_demo_dataset, write_demo_files
 from hessmg.run import (ExperimentConfig, RunContext, cached_scenario,
                         context_from_config, run_experiments, run_one,
                         scenario_cache_key,
@@ -411,14 +411,24 @@ class TestCli:
          "b: technologies not in catalog: ['foo']"),
         ("experiments", [], {"experiments": [{"ess": ["battery"]}]},
          "missing field 'experiments[0].id'"),
+        ("optimize", ["--scenario", "{tmp}/no_steps.json"], {},
+         "representatives hold no steps"),
+        ("optimize", ["--scenario", "{tmp}/bad_date.json"], {},
+         "field 'representatives[0].date' is not an ISO date"),
     ], ids=["incomplete scenario", "missing scenario", "unknown technology",
             "string clusters", "unknown horizon field", "unknown grid field",
             "unknown pin", "undotted pin", "epigraph pin", "experiment technology",
-            "experiment without id"])
+            "experiment without id", "scenario without steps", "scenario bad date"])
     def test_input_faults_print_one_line(self, workspace, tmp_path, capsys,
                                          command, extra, config, message):
         root, cfg_path = workspace
         (tmp_path / "bad.json").write_text('{"n_clusters": 1}')
+        raw = json.loads(build_scenario(make_demo_dataset(seed=0, n_days=2), 1, 2, 0).to_json())
+        day = raw["representatives"][0]
+        (tmp_path / "no_steps.json").write_text(json.dumps(
+            {**raw, "representatives": [{**day, **dict.fromkeys(SERIES, [])}]}))
+        (tmp_path / "bad_date.json").write_text(json.dumps(
+            {**raw, "representatives": [{**day, "date": "2021-13-01"}]}))
         if config:
             cfg = {**json.loads(cfg_path.read_text()), **config}
             cfg_path = tmp_path / "config.json"

@@ -1,11 +1,12 @@
 import copy
 import datetime as dt
 import json
+import re
 
 import numpy as np
 import pytest
 
-from hessmg.data import DataFormatError, HistoricalDay, make_demo_dataset
+from hessmg.data import SERIES, DataFormatError, HistoricalDay, make_demo_dataset
 from hessmg.scenario import (ScenarioModel, build_scenario, cluster_weights,
                              extract_features, fit_transition, kmeans,
                              sample_sequence, select_representatives,
@@ -232,6 +233,8 @@ class TestScenarioJson:
         (lambda raw: raw["representatives"].pop(), "1 representatives for 2 clusters"),
         (lambda raw: raw["rep_days"].reverse(), "not a day of its own cluster"),
         (_set("rep_days", [0, 999]), "not a day of its own cluster"),
+        (lambda raw: [d.update(dict.fromkeys(SERIES, [])) for d in raw["representatives"]],
+         "representatives hold no steps"),
     ])
     def test_inconsistent_scenario_rejected(self, raw, edit, match):
         edited = copy.deepcopy(raw)
@@ -243,7 +246,7 @@ class TestScenarioJson:
         (lambda raw: raw.pop("representatives"), "scenario: missing field 'representatives'"),
         (lambda raw: raw.pop("n_clusters"), "scenario: missing field 'n_clusters'"),
         (lambda raw: raw["representatives"][1].pop("pv_cf"),
-         "scenario representative 1: missing field 'pv_cf'"),
+         "scenario: missing field 'representatives[1].pv_cf'"),
         (lambda raw: raw.clear(), "scenario: missing field 'n_clusters'"),
         (_set("representatives", 5), "scenario: field 'representatives' is not a list of objects"),
         (lambda raw: raw["representatives"].append(3),
@@ -256,21 +259,23 @@ class TestScenarioJson:
         (_set("transition", [[1.0, 0.0], 1.0]),
          "scenario: field 'transition' is not a list of number lists"),
         (lambda raw: raw["representatives"][0].__setitem__("price", "12.0"),
-         "scenario representative 0: field 'price' is not a list of numbers"),
+         "scenario: field 'representatives[0].price' is not a list of numbers"),
         (lambda raw: raw["representatives"][1].__setitem__("date", 20210101),
-         "scenario representative 1: field 'date' is not a string"),
+         "scenario: field 'representatives[1].date' is not a string"),
+        (lambda raw: raw["representatives"][1].__setitem__("date", "2021-13-01"),
+         "scenario: field 'representatives[1].date' is not an ISO date"),
         (_set("clusters", 2), "scenario: unknown field 'clusters'"),
         (lambda raw: raw["representatives"][0].__setitem__("demand", []),
-         "scenario representative 0: unknown field 'demand'"),
+         "scenario: unknown field 'representatives[0].demand'"),
     ], ids=["representatives", "n_clusters", "day pv_cf", "empty object",
             "representatives int", "representative int", "n_clusters string",
             "n_clusters bool", "labels string", "sequence float", "weights string",
             "transition row number", "day price string", "day date number",
-            "unknown field", "day unknown field"])
+            "day date invalid", "unknown field", "day unknown field"])
     def test_missing_field_named(self, raw, edit, match):
         edited = copy.deepcopy(raw)
         edit(edited)
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=re.escape(match)):
             ScenarioModel.from_json(json.dumps(edited))
 
     def test_non_object_rejected(self):

@@ -73,12 +73,6 @@ class TestEngines:
         raw = model.objective_vector() @ sol.x
         assert sol.objective == pytest.approx(raw + model.objective_constant, rel=1e-12)
 
-    def test_highs_stops_at_max_iter(self):
-        _, model = _model()
-        sol = solve(model, SolveOptions(max_iter=1))
-        assert sol.engine == "highs"
-        assert sol.status == "iteration-limit"
-
     def test_residual_reported(self):
         _, model = _model()
         sol = solve(model, SolveOptions(engine="highs"))
