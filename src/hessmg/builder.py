@@ -209,8 +209,6 @@ def add_crate_mccormick(model: ModelInstance, data: ProblemData):
     the envelope is the product itself, g_k = E_max * R.
     """
     for name, ess in data.ess.items():
-        if ess.e_cap_max <= 0 or ess.crate_max <= 0:
-            raise BuildError(f"{name}: capacity and C-rate ceilings must be positive")
         e_max = model.var("E_max", name)
         _add_step_rows(
             model, "mccormick", data.horizon.n_steps,

@@ -139,7 +139,8 @@ def audit(x, model: ModelInstance, data: ProblemData,
     from ``P_ess_plus``/``P_ess_minus`` and the catalog efficiencies, not
     taken from the builder's ``gross_flow_terms`` or the objective vector.
     When `solver_objective` is given, a mismatch beyond AUDIT_REL_TOL
-    (relative) raises AuditError with per-term detail.
+    (relative), or a total or objective that is not finite, raises
+    AuditError with per-term detail.
     """
     x = np.asarray(x)
     h = data.horizon
@@ -192,8 +193,10 @@ def audit(x, model: ModelInstance, data: ProblemData,
         capex_per_ess=capex_per_ess, grid_connection=connection)
 
     if solver_objective is not None:
+        # the gap is finite only when both totals are
         gap = abs(total - solver_objective)
-        if gap > AUDIT_REL_TOL * max(1.0, abs(solver_objective)):
+        if not (np.isfinite(gap)
+                and gap <= AUDIT_REL_TOL * max(1.0, abs(solver_objective))):
             raise AuditError(
                 "objective audit failure: "
                 f"recomputed {total:.9g} vs solver {solver_objective:.9g} "

@@ -1,4 +1,5 @@
 """Input data model: time series, technology catalog, tariff parameters,
+the one range check of numeric settings (``within``, ``check_fields``)
 and the one field check of JSON input objects (``check_object``).
 
 Internal unit conventions: power in MW, energy in MWh, money in k EUR.
@@ -31,8 +32,9 @@ import configparser
 import csv
 import datetime as dt
 import math
+import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -73,24 +75,48 @@ class IncompleteDayWarning(UserWarning):
     """A partial day at the edge of a dataset was dropped."""
 
 
+def within(interval: str, default=MISSING):
+    """A settings field whose value must lie in `interval`, written like
+    "(0, 1]" or "[0, inf)"; ``check_fields`` holds it to that."""
+    return field(default=default, metadata={"interval": interval})
+
+
+def check_fields(spec, owner: str, error=ValueError):
+    """Raise `error` naming `owner`, the field, its interval and its value
+    unless every field of the settings dataclass `spec` declared with
+    ``within`` holds a finite number inside its interval: an integer that
+    ``operator.index`` takes where the field is declared int, never a bool."""
+    for f in fields(spec):
+        interval = f.metadata.get("interval")
+        if interval is None:
+            continue
+        value = getattr(spec, f.name)
+        integer = f.type in (int, "int")
+        try:
+            number = not isinstance(value, bool) and math.isfinite(
+                operator.index(value) if integer else value)
+        except (TypeError, OverflowError):   # not a number, or an int too big for a float
+            number = False
+        lo, hi = map(float, interval[1:-1].split(","))
+        if not (number and (lo < value if interval[0] == "(" else lo <= value)
+                and (value < hi if interval[-1] == ")" else value <= hi)):
+            words = "an integer" if integer else "a finite number"
+            raise error(f"{owner}: {f.name} must be {words} in {interval}, got {value}")
+
+
 @dataclass(frozen=True)
 class Horizon:
     """Temporal discretization and economic horizon of one study."""
 
-    tau_minutes: int = 60
-    t_syn: int = 30
-    years: int = 20
-    discount_rate: float = 0.04
+    tau_minutes: int = within("[1, 1440]", 60)
+    t_syn: int = within("[1, inf)", 30)
+    years: int = within("[1, inf)", 20)
+    discount_rate: float = within("[0, 1)", 0.04)
 
     def __post_init__(self):
-        if self.tau_minutes <= 0 or 1440 % self.tau_minutes != 0:
-            raise ValueError(f"tau_minutes must divide 1440, got {self.tau_minutes}")
-        if self.t_syn < 1:
-            raise ValueError("t_syn must be >= 1")
-        if self.years < 1:
-            raise ValueError("years must be >= 1")
-        if not 0.0 <= self.discount_rate < 1.0:
-            raise ValueError("discount_rate must be in [0, 1)")
+        check_fields(self, "horizon")
+        if 1440 % self.tau_minutes:
+            raise ValueError(f"horizon: tau_minutes must divide 1440, got {self.tau_minutes}")
 
     @property
     def steps_per_day(self) -> int:
@@ -111,83 +137,52 @@ class EssSpec:
     """One storage technology: efficiencies, cost rates, ceilings, lifetime."""
 
     name: str
-    eta_c: float                 # charging efficiency, bus -> store
-    eta_d: float                 # discharging efficiency, store -> bus
-    cost_energy: float           # capex, kEUR/MWh installed
-    cost_power: float            # capex, kEUR/MW installed
-    om_energy: float             # variable O&M, kEUR/MWh of gross throughput
-    om_power: float              # fixed O&M, kEUR/MW/yr
-    e_cap_max: float             # max installable energy, MWh
-    p_cap_max: float             # max installable power, MW
-    crate_max: float             # max per-step gross energy through the cell / capacity
-    dod_min_frac: float          # min state of energy as fraction of capacity
-    cycle_life: float            # full equivalent cycles until end of life
-    resale_factor: float         # fraction of remaining value recovered at EOL
+    eta_c: float = within("(0, 1]")           # charging efficiency, bus -> store
+    eta_d: float = within("(0, 1]")           # discharging efficiency, store -> bus
+    cost_energy: float = within("[0, inf)")   # capex, kEUR/MWh installed
+    cost_power: float = within("[0, inf)")    # capex, kEUR/MW installed
+    om_energy: float = within("[0, inf)")     # variable O&M, kEUR/MWh of gross throughput
+    om_power: float = within("[0, inf)")      # fixed O&M, kEUR/MW/yr
+    e_cap_max: float = within("(0, inf)")     # max installable energy, MWh
+    p_cap_max: float = within("(0, inf)")     # max installable power, MW
+    crate_max: float = within("(0, inf)")     # max per-step gross cell flow / capacity
+    dod_min_frac: float = within("[0, 1)")    # min state of energy as fraction of capacity
+    cycle_life: float = within("(0, inf)")    # full equivalent cycles until end of life
+    resale_factor: float = within("[0, 1]")   # fraction of remaining value recovered at EOL
 
     def __post_init__(self):
-        for eff in ("eta_c", "eta_d"):
-            v = getattr(self, eff)
-            if not 0.0 < v <= 1.0:
-                raise CatalogError(f"{self.name}: {eff} must be in (0, 1], got {v}")
-        for pos in ("cost_energy", "cost_power", "om_energy", "om_power"):
-            if getattr(self, pos) < 0:
-                raise CatalogError(f"{self.name}: {pos} must be >= 0")
-        for strict in ("e_cap_max", "p_cap_max", "crate_max"):
-            if getattr(self, strict) <= 0:
-                raise CatalogError(f"{self.name}: {strict} must be > 0")
-        if not 0.0 <= self.dod_min_frac < 1.0:
-            raise CatalogError(f"{self.name}: dod_min_frac must be in [0, 1)")
-        if self.cycle_life <= 0:
-            raise CatalogError(f"{self.name}: cycle_life must be > 0")
-        if not 0.0 <= self.resale_factor <= 1.0:
-            raise CatalogError(f"{self.name}: resale_factor must be in [0, 1]")
+        check_fields(self, self.name, CatalogError)
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Utility grid connection: converter efficiencies and tariff structure."""
 
-    eta_c: float = 0.95          # AC/DC efficiency, grid -> bus
-    eta_d: float = 0.95          # DC/AC efficiency, bus -> grid
-    p_cap_max: float = 2.8       # max contractable capacity, MW
-    conn_fixed: float = 1.2      # fixed connection fee, kEUR/yr
-    tran_fixed: float = 1.8      # fixed transmission fee, kEUR/yr
-    var_per_mw: float = 3.0      # capacity-dependent fee, kEUR/MW/yr
-    peak_per_mw: float = 9.03    # peak-offtake fee, kEUR/MW/yr
-    f_sell: float = 0.9          # fraction of spot price earned when exporting
+    eta_c: float = within("(0, 1]", 0.95)          # AC/DC efficiency, grid -> bus
+    eta_d: float = within("(0, 1]", 0.95)          # DC/AC efficiency, bus -> grid
+    p_cap_max: float = within("(0, inf)", 2.8)     # max contractable capacity, MW
+    conn_fixed: float = within("[0, inf)", 1.2)    # fixed connection fee, kEUR/yr
+    tran_fixed: float = within("[0, inf)", 1.8)    # fixed transmission fee, kEUR/yr
+    var_per_mw: float = within("[0, inf)", 3.0)    # capacity-dependent fee, kEUR/MW/yr
+    peak_per_mw: float = within("[0, inf)", 9.03)  # peak-offtake fee, kEUR/MW/yr
+    f_sell: float = within("(0, 1]", 0.9)          # fraction of spot price earned when exporting
 
     def __post_init__(self):
-        if not 0.0 < self.f_sell <= 1.0:
-            raise ValueError("f_sell must be in (0, 1]")
-        for eff in ("eta_c", "eta_d"):
-            if not 0.0 < getattr(self, eff) <= 1.0:
-                raise ValueError(f"{eff} must be in (0, 1]")
-        if self.p_cap_max <= 0:
-            raise ValueError("p_cap_max must be > 0")
-        for pos in ("conn_fixed", "tran_fixed", "var_per_mw", "peak_per_mw"):
-            if getattr(self, pos) < 0:
-                raise ValueError(f"{pos} must be >= 0")
+        check_fields(self, "grid")
 
 
 @dataclass(frozen=True)
 class PvSpec:
     """Photovoltaic generation: efficiency, costs, size ceiling."""
 
-    eta: float = 0.9             # DC/DC converter efficiency, panel -> bus
-    cost_per_mw: float = 300.0   # capex, kEUR/MW
-    om_per_mw_yr: float = 15.0   # fixed O&M, kEUR/MW/yr
-    p_cap_max: float = 5.0       # max installable, MW
-    resale_factor: float = 0.75
+    eta: float = within("(0, 1]", 0.9)              # DC/DC converter efficiency, panel -> bus
+    cost_per_mw: float = within("[0, inf)", 300.0)  # capex, kEUR/MW
+    om_per_mw_yr: float = within("[0, inf)", 15.0)  # fixed O&M, kEUR/MW/yr
+    p_cap_max: float = within("(0, inf)", 5.0)      # max installable, MW
+    resale_factor: float = within("[0, 1]", 0.75)   # fraction of capex recovered at EOL
 
     def __post_init__(self):
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError("eta must be in (0, 1]")
-        if self.p_cap_max <= 0:
-            raise ValueError("p_cap_max must be > 0")
-        if not 0.0 <= self.resale_factor <= 1.0:
-            raise ValueError("resale_factor must be in [0, 1]")
-        if self.cost_per_mw < 0 or self.om_per_mw_yr < 0:
-            raise ValueError("costs must be >= 0")
+        check_fields(self, "pv")
 
 
 @dataclass(frozen=True)
@@ -196,11 +191,10 @@ class SourceSpec:
 
     grid: GridSpec = field(default_factory=GridSpec)
     pv: PvSpec = field(default_factory=PvSpec)
-    eta_demand: float = 1.0      # conversion efficiency of the demand feeders
+    eta_demand: float = within("(0, 1]", 1.0)      # conversion efficiency of the demand feeders
 
     def __post_init__(self):
-        if not 0.0 < self.eta_demand <= 1.0:
-            raise ValueError("eta_demand must be in (0, 1]")
+        check_fields(self, "sources")
 
 
 @dataclass(frozen=True)

@@ -195,9 +195,9 @@ class ScenarioModel:
     def validate(self):
         """Raise ValueError unless the artifacts fit together: a
         probability vector, a row-stochastic transition matrix, one
-        representative per cluster (all of one nonzero length, each a day of
-        its own cluster), and a sequence that visits every cluster and no other
-        index."""
+        representative per cluster (all of one nonzero step count that
+        divides the 1440 minutes of a day, each a day of its own cluster), and
+        a sequence that visits every cluster and no other index."""
         w = self.n_clusters
         if w < 1 or len(self.representatives) != w:
             raise ValueError(f"{len(self.representatives)} representatives "
@@ -205,8 +205,12 @@ class ScenarioModel:
         lengths = {len(d.price) for d in self.representatives}
         if len(lengths) != 1:
             raise ValueError("representatives differ in length")
-        if lengths == {0}:
+        (steps,) = lengths
+        if steps == 0:
             raise ValueError("representatives hold no steps")
+        if 1440 % steps:
+            raise ValueError(f"representatives hold {steps} steps a day, "
+                             "which does not divide 1440")
         if self.weights.shape != (w,) or not abs(self.weights.sum() - 1.0) <= 1e-12:
             raise ValueError("weights are not a probability vector over the clusters")
         if (self.transition.shape != (w, w) or not np.all(self.transition >= 0)

@@ -97,7 +97,7 @@ class TestObjectiveCoefficients:
         om = npv_factor(0.04, 20) * 365.0 * 3.0
         lost_resale = eol_discount(0.04, 20) * 0.85 * 900.0 / 5000.0
         for spec, wear in ((BATTERY, om + lost_resale),
-                           (dataclasses.replace(BATTERY, cycle_life=np.inf), om),
+                           (dataclasses.replace(BATTERY, resale_factor=0.0), om),
                            (dataclasses.replace(BATTERY, om_energy=0.0), lost_resale)):
             model = build(_data(price=50.0, ess={"battery": spec},
                                 horizon=Horizon(tau_minutes=15, t_syn=1)))
@@ -183,6 +183,19 @@ class TestAudit:
         x = sol.x.copy()
         x[model.var("P_src_plus", GRID, 3)] *= 2.0
         with pytest.raises(AuditError, match="audit failure"):
+            audit(x, model, data, solver_objective=sol.objective)
+
+    @pytest.mark.parametrize("objective", [float("nan"), float("inf")])
+    def test_non_finite_solver_objective_raises(self, objective):
+        data, model, sol = self._solved(price=50.0, ch=1.0)
+        with pytest.raises(AuditError, match="audit failure"):
+            audit(sol.x, model, data, solver_objective=objective)
+
+    def test_non_finite_recomputed_total_raises(self):
+        data, model, sol = self._solved(price=50.0, ch=1.0)
+        x = sol.x.copy()
+        x[model.var("P_src_plus", GRID, 3)] = np.nan
+        with pytest.raises(AuditError, match="recomputed nan"):
             audit(x, model, data, solver_objective=sol.objective)
 
     @settings(max_examples=10, deadline=None)

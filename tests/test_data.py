@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import datetime as dt
+import math
 import re
 import warnings
 from unittest import mock
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 
 from hessmg import data
 from hessmg.data import (SERIES, SIGNAL_FILES, CatalogError, DataFormatError, EssSpec,
-                         GridSpec, Horizon, HistoricalDay, IncompleteDayWarning,
-                         load_catalog, load_dataset, make_demo_dataset, save_dataset)
+                         GridSpec, Horizon, HistoricalDay, IncompleteDayWarning, PvSpec,
+                         SourceSpec, load_catalog, load_dataset, make_demo_dataset,
+                         save_dataset)
 
 LAYOUTS = tuple((f.header, len(f.series)) for f in SIGNAL_FILES)
 
@@ -34,6 +36,7 @@ def test_horizon_basics():
 @pytest.mark.parametrize("kwargs", [
     {"tau_minutes": 0}, {"tau_minutes": 7}, {"t_syn": 0},
     {"years": 0}, {"discount_rate": 1.0}, {"discount_rate": -0.1},
+    {"tau_minutes": 7.5}, {"t_syn": 2.0},
 ])
 def test_horizon_rejects(kwargs):
     with pytest.raises(ValueError):
@@ -44,6 +47,60 @@ def test_grid_spec_requires_positive_f_sell():
     with pytest.raises(ValueError):
         GridSpec(f_sell=0.0)
     GridSpec(f_sell=1.0)  # boundary allowed
+
+
+# one valid instance of each settings class by the owner its messages name;
+# every field declared with an interval is a case of
+# test_declared_interval_is_enforced
+SETTINGS = {
+    "horizon": Horizon(),
+    "cell": EssSpec(name="cell", eta_c=0.9, eta_d=0.9, cost_energy=100.0,
+                    cost_power=100.0, om_energy=0.01, om_power=1.0, e_cap_max=2.0,
+                    p_cap_max=1.0, crate_max=1.0, dod_min_frac=0.1, cycle_life=3000.0,
+                    resale_factor=0.5),
+    "grid": GridSpec(), "pv": PvSpec(), "sources": SourceSpec(),
+}
+DECLARED = [(owner, spec, f) for owner, spec in SETTINGS.items()
+            for f in dataclasses.fields(spec) if "interval" in f.metadata]
+
+
+@pytest.mark.parametrize("owner, spec, f", DECLARED,
+                         ids=[f"{type(s).__name__}.{f.name}" for _, s, f in DECLARED])
+def test_declared_interval_is_enforced(owner, spec, f):
+    interval = f.metadata["interval"]
+    error = CatalogError if isinstance(spec, EssSpec) else ValueError
+
+    def rejected(value):
+        with pytest.raises(error) as caught:
+            dataclasses.replace(spec, **{f.name: value})
+        assert str(caught.value).startswith(f"{owner}: {f.name} must be ")
+        assert str(caught.value).endswith(f" in {interval}, got {value}")
+
+    for value in (math.nan, math.inf, -math.inf, True, "1"):
+        rejected(value)
+    integer = f.type in (int, "int")
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    for end, closed in ((lo, interval[0] == "["), (hi, interval[-1] == "]")):
+        if math.isinf(end):
+            continue
+        value = int(end) if integer else end
+        if closed:
+            assert getattr(dataclasses.replace(spec, **{f.name: value}), f.name) == value
+        else:
+            rejected(value)
+
+
+def test_every_numeric_setting_declares_an_interval():
+    for spec in SETTINGS.values():
+        for f in dataclasses.fields(spec):
+            numeric = f.type in (int, float, "int", "float")
+            assert numeric == ("interval" in f.metadata), f.name
+
+
+def test_settings_take_numpy_numbers():
+    h = Horizon(tau_minutes=np.int64(15), t_syn=np.int32(2), years=np.int16(20))
+    assert (h.steps_per_day, h.n_steps) == (96, 192)
+    assert GridSpec(conn_fixed=np.float32(1.5), tran_fixed=2).conn_fixed == 1.5
 
 
 class TestDemoDataset:

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -415,10 +416,17 @@ class TestCli:
          "representatives hold no steps"),
         ("optimize", ["--scenario", "{tmp}/bad_date.json"], {},
          "field 'representatives[0].date' is not an ISO date"),
+        ("optimize", ["--scenario", "{tmp}/seven_steps.json"], {},
+         "representatives hold 7 steps a day, which does not divide 1440"),
+        ("experiments", [], {"sources": {"grid": {"conn_fixed": float("nan")}}},
+         "grid: conn_fixed must be a finite number in [0, inf), got nan"),
+        ("experiments", ["--catalog", "{tmp}/nan_catalog.ini"], {},
+         "battery: cost_energy must be a finite number in [0, inf), got nan"),
     ], ids=["incomplete scenario", "missing scenario", "unknown technology",
             "string clusters", "unknown horizon field", "unknown grid field",
             "unknown pin", "undotted pin", "epigraph pin", "experiment technology",
-            "experiment without id", "scenario without steps", "scenario bad date"])
+            "experiment without id", "scenario without steps", "scenario bad date",
+            "scenario steps not dividing a day", "nan tariff", "nan catalog field"])
     def test_input_faults_print_one_line(self, workspace, tmp_path, capsys,
                                          command, extra, config, message):
         root, cfg_path = workspace
@@ -429,6 +437,11 @@ class TestCli:
             {**raw, "representatives": [{**day, **dict.fromkeys(SERIES, [])}]}))
         (tmp_path / "bad_date.json").write_text(json.dumps(
             {**raw, "representatives": [{**day, "date": "2021-13-01"}]}))
+        (tmp_path / "seven_steps.json").write_text(json.dumps(
+            {**raw, "representatives": [{**day, **{n: day[n][:7] for n in SERIES}}]}))
+        (tmp_path / "nan_catalog.ini").write_text(
+            (RESOURCES / "catalog_case_study.ini").read_text().replace(
+                "cost_energy_eur_per_kwh = 900", "cost_energy_eur_per_kwh = nan"))
         if config:
             cfg = {**json.loads(cfg_path.read_text()), **config}
             cfg_path = tmp_path / "config.json"
@@ -436,7 +449,9 @@ class TestCli:
         args = [command, "--config", str(cfg_path)]
         if command != "export-mps":
             args += ["--out-dir", str(tmp_path)]
-        assert main(args + [a.format(tmp=tmp_path) for a in extra]) == 2
+        # each fault is found before any design is solved
+        with mock.patch("hessmg.run.solve_model", side_effect=AssertionError("solved")):
+            assert main(args + [a.format(tmp=tmp_path) for a in extra]) == 2
         err = capsys.readouterr().err
         assert err.startswith("hessmg: error: ") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err

@@ -235,6 +235,9 @@ class TestScenarioJson:
         (_set("rep_days", [0, 999]), "not a day of its own cluster"),
         (lambda raw: [d.update(dict.fromkeys(SERIES, [])) for d in raw["representatives"]],
          "representatives hold no steps"),
+        (lambda raw: [d.update({name: d[name][:7] for name in SERIES})
+                      for d in raw["representatives"]],
+         "representatives hold 7 steps a day, which does not divide 1440"),
     ])
     def test_inconsistent_scenario_rejected(self, raw, edit, match):
         edited = copy.deepcopy(raw)

@@ -23,8 +23,9 @@ def _swing_build(data):
     """The swing-epigraph reference: q_k >= |E[k+1] - E[k]| through two rows
     per step and q_k <= crate_max * E_max in place of the gross-flow rows,
     with sum_k q_k priced at the per-MWh wear price. Everything else is the
-    model's own; its cost functions see wear-free specs, so they charge no
-    wear on the storage powers."""
+    model's own; its cost functions see specs without energy O&M or resale,
+    so they charge no wear on the storage powers, and the capacity's resale
+    value is priced here."""
     h = data.horizon
     k_steps = h.n_steps
     om_scale = costs.npv_factor(h.discount_rate, h.years) * costs.annualization(h)
@@ -49,9 +50,11 @@ def _swing_build(data):
              [(q, 1.0), (model.var("E_max", name), -ess.crate_max)]))
         model.add_objective(q, om_scale * ess.om_energy
                             + disc * ess.resale_factor * ess.cost_energy / ess.cycle_life)
+        model.add_objective(model.var("E_max", name),
+                            -disc * ess.resale_factor * ess.cost_energy)
     builder.add_peak(model, data)
     wear_free = dataclasses.replace(data, ess={
-        name: dataclasses.replace(ess, om_energy=0.0, cycle_life=INF)
+        name: dataclasses.replace(ess, om_energy=0.0, resale_factor=0.0)
         for name, ess in data.ess.items()})
     costs.objective_capex(model, wear_free)
     costs.objective_opex(model, wear_free)
