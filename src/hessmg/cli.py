@@ -12,32 +12,44 @@ import sys
 
 from . import run as runner
 from .builder import build
-from .data import SIGNAL_FILES, Horizon, load_dataset, make_demo_dataset, write_demo_files
+from .data import SIGNAL_FILES, make_demo_dataset, write_demo_files
 from .mps import write_mps
-from .scenario import build_scenario
 
 
-def _add_data_flags(p):
+_CSVS = tuple(f.label for f in SIGNAL_FILES)
+
+# the config entries a flag replaces, each the flag's dest; "section.entry" inside a section
+_FLAG_ENTRIES = (*_CSVS, "catalog", "scenario", "seed", "clusters", "horizon.t_syn")
+
+
+def _data_command(sub, name, func, builds, **kw):
+    """A subcommand taking the synthesis inputs, and the model inputs where it `builds` one."""
+    p = sub.add_parser(name, **kw)
+    p.set_defaults(func=func)
     p.add_argument("--config", help="run configuration JSON")
     for f in SIGNAL_FILES:
         p.add_argument(f"--{f.label}", help=f"{f.label} CSV ({','.join(f.header)})")
-    p.add_argument("--catalog", help="storage technology catalog (INI)")
     p.add_argument("--seed", type=int, help="override config seed")
+    if builds:
+        p.add_argument("--catalog", help="storage technology catalog (INI)")
+        p.add_argument("--scenario", help="reuse a scenario JSON instead of re-clustering")
+    return p
 
 
-def _merged_config(args) -> dict:
-    cfg = (runner.load_run_config(args.config) if args.config
-           else runner.run_config({}, "command line"))
-    for key in ("prices", "demand", "pv", "catalog"):
-        val = getattr(args, key, None)
-        if val:
-            cfg[key] = val
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "scenario", None):
-        cfg["scenario"] = args.scenario
-    # a scenario file replaces the historical data: only the catalog is read
-    required = ("catalog",) if cfg.get("scenario") else ("prices", "demand", "pv", "catalog")
+def _merged_config(args, builds) -> dict:
+    """The --config file (checked as written) with each given flag written into
+    its entry, all checked again. It must name each input the subcommand opens:
+    the CSVs, and where it `builds` a model the catalog and a scenario file or
+    the CSVs."""
+    cfg = runner.load_run_config(args.config) if args.config is not None else {}
+    for entry in _FLAG_ENTRIES:
+        if getattr(args, entry, None) is not None:
+            section, _, key = entry.rpartition(".")
+            (cfg.setdefault(section, {}) if section else cfg)[key] = getattr(args, entry)
+    cfg = runner.run_config(cfg, "command line")
+    required = _CSVS
+    if builds:
+        required = ("catalog",) if "scenario" in cfg else (*_CSVS, "catalog")
     for key in required:
         if key not in cfg:
             raise ValueError(f"missing input: --{key} or config entry '{key}'")
@@ -45,32 +57,29 @@ def _merged_config(args) -> dict:
 
 
 def cmd_demo_data(args):
-    days = make_demo_dataset(args.seed or 0, args.days)
-    paths = write_demo_files(days, args.out_dir)
-    print("wrote", *paths)
+    print("wrote", *write_demo_files(make_demo_dataset(args.seed, args.days), args.out_dir))
     return 0
 
 
 def cmd_synth(args):
-    cfg = _merged_config(args)
-    horizon = Horizon(**{**cfg["horizon"],
-                         **({"t_syn": args.days} if args.days else {})})
-    days = load_dataset(cfg["prices"], cfg["demand"], cfg["pv"], horizon)
-    w = args.clusters or cfg["clusters"]
-    scenario = build_scenario(days, w, horizon.t_syn, cfg["seed"])
+    _, scenario = runner.synthesize(_merged_config(args, builds=False))
     with open(args.out, "w") as fh:
         fh.write(scenario.to_json())
-    print(f"wrote {args.out}: {w} clusters over {len(days)} historical days, "
-          f"{horizon.t_syn} synthetic days")
+    print(f"wrote {args.out}: {scenario.n_clusters} clusters over "
+          f"{len(scenario.labels)} historical days, {len(scenario.sequence)} synthetic days")
     return 0
 
 
+def _one_design(args, exp_id, cache_dir=None):
+    """The context and the one experiment (--ess, or all the catalog) of a model."""
+    ctx = runner.context_from_config(_merged_config(args, builds=True), cache_dir)
+    ess = args.ess.split(",") if args.ess is not None else list(ctx.catalog)
+    return ctx, runner.ExperimentConfig(id=exp_id, ess_subset=tuple(ess))
+
+
 def cmd_optimize(args):
-    cfg = _merged_config(args)
     os.makedirs(args.out_dir, exist_ok=True)
-    ctx = runner.context_from_config(cfg, cache_dir=args.out_dir)
-    ess = args.ess.split(",") if args.ess else list(ctx.catalog)
-    exp = runner.ExperimentConfig(id="design", ess_subset=tuple(ess))
+    ctx, exp = _one_design(args, "design", cache_dir=args.out_dir)
     result = runner.run_one(ctx, exp)
     runner.write_results_json([result], os.path.join(args.out_dir, "result.json"))
     runner.emit_traces(result, os.path.join(args.out_dir, "traces.csv"))
@@ -81,7 +90,7 @@ def cmd_optimize(args):
 
 
 def cmd_experiments(args):
-    cfg = _merged_config(args)
+    cfg = _merged_config(args, builds=True)
     experiments = runner.experiments_from_config(cfg)
     if not experiments:
         raise ValueError("missing input: config defines no experiments")
@@ -94,16 +103,12 @@ def cmd_experiments(args):
     for r in results:
         runner.emit_traces(r, os.path.join(args.out_dir, f"traces_{r.exp_id}.csv"))
         note = f" ({r.error})" if r.error else ""
-        print(f"exp {r.exp_id}: status={r.status} "
-              f"total={r.objective:.4f} kEUR{note}")
+        print(f"exp {r.exp_id}: status={r.status} total={r.objective:.4f} kEUR{note}")
     return 0 if all(r.status == "optimal" and not r.error for r in results) else 1
 
 
 def cmd_export_mps(args):
-    cfg = _merged_config(args)
-    ctx = runner.context_from_config(cfg)
-    ess = args.ess.split(",") if args.ess else list(ctx.catalog)
-    exp = runner.ExperimentConfig(id="export", ess_subset=tuple(ess))
+    ctx, exp = _one_design(args, "export")
     write_mps(build(runner.problem_data(ctx, exp)), args.out)
     print(f"wrote {args.out}")
     return 0
@@ -122,30 +127,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_demo_data)
 
-    p = sub.add_parser("synth", help="cluster history into a synthetic period")
-    _add_data_flags(p)
+    p = _data_command(sub, "synth", cmd_synth, builds=False,
+                      help="cluster history into a synthetic period")
     p.add_argument("--clusters", type=int)
-    p.add_argument("--days", type=int, help="synthetic period length T_syn")
+    p.add_argument("--days", dest="horizon.t_syn", metavar="DAYS", type=int,
+                   help="synthetic period length T_syn")
     p.add_argument("--out", required=True, help="scenario JSON output")
-    p.set_defaults(func=cmd_synth)
 
     for name, func in (("optimize", cmd_optimize), ("experiments", cmd_experiments)):
-        p = sub.add_parser(name)
-        _add_data_flags(p)
-        p.add_argument("--scenario", help="reuse a scenario JSON instead of re-clustering")
+        p = _data_command(sub, name, func, builds=True)
         p.add_argument("--out-dir", required=True)
         if name == "optimize":
             p.add_argument("--ess", help="comma-separated technology subset")
         else:
             p.add_argument("--jobs", type=int, default=1)
-        p.set_defaults(func=func)
 
-    p = sub.add_parser("export-mps", help="write the model in free MPS format")
-    _add_data_flags(p)
-    p.add_argument("--scenario")
-    p.add_argument("--ess")
+    p = _data_command(sub, "export-mps", cmd_export_mps, builds=True,
+                      help="write the model in free MPS format")
+    p.add_argument("--ess", help="comma-separated technology subset")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_export_mps)
     return parser
 
 

@@ -1,5 +1,5 @@
 """Input data model: time series, technology catalog, tariff parameters,
-the one range check of numeric settings (``within``, ``check_fields``)
+the one range check of numeric settings (``within``, ``check_within``)
 and the one field check of JSON input objects (``check_object``).
 
 Internal unit conventions: power in MW, energy in MWh, money in k EUR.
@@ -33,6 +33,7 @@ import csv
 import datetime as dt
 import math
 import operator
+import os
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, NamedTuple
@@ -81,27 +82,29 @@ def within(interval: str, default=MISSING):
     return field(default=default, metadata={"interval": interval})
 
 
+def check_within(value, interval: str, owner: str, name: str, integer=False,
+                 error=ValueError):
+    """Raise `error` naming `owner`, `name`, `interval` and `value` unless
+    `value` is a finite number inside `interval`: an integer that
+    ``operator.index`` takes where `integer`, never a bool."""
+    try:
+        number = not isinstance(value, bool) and math.isfinite(
+            operator.index(value) if integer else value)
+    except (TypeError, OverflowError):   # not a number, or an int too big for a float
+        number = False
+    lo, hi = map(float, interval[1:-1].split(","))
+    if not (number and (lo < value if interval[0] == "(" else lo <= value)
+            and (value < hi if interval[-1] == ")" else value <= hi)):
+        words = "an integer" if integer else "a finite number"
+        raise error(f"{owner}: {name} must be {words} in {interval}, got {value}")
+
+
 def check_fields(spec, owner: str, error=ValueError):
-    """Raise `error` naming `owner`, the field, its interval and its value
-    unless every field of the settings dataclass `spec` declared with
-    ``within`` holds a finite number inside its interval: an integer that
-    ``operator.index`` takes where the field is declared int, never a bool."""
+    """``check_within`` each ``within`` field of the settings dataclass `spec`."""
     for f in fields(spec):
-        interval = f.metadata.get("interval")
-        if interval is None:
-            continue
-        value = getattr(spec, f.name)
-        integer = f.type in (int, "int")
-        try:
-            number = not isinstance(value, bool) and math.isfinite(
-                operator.index(value) if integer else value)
-        except (TypeError, OverflowError):   # not a number, or an int too big for a float
-            number = False
-        lo, hi = map(float, interval[1:-1].split(","))
-        if not (number and (lo < value if interval[0] == "(" else lo <= value)
-                and (value < hi if interval[-1] == ")" else value <= hi)):
-            words = "an integer" if integer else "a finite number"
-            raise error(f"{owner}: {f.name} must be {words} in {interval}, got {value}")
+        if "interval" in f.metadata:
+            check_within(getattr(spec, f.name), f.metadata["interval"], owner, f.name,
+                         f.type in (int, "int"), error)
 
 
 @dataclass(frozen=True)
@@ -456,9 +459,10 @@ _CATALOG_FIELDS = {
 def load_catalog(catalog_path) -> dict[str, EssSpec]:
     """Read the storage technology catalog (one INI section per technology)."""
     parser = configparser.ConfigParser()
-    read = parser.read(catalog_path)
-    if not read:
+    if not parser.read(catalog_path):
         raise CatalogError(f"cannot read catalog {catalog_path}")
+    # a value is checked as written: every scale is positive, so its interval holds
+    intervals = {f.name: f.metadata.get("interval") for f in fields(EssSpec)}
     catalog = {}
     for name in parser.sections():
         section = parser[name]
@@ -467,9 +471,11 @@ def load_catalog(catalog_path) -> dict[str, EssSpec]:
             if key not in section:
                 raise CatalogError(f"{name}: missing field {key}")
             try:
-                vals[spec_field] = float(section[key]) * scale
+                value = float(section[key])
             except ValueError:
                 raise CatalogError(f"{name}: field {key} is not a number") from None
+            check_within(value, intervals[spec_field], name, key, error=CatalogError)
+            vals[spec_field] = value * scale
         catalog[name] = EssSpec(name=name, **vals)
     if not catalog:
         raise CatalogError(f"{catalog_path}: no technology records")
@@ -523,11 +529,9 @@ def make_demo_dataset(seed: int, n_days: int, steps_per_day: int = 24) -> list[H
 
 
 def write_demo_files(days, out_dir):
-    """Write a demo dataset as the three CSVs load_dataset expects."""
-    import os
+    """Write a demo dataset as the three CSVs load_dataset expects, each
+    named after its label (prices.csv, demand.csv, pv.csv)."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = (os.path.join(out_dir, "prices.csv"),
-             os.path.join(out_dir, "demand.csv"),
-             os.path.join(out_dir, "pv.csv"))
+    paths = tuple(os.path.join(out_dir, f"{f.label}.csv") for f in SIGNAL_FILES)
     save_dataset(days, *paths)
     return paths

@@ -345,9 +345,6 @@ class ModelInstance:
         """Per-row index into `families`."""
         return self._family.array
 
-    def senses(self) -> list[str]:
-        return [SENSES[s] for s in self._sense.array.tolist()]
-
     def rhs_vector(self) -> np.ndarray:
         return self._rhs.array.copy()
 

@@ -289,18 +289,11 @@ def write_results_json(results: list[DesignResult], path):
 
 # -- configuration file ----------------------------------------------------
 
-def sources_from_dict(raw: dict) -> SourceSpec:
-    return SourceSpec(
-        grid=GridSpec(**raw.get("grid", {})),
-        pv=PvSpec(**raw.get("pv", {})),
-        eta_demand=raw.get("eta_demand", 1.0),
-    )
-
-
 # run config field -> its JSON type
 _CONFIG_FIELDS = {
     "prices": STRING, "demand": STRING, "pv": STRING, "catalog": STRING, "scenario": STRING,
-    "clusters": INTEGER, "seed": INTEGER, "horizon": OBJECT, "sources": OBJECT,
+    "clusters": INTEGER, "horizon": OBJECT, "sources": OBJECT,
+    "seed": JsonType("a non-negative integer", lambda v: INTEGER.check(v) and v >= 0),
     "experiments": list_of("a list of objects", OBJECT),
 }
 _SOURCES_FIELDS = {"grid": OBJECT, "pv": OBJECT, "eta_demand": NUMBER}
@@ -355,27 +348,33 @@ def run_config(raw: dict, path) -> dict:
     return {**copy.deepcopy(RUN_DEFAULTS), **raw}
 
 
+def synthesize(cfg: dict, cache_dir=None) -> tuple[Horizon, ScenarioModel]:
+    """The config's horizon and the scenario synthesized from its
+    historical data, cached under `cache_dir` if given."""
+    horizon = Horizon(**cfg["horizon"])
+    days = load_dataset(cfg["prices"], cfg["demand"], cfg["pv"], horizon)
+    return horizon, cached_scenario(days, cfg["clusters"], horizon.t_syn, cfg["seed"], cache_dir)
+
+
 def context_from_config(cfg: dict, cache_dir=None) -> RunContext:
     """Load the catalog named in a config dict and the scenario: read from
-    the JSON file under ``scenario`` if given, else synthesized from the
+    the JSON file under ``scenario`` if given, else ``synthesize``d from the
     historical data. With a scenario file, a horizon field the config leaves
     unset comes from the scenario: ``t_syn`` is its sequence length and
     ``tau_minutes`` follows from its steps per day."""
-    sources = sources_from_dict(cfg["sources"])
+    raw = cfg["sources"]
+    sources = SourceSpec(**{**raw, "grid": GridSpec(**raw.get("grid", {})),
+                            "pv": PvSpec(**raw.get("pv", {}))})
     catalog = load_catalog(cfg["catalog"])
-    if cfg.get("scenario"):
+    if "scenario" in cfg:
         with open(cfg["scenario"]) as fh:
             scenario = ScenarioModel.from_json(fh.read())
         horizon = Horizon(**{"t_syn": len(scenario.sequence),
                              "tau_minutes": 1440 // len(scenario.representatives[0].price),
                              **cfg["horizon"]})
     else:
-        horizon = Horizon(**cfg["horizon"])
-        days = load_dataset(cfg["prices"], cfg["demand"], cfg["pv"], horizon)
-        scenario = cached_scenario(days, cfg["clusters"], horizon.t_syn,
-                                   cfg["seed"], cache_dir)
-    return RunContext(horizon=horizon, sources=sources, catalog=catalog,
-                      scenario=scenario)
+        horizon, scenario = synthesize(cfg, cache_dir)
+    return RunContext(horizon=horizon, sources=sources, catalog=catalog, scenario=scenario)
 
 
 def experiments_from_config(cfg: dict) -> list[ExperimentConfig]:

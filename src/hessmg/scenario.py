@@ -17,7 +17,6 @@ import numpy as np
 from .data import (INTEGER, NUMBER, OBJECT, SERIES, STRING, HistoricalDay, check_object,
                    list_of)
 
-N_FEATURES = 12  # 4 statistics x 3 signals (price, total demand, pv cf)
 KMEANS_RESTARTS = 10     # seeded k-means++/Lloyd runs; the best one is kept
 LLOYD_MAX_ITER = 300
 LLOYD_TOL = 1e-12        # relative objective decrease that ends Lloyd

@@ -8,7 +8,7 @@ import pytest
 
 from hessmg.builder import ProblemData, build
 from hessmg.data import Horizon, PvSpec, SourceSpec, load_catalog, make_demo_dataset
-from hessmg.lp import EQ, GE, INF, LE, ModelError, ModelInstance
+from hessmg.lp import EQ, GE, INF, LE, SENSES, ModelError, ModelInstance
 from hessmg import mps
 from hessmg.mps import MpsFormatError, read_mps, write_mps
 from hessmg.scenario import build_scenario
@@ -104,7 +104,7 @@ class TestModelInstance:
         m = _tiny_model()
         a = m.row_matrix().toarray()
         np.testing.assert_array_equal(a, [[1, 1], [1, -1]])
-        assert m.senses() == [GE, EQ]
+        assert [SENSES[s] for s in m.sense_codes()] == [GE, EQ]
         np.testing.assert_array_equal(m.rhs_vector(), [1.0, 0.5])
         np.testing.assert_array_equal(m.row_activities([1.0, 2.0]), [3.0, -1.0])
         lo, hi = m.bounds_arrays()

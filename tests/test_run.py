@@ -311,6 +311,40 @@ class TestCli:
         text = json.loads(out.read_text())
         assert text["n_clusters"] == 2 and len(text["sequence"]) == 2
 
+    def test_synth_from_flags_matches_config(self, workspace, tmp_path):
+        csvs = {key: json.loads(workspace[1].read_text())[key]
+                for key in ("prices", "demand", "pv")}
+        assert main(["synth", *(f"--{key}={path}" for key, path in csvs.items()),
+                     "--out", str(tmp_path / "flags.json")]) == 0
+        cfg_path = tmp_path / "csvs.json"
+        cfg_path.write_text(json.dumps(csvs))
+        assert main(["synth", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "config.json")]) == 0
+        assert (tmp_path / "flags.json").read_bytes() == (tmp_path / "config.json").read_bytes()
+
+    @pytest.mark.parametrize("extra, config, message", [
+        (["--clusters", "3", "--days", "0"], None,
+         "horizon: t_syn must be an integer in [1, inf), got 0"),
+        (["--clusters", "0", "--days", "3"], None, "clusters <= 20, got 0"),
+        (["--seed", "-1"], None,
+         "command line: field 'seed' is not a non-negative integer"),
+        ([], {"catalog": str(RESOURCES / "catalog_case_study.ini"),
+              "scenario": "scenario.json"},
+         "missing input: --prices or config entry 'prices'"),
+    ], ids=["zero days", "zero clusters", "negative seed", "scenario for the CSVs"])
+    def test_synth_faults_print_one_line(self, workspace, tmp_path, capsys,
+                                         extra, config, message):
+        cfg_path = workspace[1]
+        if config is not None:
+            cfg_path = tmp_path / "config.json"
+            cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "scenario.json"
+        assert main(["synth", "--config", str(cfg_path), *extra, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hessmg: error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
     def test_optimize(self, workspace, tmp_path, capsys):
         root, cfg_path = workspace
         out = tmp_path / "run"
@@ -351,7 +385,7 @@ class TestCli:
                      str(scenario), "--out-dir", str(out)]) == 0
         result = json.loads((out / "result.json").read_text())[0]
         assert result["status"] == "optimal"
-        # a run that clusters leaves its scenario cache in the output folder
+        # a run given a scenario file clusters nothing, so it leaves no scenario cache
         assert not list(out.glob("scenario-*.json"))
 
     def test_optimize_with_scenario_needs_no_data_files(self, workspace, tmp_path):
@@ -421,12 +455,17 @@ class TestCli:
         ("experiments", [], {"sources": {"grid": {"conn_fixed": float("nan")}}},
          "grid: conn_fixed must be a finite number in [0, inf), got nan"),
         ("experiments", ["--catalog", "{tmp}/nan_catalog.ini"], {},
-         "battery: cost_energy must be a finite number in [0, inf), got nan"),
+         "battery: cost_energy_eur_per_kwh must be a finite number in [0, inf), got nan"),
+        ("experiments", ["--catalog", "{tmp}/negative_catalog.ini"], {},
+         "battery: max_energy_kwh must be a finite number in (0, inf), got -5.0"),
+        ("optimize", [], {"seed": -1}, "field 'seed' is not a non-negative integer"),
+        ("optimize", ["--scenario", ""], {}, "No such file or directory: ''"),
     ], ids=["incomplete scenario", "missing scenario", "unknown technology",
             "string clusters", "unknown horizon field", "unknown grid field",
             "unknown pin", "undotted pin", "epigraph pin", "experiment technology",
             "experiment without id", "scenario without steps", "scenario bad date",
-            "scenario steps not dividing a day", "nan tariff", "nan catalog field"])
+            "scenario steps not dividing a day", "nan tariff", "nan catalog field",
+            "negative catalog field", "negative seed", "empty scenario path"])
     def test_input_faults_print_one_line(self, workspace, tmp_path, capsys,
                                          command, extra, config, message):
         root, cfg_path = workspace
@@ -439,9 +478,11 @@ class TestCli:
             {**raw, "representatives": [{**day, "date": "2021-13-01"}]}))
         (tmp_path / "seven_steps.json").write_text(json.dumps(
             {**raw, "representatives": [{**day, **{n: day[n][:7] for n in SERIES}}]}))
-        (tmp_path / "nan_catalog.ini").write_text(
-            (RESOURCES / "catalog_case_study.ini").read_text().replace(
-                "cost_energy_eur_per_kwh = 900", "cost_energy_eur_per_kwh = nan"))
+        catalog = (RESOURCES / "catalog_case_study.ini").read_text()
+        (tmp_path / "nan_catalog.ini").write_text(catalog.replace(
+            "cost_energy_eur_per_kwh = 900", "cost_energy_eur_per_kwh = nan"))
+        (tmp_path / "negative_catalog.ini").write_text(catalog.replace(
+            "max_energy_kwh = 5000", "max_energy_kwh = -5"))
         if config:
             cfg = {**json.loads(cfg_path.read_text()), **config}
             cfg_path = tmp_path / "config.json"
