@@ -7,7 +7,6 @@ config file carries paths and parameters; flags override its entries.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import run as runner
@@ -77,16 +76,20 @@ def _one_design(args, exp_id, cache_dir=None):
     return ctx, runner.ExperimentConfig(id=exp_id, ess_subset=tuple(ess))
 
 
+def _solve(ctx, experiments, out_dir, jobs=1):
+    """Solve, write the outputs to `out_dir` and report each design; 1 unless
+    every design is optimal and passes its checks."""
+    results = runner.run_experiments(ctx, experiments, jobs)
+    runner.write_outputs(results, list(ctx.catalog), out_dir)
+    for r in results:
+        note = f" ({r.error})" if r.error else ""
+        print(f"exp {r.exp_id}: status={r.status} total={r.objective:.4f} kEUR{note}")
+    return 0 if all(r.status == "optimal" and not r.error for r in results) else 1
+
+
 def cmd_optimize(args):
-    os.makedirs(args.out_dir, exist_ok=True)
     ctx, exp = _one_design(args, "design", cache_dir=args.out_dir)
-    result = runner.run_one(ctx, exp)
-    runner.write_results_json([result], os.path.join(args.out_dir, "result.json"))
-    runner.emit_traces(result, os.path.join(args.out_dir, "traces.csv"))
-    runner.write_summary([result], list(ctx.catalog),
-                         os.path.join(args.out_dir, "summary.csv"))
-    print(f"status={result.status} objective={result.objective:.4f} kEUR")
-    return 0 if result.status == "optimal" and not result.error else 1
+    return _solve(ctx, [exp], args.out_dir)
 
 
 def cmd_experiments(args):
@@ -94,17 +97,8 @@ def cmd_experiments(args):
     experiments = runner.experiments_from_config(cfg)
     if not experiments:
         raise ValueError("missing input: config defines no experiments")
-    os.makedirs(args.out_dir, exist_ok=True)
     ctx = runner.context_from_config(cfg, cache_dir=args.out_dir)
-    results = runner.run_experiments(ctx, experiments, jobs=args.jobs)
-    runner.write_summary(results, list(ctx.catalog),
-                         os.path.join(args.out_dir, "summary.csv"))
-    runner.write_results_json(results, os.path.join(args.out_dir, "results.json"))
-    for r in results:
-        runner.emit_traces(r, os.path.join(args.out_dir, f"traces_{r.exp_id}.csv"))
-        note = f" ({r.error})" if r.error else ""
-        print(f"exp {r.exp_id}: status={r.status} total={r.objective:.4f} kEUR{note}")
-    return 0 if all(r.status == "optimal" and not r.error for r in results) else 1
+    return _solve(ctx, experiments, args.out_dir, args.jobs)
 
 
 def cmd_export_mps(args):

@@ -280,31 +280,33 @@ def _read_signal_file(path, header, n_values):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            got = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        if tuple(h.strip() for h in got) != header:
-            raise DataFormatError(
-                f"{path}: header mismatch, expected {','.join(header)}, got {','.join(got)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 1 + n_values:
-                raise DataFormatError(f"{path}:{lineno}: expected {1 + n_values} columns")
-            try:
-                ts = dt.datetime.fromisoformat(row[0])
-                vals = tuple(float(v) for v in row[1:])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: malformed row ({exc})") from None
-            if ts.tzinfo is not None:
+            got = next(reader, None)
+            if got is None:
+                raise DataFormatError(f"{path}: empty file")
+            if tuple(h.strip() for h in got) != header:
                 raise DataFormatError(
-                    f"{path}:{lineno}: timestamp {row[0]} carries a UTC offset; "
-                    "stamps are local wall-clock times without one")
-            if not all(map(math.isfinite, vals)):
-                raise DataFormatError(f"{path}:{lineno}: non-finite value")
-            stamps.append(ts.toordinal() * _DAY_US + ts.microsecond
-                          + (ts.hour * 3600 + ts.minute * 60 + ts.second) * 1_000_000)
-            values.extend(vals)
+                    f"{path}: header mismatch, expected {','.join(header)}, got {','.join(got)}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 1 + n_values:
+                    raise DataFormatError(f"{path}:{lineno}: expected {1 + n_values} columns")
+                try:
+                    ts = dt.datetime.fromisoformat(row[0])
+                    vals = tuple(float(v) for v in row[1:])
+                except ValueError as exc:
+                    raise DataFormatError(f"{path}:{lineno}: malformed row ({exc})") from None
+                if ts.tzinfo is not None:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: timestamp {row[0]} carries a UTC offset; "
+                        "stamps are local wall-clock times without one")
+                if not all(map(math.isfinite, vals)):
+                    raise DataFormatError(f"{path}:{lineno}: non-finite value")
+                stamps.append(ts.toordinal() * _DAY_US + ts.microsecond
+                              + (ts.hour * 3600 + ts.minute * 60 + ts.second) * 1_000_000)
+                values.extend(vals)
+        except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
+            raise DataFormatError(f"{path}:{reader.line_num}: malformed row ({exc})") from None
     return (np.array(stamps, dtype=np.int64),
             list(np.array(values, dtype=float).reshape(-1, n_values).T))
 

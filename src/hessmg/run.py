@@ -9,6 +9,7 @@ import copy
 import csv
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -54,9 +55,8 @@ class DesignResult:
     @classmethod
     def failed(cls, exp_id, status, error, solve_seconds=0.0) -> "DesignResult":
         """A design without a solution: no sizes, costs or traces."""
-        nan = float("nan")
-        return cls(exp_id=exp_id, status=status, e_max={}, p_max={}, p_grid_max=nan,
-                   p_pv_max=nan, breakdown=None, traces={}, objective=nan,
+        return cls(exp_id=exp_id, status=status, e_max={}, p_max={}, p_grid_max=math.nan,
+                   p_pv_max=math.nan, breakdown=None, traces={}, objective=math.nan,
                    solve_seconds=solve_seconds, error=error)
 
     def as_dict(self):
@@ -77,16 +77,28 @@ class DesignResult:
             out["error"] = self.error
         if self.warnings:
             out["warnings"] = list(self.warnings)
-        return _without_negative_zero(out)
+        return _json_ready(out)
 
 
-def _without_negative_zero(value):
-    """`value` with every -0.0 float, also inside dicts and lists, made 0.0."""
+def _reported(value: float | None) -> float | None:
+    """A number as outputs write it: -0.0 as 0.0, and None (an empty CSV cell,
+    JSON null) for one the design does not have (None, NaN or infinite)."""
+    return None if value is None or not math.isfinite(value) else value + 0.0
+
+
+def _json_ready(value):
+    """`value` with every float, also inside dicts and lists, ``_reported``."""
     if isinstance(value, dict):
-        return {k: _without_negative_zero(v) for k, v in value.items()}
+        return {k: _json_ready(v) for k, v in value.items()}
     if isinstance(value, list):
-        return [_without_negative_zero(v) for v in value]
-    return value + 0.0 if isinstance(value, float) else value
+        return [_json_ready(v) for v in value]
+    return _reported(value) if isinstance(value, float) else value
+
+
+def _cell(value: float | None) -> str:
+    """A CSV cell holding a ``_reported`` number."""
+    value = _reported(value)
+    return "" if value is None else f"{value:.10g}"
 
 
 @dataclass
@@ -151,6 +163,7 @@ def extract_traces(x, model, data: ProblemData) -> dict[str, np.ndarray]:
 PAIR_TOL = 1e-6      # largest product of a +/- pair that counts as unpaired
 PAIR_STEPS_SHOWN = 5  # offending steps a paired-flow warning lists
 BOUND_SNAP = 1e-9    # reported design values this close to a bound sit on it
+VIOLATION_TOL = 1e-6  # largest verify violation of a design reported without error
 
 
 def paired_flow_warnings(report: VerifyReport) -> list[str]:
@@ -211,7 +224,7 @@ def run_one(ctx: RunContext, exp: ExperimentConfig,
         p_grid_max=sources[GRID], p_pv_max=sources[PV],
         breakdown=breakdown, traces=extract_traces(sol.x, model, data),
         objective=sol.objective, solve_seconds=sol.wall_time,
-        error=None if report.max_violation <= 1e-6 else
+        error=None if report.max_violation <= VIOLATION_TOL else
         f"feasibility check: violation {report.max_violation:.3g}",
         warnings=paired_flow_warnings(report))
 
@@ -221,8 +234,7 @@ def run_experiments(ctx: RunContext, experiments: list[ExperimentConfig],
     """Run the matrix; sorted by id. An input fault of any experiment (a
     technology the catalog lacks) raises before the first design is solved;
     a failure while solving is isolated to its experiment's result."""
-    ids = [e.id for e in experiments]
-    if len(set(ids)) != len(ids):
+    if len({e.id for e in experiments}) != len(experiments):
         raise ValueError("experiment ids must be unique")
     data = {exp.id: problem_data(ctx, exp) for exp in experiments}
 
@@ -241,50 +253,50 @@ def run_experiments(ctx: RunContext, experiments: list[ExperimentConfig],
 
 
 def summary_columns(catalog_order: list[str]) -> list[str]:
-    cols = ["exp_id"]
-    cols += [f"e_max_mwh_{n}" for n in catalog_order]
-    cols += [f"p_max_mw_{n}" for n in catalog_order]
-    cols += ["p_grid_max_mw", "p_pv_max_mw"]
-    cols += list(CostBreakdown.CSV_COLUMNS)
-    cols += ["status"]
-    return cols
+    return ["exp_id", *(f"e_max_mwh_{n}" for n in catalog_order),
+            *(f"p_max_mw_{n}" for n in catalog_order), "p_grid_max_mw", "p_pv_max_mw",
+            *CostBreakdown.CSV_COLUMNS, "status"]
 
 
 def write_summary(results: list[DesignResult], catalog_order: list[str], path):
     """Stable-order CSV mirroring the result-table columns."""
-    def fmt(v):
-        return "" if v is None else f"{v + 0.0:.10g}"
-
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(summary_columns(catalog_order))
+        columns = summary_columns(catalog_order)
+        w.writerow(columns)
         for r in results:
-            row = [r.exp_id]
-            row += [fmt(r.e_max.get(n, 0.0)) for n in catalog_order]
-            row += [fmt(r.p_max.get(n, 0.0)) for n in catalog_order]
-            row += [fmt(r.p_grid_max), fmt(r.p_pv_max)]
-            if r.breakdown is not None:
-                row += [fmt(v) for v in r.breakdown.as_csv_values()]
-            else:
-                row += [""] * len(CostBreakdown.CSV_COLUMNS)
-            row.append(r.status)
-            w.writerow(row)
+            values = [None] * (len(columns) - 2)  # a failed design has no numbers
+            if r.breakdown is not None:  # a technology outside the subset has size 0
+                values = [*(r.e_max.get(n, 0.0) for n in catalog_order),
+                          *(r.p_max.get(n, 0.0) for n in catalog_order),
+                          r.p_grid_max, r.p_pv_max, *r.breakdown.as_csv_values()]
+            w.writerow([r.exp_id, *map(_cell, values), r.status])
 
 
 def emit_traces(result: DesignResult, path):
     """Long-format CSV (step, series, value) for external plotting."""
+    cells = {s: list(map(_cell, v.tolist())) for s, v in result.traces.items()}
+    n = max(map(len, cells.values()), default=0)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(TRACE_HEADER)
-        n = max((len(v) for v in result.traces.values()), default=0)
-        for step in range(n):
-            for series, values in result.traces.items():
-                w.writerow([step, series, f"{values[step] + 0.0:.10g}"])
+        w.writerows((step, series, column[step])
+                    for step in range(n) for series, column in cells.items())
 
 
 def write_results_json(results: list[DesignResult], path):
     with open(path, "w") as fh:
-        json.dump([r.as_dict() for r in results], fh, indent=2)
+        json.dump([r.as_dict() for r in results], fh, indent=2, allow_nan=False)
+
+
+def write_outputs(results: list[DesignResult], catalog_order: list[str], out_dir):
+    """The output files of every solving command: summary.csv, results.json
+    and traces_<id>.csv per design, in `out_dir`."""
+    os.makedirs(out_dir, exist_ok=True)
+    write_summary(results, catalog_order, os.path.join(out_dir, "summary.csv"))
+    write_results_json(results, os.path.join(out_dir, "results.json"))
+    for r in results:
+        emit_traces(r, os.path.join(out_dir, f"traces_{r.exp_id}.csv"))
 
 
 # -- configuration file ----------------------------------------------------
@@ -298,8 +310,9 @@ _CONFIG_FIELDS = {
 }
 _SOURCES_FIELDS = {"grid": OBJECT, "pv": OBJECT, "eta_demand": NUMBER}
 _EXPERIMENT_FIELDS = {
-    "id": JsonType("a string or an integer",
-                   lambda value: STRING.check(value) or INTEGER.check(value)),
+    "id": JsonType("an integer or a string without '/', '\\' or NUL",
+                   lambda value: INTEGER.check(value)
+                   or STRING.check(value) and not set("/\\\0") & set(value)),
     "ess": list_of("a list of strings", STRING),
     "fixed": JsonType("an object of numbers", lambda value: OBJECT.check(value)
                       and all(map(NUMBER.check, value.values()))),
@@ -329,8 +342,9 @@ def load_run_config(path) -> dict:
 
 def run_config(raw: dict, path) -> dict:
     """`raw` with RUN_DEFAULTS filled in; paths are left untouched. A field
-    that no setting takes, or that has another JSON type, an experiment
-    without an id, and a pin that is not one of the experiment's
+    that no setting takes, or that has another JSON type (an experiment id
+    names a trace file, so it holds no path separator or NUL), an
+    experiment without an id, and a pin that is not one of the experiment's
     ``design_pins`` raise ValueError naming it and `path`."""
     check_object(raw, _CONFIG_FIELDS, path)
     check_object(raw.get("horizon", {}), _spec_fields(Horizon), path, "horizon.")

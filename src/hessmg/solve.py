@@ -33,7 +33,6 @@ class Solution:
     status: str                 # optimal | infeasible | unbounded | iteration-limit
     x: np.ndarray               # structural variable values
     objective: float            # includes the model's constant term
-    max_residual: float
     iterations: int
     wall_time: float
     engine: str
@@ -68,12 +67,6 @@ def _solve_simplex(model):
     return status, x[:n], obj, iters
 
 
-def _rows_by_sense(model: ModelInstance):
-    """Row indices of the <=, == and >= rows, each in declaration order."""
-    codes = model.sense_codes()
-    return tuple(np.flatnonzero(codes == i) for i in range(len(SENSES)))
-
-
 def _row_violations(model: ModelInstance, x) -> np.ndarray:
     """Per-row violation of a point: how far each row misses its sense."""
     gap = model.row_activities(x) - model.rhs_vector()
@@ -93,7 +86,8 @@ def _bound_violation(model: ModelInstance, x) -> float:
 def _solve_highs(model):
     a = model.row_matrix()
     rhs = model.rhs_vector()
-    le_rows, eq_rows, ge_rows = _rows_by_sense(model)
+    codes = model.sense_codes()
+    le_rows, eq_rows, ge_rows = (np.flatnonzero(codes == i) for i in range(len(SENSES)))
     a_ub = sp.vstack([a[le_rows], -a[ge_rows]]) if len(le_rows) or len(ge_rows) else None
     b_ub = np.concatenate([rhs[le_rows], -rhs[ge_rows]]) if a_ub is not None else None
     a_eq = a[eq_rows] if len(eq_rows) else None
@@ -114,25 +108,21 @@ def _solve_highs(model):
 
 def solve(model: ModelInstance, options: SolveOptions | None = None) -> Solution:
     """Solve to proven optimality; deterministic for a fixed model+options."""
-    options = options or SolveOptions()
-    engine = options.engine
-    if engine not in ("simplex", "highs"):
+    engine = (options or SolveOptions()).engine
+    engines = {"highs": _solve_highs, "simplex": _solve_simplex}
+    if engine not in engines:
         raise ValueError(f"unknown engine {engine!r}")
     start = time.perf_counter()
-    if engine == "simplex":
-        status, x, obj, iters = _solve_simplex(model)
-    else:
-        status, x, obj, iters = _solve_highs(model)
+    status, x, obj, iters = engines[engine](model)
     elapsed = time.perf_counter() - start
-    resid = max_primal_residual(model, x) if status == simplex.OPTIMAL else float("nan")
     return Solution(status=status, x=np.asarray(x),
-                    objective=obj + model.objective_constant,
-                    max_residual=resid, iterations=iters,
+                    objective=obj + model.objective_constant, iterations=iters,
                     wall_time=elapsed, engine=engine)
 
 
 def max_primal_residual(model: ModelInstance, x) -> float:
-    """Largest constraint or bound violation of a candidate point."""
+    """Largest constraint or bound violation of a candidate point; ``verify``
+    reports the same per row family."""
     x = np.asarray(x)
     rows = float(np.max(_row_violations(model, x), initial=0.0))
     return max(rows, _bound_violation(model, x))
@@ -149,8 +139,7 @@ class VerifyReport:
 
     @property
     def max_violation(self) -> float:
-        vals = list(self.family_violation.values()) + [self.bound_violation]
-        return max(vals) if vals else 0.0
+        return max(self.bound_violation, *self.family_violation.values())
 
     @property
     def max_complementarity(self) -> float:

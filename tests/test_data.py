@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import datetime as dt
 import math
@@ -474,3 +475,14 @@ class TestCatalog:
     def test_unreadable_path(self, tmp_path):
         with pytest.raises(CatalogError):
             load_catalog(tmp_path / "nope.ini")
+
+
+def test_cell_over_the_csv_field_limit_names_its_line(tmp_path):
+    # the bulk reader leaves such a file to the line reader, where csv rejects it
+    paths = (tmp_path / "p.csv", tmp_path / "d.csv", tmp_path / "pv.csv")
+    save_dataset(make_demo_dataset(seed=5, n_days=2), *paths)
+    lines = paths[0].read_text().splitlines()
+    lines[3] += "0" * csv.field_size_limit()
+    paths[0].write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match=r"p\.csv:4: malformed row \(field larger"):
+        load_dataset(*paths, Horizon(t_syn=1))

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import importlib
 import json
 import os
 from unittest import mock
@@ -13,8 +14,8 @@ from hessmg.data import SERIES, Horizon, SourceSpec, make_demo_dataset, write_de
 from hessmg.run import (ExperimentConfig, RunContext, cached_scenario,
                         context_from_config, run_experiments, run_one,
                         scenario_cache_key,
-                        emit_traces, write_results_json, write_summary,
-                        summary_columns)
+                        emit_traces, write_outputs, write_results_json,
+                        write_summary, summary_columns)
 from hessmg.scenario import build_scenario
 
 import pathlib
@@ -181,6 +182,13 @@ class TestMatrix:
         assert by_id["bad"].status == "error" and "outside" in by_id["bad"].error
         assert by_id["good"].status == "optimal"
 
+    def test_residual_scan_is_not_needed(self, ctx, monkeypatch):
+        # verify is the one feasibility scan of a solved design
+        monkeypatch.setattr(importlib.import_module("hessmg.solve"), "max_primal_residual",
+                            mock.Mock(side_effect=AssertionError("scanned twice")))
+        res = run_one(ctx, ExperimentConfig(id="x", ess_subset=("battery",)))
+        assert res.status == "optimal" and res.error is None
+
     def test_unknown_technology_stops_before_any_solve(self, ctx, monkeypatch):
         solved = []
         monkeypatch.setattr("hessmg.run.run_one", lambda *args: solved.append(args))
@@ -243,6 +251,28 @@ class TestOutputs:
             assert value == ceiling or abs(value - ceiling) > 1e-9
         for value in list(res.e_max.values()) + list(res.p_max.values()):
             assert value == 0.0 or value > 1e-9
+
+    def test_failed_design_writes_no_numbers(self, ctx, case_catalog, tmp_path):
+        # a pin outside its bounds fails the design: its numbers are null and
+        # empty cells, never NaN, and results.json stays strict JSON
+        ceiling = ctx.catalog["battery"].e_cap_max
+        results = run_experiments(ctx, [
+            ExperimentConfig(id="ok", ess_subset=("battery",)),
+            ExperimentConfig(id="pinned", ess_subset=("battery",),
+                             fixed={"E_max.battery": ceiling + 1.0})])
+        write_outputs(results, list(case_catalog), tmp_path)
+
+        def no_constant(name):
+            raise ValueError(f"not JSON: {name}")
+        pinned = json.loads((tmp_path / "results.json").read_text(),
+                            parse_constant=no_constant)[1]
+        assert pinned["status"] == "error" and "outside" in pinned["error"]
+        assert pinned["objective_keur"] is None and pinned["p_grid_max_mw"] is None
+        with open(tmp_path / "summary.csv") as fh:
+            rows = {row[0]: row for row in csv.reader(fh)}
+        assert rows["pinned"][1:] == [""] * (len(rows["exp_id"]) - 2) + ["error"]
+        assert all(rows["ok"][1:-1])
+        assert (tmp_path / "traces_pinned.csv").read_text().splitlines() == ["step,series,value"]
 
     def test_traces_csv(self, ctx, tmp_path):
         res = run_one(ctx, ExperimentConfig(id="x", ess_subset=("battery",)))
@@ -350,10 +380,13 @@ class TestCli:
         out = tmp_path / "run"
         assert main(["optimize", "--config", str(cfg_path),
                      "--out-dir", str(out)]) == 0
-        assert (out / "result.json").exists()
-        assert (out / "traces.csv").exists()
-        assert (out / "summary.csv").exists()
-        assert "status=optimal" in capsys.readouterr().out
+        # the files `experiments` writes, for the one experiment "design",
+        # besides the scenario cache
+        files = set(os.listdir(out))
+        caches = {f for f in files if f.startswith("scenario-") and f.endswith(".json")}
+        assert len(caches) == 1
+        assert files - caches == {"summary.csv", "results.json", "traces_design.csv"}
+        assert "exp design: status=optimal" in capsys.readouterr().out
 
     def test_experiments(self, workspace, tmp_path, capsys):
         root, cfg_path = workspace
@@ -383,7 +416,7 @@ class TestCli:
         out = tmp_path / "run"
         assert main(["optimize", "--config", str(cfg_path), "--scenario",
                      str(scenario), "--out-dir", str(out)]) == 0
-        result = json.loads((out / "result.json").read_text())[0]
+        result = json.loads((out / "results.json").read_text())[0]
         assert result["status"] == "optimal"
         # a run given a scenario file clusters nothing, so it leaves no scenario cache
         assert not list(out.glob("scenario-*.json"))
@@ -397,7 +430,7 @@ class TestCli:
         assert main(["optimize", "--scenario", str(scenario),
                      "--catalog", str(RESOURCES / "catalog_case_study.ini"),
                      "--ess", "battery", "--out-dir", str(out)]) == 0
-        result = json.loads((out / "result.json").read_text())[0]
+        result = json.loads((out / "results.json").read_text())[0]
         assert result["status"] == "optimal"
 
     def test_optimize_takes_horizon_from_scenario(self, workspace, tmp_path):
@@ -409,7 +442,7 @@ class TestCli:
         assert main(["optimize", "--scenario", str(scenario),
                      "--catalog", str(RESOURCES / "catalog_case_study.ini"),
                      "--ess", "battery", "--out-dir", str(out)]) == 0
-        result = json.loads((out / "result.json").read_text())[0]
+        result = json.loads((out / "results.json").read_text())[0]
         assert result["status"] == "optimal"
         assert len(result["traces"]["demand_CH"]) == 3 * 24
 
@@ -441,6 +474,8 @@ class TestCli:
         ("experiments", [], {"experiments": [{"id": "a", "ess": ["battery"],
                                               "fixed": {"capex_epigraph.battery": 0}}]},
          "experiments[0].fixed: unknown pin 'capex_epigraph.battery'"),
+        ("experiments", [], {"experiments": [{"id": "../escaped", "ess": ["battery"]}]},
+         "field 'experiments[0].id' is not an integer or a string without '/', '\\' or NUL"),
         ("experiments", [], {"experiments": [{"id": "a", "ess": ["battery"]},
                                              {"id": "b", "ess": ["foo"]}]},
          "b: technologies not in catalog: ['foo']"),
@@ -462,7 +497,8 @@ class TestCli:
         ("optimize", ["--scenario", ""], {}, "No such file or directory: ''"),
     ], ids=["incomplete scenario", "missing scenario", "unknown technology",
             "string clusters", "unknown horizon field", "unknown grid field",
-            "unknown pin", "undotted pin", "epigraph pin", "experiment technology",
+            "unknown pin", "undotted pin", "epigraph pin", "path in experiment id",
+            "experiment technology",
             "experiment without id", "scenario without steps", "scenario bad date",
             "scenario steps not dividing a day", "nan tariff", "nan catalog field",
             "negative catalog field", "negative seed", "empty scenario path"])
