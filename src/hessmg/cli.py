@@ -81,9 +81,10 @@ def _solve(ctx, experiments, out_dir, jobs=1):
     every design is optimal and passes its checks."""
     results = runner.run_experiments(ctx, experiments, jobs)
     runner.write_outputs(results, list(ctx.catalog), out_dir)
-    for r in results:
+    for r in results:  # a failed design has no total, as in the output files
+        total = f" total={r.objective:.4f} kEUR" if r.breakdown is not None else ""
         note = f" ({r.error})" if r.error else ""
-        print(f"exp {r.exp_id}: status={r.status} total={r.objective:.4f} kEUR{note}")
+        print(f"exp {r.exp_id}: status={r.status}{total}{note}")
     return 0 if all(r.status == "optimal" and not r.error for r in results) else 1
 
 

@@ -34,6 +34,11 @@ class ExperimentConfig:
     ess_subset: tuple[str, ...]
     fixed: dict = field(default_factory=dict, hash=False)
 
+    def __post_init__(self):
+        if set("/\\\0") & set(self.id):
+            raise ValueError(f"experiment id {self.id!r} holds '/', '\\' or NUL, "
+                             "but it names the file traces_<id>.csv")
+
 
 @dataclass
 class DesignResult:
@@ -112,9 +117,10 @@ class RunContext:
 
 
 def scenario_cache_key(days: list[HistoricalDay], w: int, t_syn: int, seed: int) -> str:
-    """Digest of the historical data and synthesis parameters."""
+    """Digest of the scenario file layout (a tag: a cache file of an older
+    layout is rebuilt), the historical data and the synthesis parameters."""
     h = hashlib.sha256()
-    h.update(f"w={w};t={t_syn};seed={seed};".encode())
+    h.update(f"scenario-v2;w={w};t={t_syn};seed={seed};".encode())
     for day in days:
         h.update(day.date.isoformat().encode())
         for name in SERIES:
@@ -310,9 +316,7 @@ _CONFIG_FIELDS = {
 }
 _SOURCES_FIELDS = {"grid": OBJECT, "pv": OBJECT, "eta_demand": NUMBER}
 _EXPERIMENT_FIELDS = {
-    "id": JsonType("an integer or a string without '/', '\\' or NUL",
-                   lambda value: INTEGER.check(value)
-                   or STRING.check(value) and not set("/\\\0") & set(value)),
+    "id": JsonType("an integer or a string", lambda v: INTEGER.check(v) or STRING.check(v)),
     "ess": list_of("a list of strings", STRING),
     "fixed": JsonType("an object of numbers", lambda value: OBJECT.check(value)
                       and all(map(NUMBER.check, value.values()))),
@@ -342,9 +346,8 @@ def load_run_config(path) -> dict:
 
 def run_config(raw: dict, path) -> dict:
     """`raw` with RUN_DEFAULTS filled in; paths are left untouched. A field
-    that no setting takes, or that has another JSON type (an experiment id
-    names a trace file, so it holds no path separator or NUL), an
-    experiment without an id, and a pin that is not one of the experiment's
+    that no setting takes, or that has another JSON type, an experiment
+    without an id, and a pin that is not one of the experiment's
     ``design_pins`` raise ValueError naming it and `path`."""
     check_object(raw, _CONFIG_FIELDS, path)
     check_object(raw.get("horizon", {}), _spec_fields(Horizon), path, "horizon.")

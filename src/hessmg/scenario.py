@@ -119,10 +119,9 @@ def select_representatives(features, centroids, labels) -> np.ndarray:
     return reps
 
 
-def cluster_weights(labels, n_hist: int) -> np.ndarray:
-    """Empirical cluster probabilities, counts / n_hist."""
-    counts = np.bincount(labels, minlength=np.max(labels) + 1)
-    return counts / n_hist
+def cluster_weights(labels) -> np.ndarray:
+    """Empirical cluster probabilities: each cluster's share of the labels."""
+    return np.bincount(labels) / len(labels)
 
 
 def fit_transition(labels) -> np.ndarray:
@@ -165,42 +164,56 @@ def sample_sequence(transition, weights, t_syn: int, seed: int) -> np.ndarray:
 # field -> its JSON type
 _NUMBERS = list_of("a list of numbers", NUMBER)
 _INTEGERS = list_of("a list of integers", INTEGER)
-_MATRIX = list_of("a list of number lists", _NUMBERS)
 _SCENARIO_FIELDS = {
-    "n_clusters": INTEGER, "centroids": _MATRIX, "labels": _INTEGERS,
-    "rep_days": _INTEGERS, "weights": _NUMBERS, "transition": _MATRIX,
-    "sequence": _INTEGERS, "representatives": list_of("a list of objects", OBJECT),
+    "labels": _INTEGERS, "rep_days": _INTEGERS, "sequence": _INTEGERS,
+    "representatives": list_of("a list of objects", OBJECT),
 }
+_ARRAYS = ("labels", "rep_days", "sequence")
 _DAY_FIELDS = {"date": STRING, **dict.fromkeys(SERIES, _NUMBERS)}
 
 
 @dataclass
 class ScenarioModel:
-    """Clustering artifacts plus the sampled synthetic day sequence."""
+    """The clustering of the historical days and the sampled synthetic day
+    sequence: only what cannot be derived. The cluster count, weights and
+    transition matrix follow from these fields; building an inconsistent
+    scenario raises ValueError."""
 
-    n_clusters: int
-    centroids: np.ndarray        # (W, 12), standardized feature space
-    labels: np.ndarray           # per historical day
+    labels: np.ndarray           # cluster of each historical day
     rep_days: np.ndarray         # historical index of each cluster representative
-    weights: np.ndarray          # pi_w
-    transition: np.ndarray       # (W, W) row-stochastic
     sequence: np.ndarray         # t_syn cluster labels
     representatives: list[HistoricalDay]  # one per cluster, index-aligned
+
+    def __post_init__(self):
+        self.validate()
+
+    @property
+    def n_clusters(self) -> int:
+        return len(self.representatives)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """pi_w, each cluster's share of the historical days."""
+        return cluster_weights(self.labels)
+
+    @property
+    def transition(self) -> np.ndarray:
+        """(W, W) row-stochastic day-to-day transition matrix."""
+        return fit_transition(self.labels)
 
     @property
     def synthetic_days(self) -> list[HistoricalDay]:
         return [self.representatives[j] for j in self.sequence]
 
     def validate(self):
-        """Raise ValueError unless the artifacts fit together: a
-        probability vector, a row-stochastic transition matrix, one
-        representative per cluster (all of one nonzero step count that
-        divides the 1440 minutes of a day, each a day of its own cluster), and
-        a sequence that visits every cluster and no other index."""
-        w = self.n_clusters
-        if w < 1 or len(self.representatives) != w:
-            raise ValueError(f"{len(self.representatives)} representatives "
-                             f"for {w} clusters")
+        """Raise ValueError unless the fields fit together: W >= 1
+        representatives, all of one nonzero step count that divides the
+        1440 minutes of a day, labels that name clusters 0..W-1 only, each
+        representative a day of its own cluster, and a sequence that visits
+        every cluster and no other index."""
+        w = len(self.representatives)
+        if w < 1:
+            raise ValueError("scenario holds no representatives")
         lengths = {len(d.price) for d in self.representatives}
         if len(lengths) != 1:
             raise ValueError("representatives differ in length")
@@ -210,11 +223,9 @@ class ScenarioModel:
         if 1440 % steps:
             raise ValueError(f"representatives hold {steps} steps a day, "
                              "which does not divide 1440")
-        if self.weights.shape != (w,) or not abs(self.weights.sum() - 1.0) <= 1e-12:
-            raise ValueError("weights are not a probability vector over the clusters")
-        if (self.transition.shape != (w, w) or not np.all(self.transition >= 0)
-                or not np.all(np.abs(self.transition.sum(axis=1) - 1.0) <= 1e-12)):
-            raise ValueError("transition is not a row-stochastic matrix over the clusters")
+        outside = self.labels[(self.labels < 0) | (self.labels >= w)]
+        if len(outside):
+            raise ValueError(f"labels name cluster {outside[0]}, outside 0..{w - 1}")
         if self.sequence.ndim != 1 or np.any((self.sequence < 0) | (self.sequence >= w)):
             raise ValueError("sequence index outside the representatives")
         if set(self.sequence.tolist()) != set(range(w)):
@@ -225,7 +236,7 @@ class ScenarioModel:
             raise ValueError("a representative is not a day of its own cluster")
 
     def to_json(self) -> str:
-        raw = {name: getattr(self, name) for name in _SCENARIO_FIELDS}
+        raw = {name: getattr(self, name) for name in _ARRAYS}
         raw["representatives"] = [
             {"date": d.date.isoformat(), **{name: getattr(d, name) for name in SERIES}}
             for d in self.representatives]
@@ -248,25 +259,13 @@ class ScenarioModel:
                 raise ValueError(f"scenario: field 'representatives[{i}].date' "
                                  f"is not an ISO date ({exc})") from None
             reps.append(HistoricalDay(date, **{name: np.array(d[name]) for name in SERIES}))
-        model = cls(
-            n_clusters=raw["n_clusters"],
-            centroids=np.array(raw["centroids"]),
-            labels=np.array(raw["labels"], dtype=int),
-            rep_days=np.array(raw["rep_days"], dtype=int),
-            weights=np.array(raw["weights"]),
-            transition=np.array(raw["transition"]),
-            sequence=np.array(raw["sequence"], dtype=int),
-            representatives=reps,
-        )
-        model.validate()
-        return model
+        return cls(**{name: np.array(raw[name], dtype=int) for name in _ARRAYS},
+                   representatives=reps)
 
     def __eq__(self, other):
         if not isinstance(other, ScenarioModel):
             return NotImplemented
-        arrays = ("centroids", "labels", "rep_days", "weights", "transition", "sequence")
-        return (self.n_clusters == other.n_clusters
-                and all(np.array_equal(getattr(self, a), getattr(other, a)) for a in arrays)
+        return (all(np.array_equal(getattr(self, a), getattr(other, a)) for a in _ARRAYS)
                 and self.representatives == other.representatives)
 
 
@@ -275,15 +274,9 @@ def build_scenario(days: list[HistoricalDay], w: int, t_syn: int, seed: int) -> 
     features = standardize(np.array([extract_features(d) for d in days]))
     centroids, labels = kmeans(features, w, seed)
     reps = select_representatives(features, centroids, labels)
-    weights = cluster_weights(labels, len(days))
-    transition = fit_transition(labels)
-    sequence = sample_sequence(transition, weights, t_syn, seed)
-    model = ScenarioModel(
-        n_clusters=w, centroids=centroids, labels=labels, rep_days=reps,
-        weights=weights, transition=transition, sequence=sequence,
-        representatives=[days[i] for i in reps])
-    model.validate()
-    return model
+    sequence = sample_sequence(fit_transition(labels), cluster_weights(labels), t_syn, seed)
+    return ScenarioModel(labels=labels, rep_days=reps, sequence=sequence,
+                         representatives=[days[i] for i in reps])
 
 
 def stationary_distribution(transition) -> np.ndarray:

@@ -13,10 +13,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
-ITERATION_LIMIT = "iteration-limit"
+from .solve import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, UNBOUNDED
 
 
 def _initial_point(lower, upper):
@@ -151,9 +148,7 @@ def simplex_solve(c, a, b, lower, upper, feas_tol=1e-7, opt_tol=1e-7,
                   max_iter=None):
     """Two-phase bounded simplex on min c'x s.t. ax = b, lower <= x <= upper.
 
-    Returns (status, x, objective, iterations). On infeasibility the phase-1
-    row index with the largest remaining artificial is reported through the
-    `certificate_row` attribute of the returned status string wrapper.
+    Returns (status, x, objective, iterations).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

@@ -16,8 +16,13 @@ import scipy.optimize
 import scipy.sparse as sp
 
 from .lp import EQ, GE, LE, SENSES, ModelInstance
-from . import simplex
 
+
+# Solution.status; HiGHS may also end with a message of its own
+OPTIMAL = "optimal"
+INFEASIBLE = "infeasible"
+UNBOUNDED = "unbounded"
+ITERATION_LIMIT = "iteration-limit"
 
 FEAS_TOL = 1e-7     # primal feasibility tolerance of both engines
 OPT_TOL = 1e-7      # dual feasibility (optimality) tolerance of both engines
@@ -39,7 +44,7 @@ class Solution:
 
     @property
     def optimal(self) -> bool:
-        return self.status == simplex.OPTIMAL
+        return self.status == OPTIMAL
 
     def value(self, model: ModelInstance, kind, entity, step=None) -> float:
         return float(self.x[model.var(kind, entity, step)])
@@ -61,6 +66,8 @@ def to_equality_form(model: ModelInstance):
 
 
 def _solve_simplex(model):
+    from . import simplex  # the reference engine, loaded only when selected
+
     a, b, lo, hi, c, n = to_equality_form(model)
     status, x, obj, iters = simplex.simplex_solve(
         c, a, b, lo, hi, feas_tol=FEAS_TOL, opt_tol=OPT_TOL)
@@ -98,8 +105,8 @@ def _solve_highs(model):
         bounds=np.column_stack([lower, upper]), method="highs",
         options={"primal_feasibility_tolerance": FEAS_TOL,
                  "dual_feasibility_tolerance": OPT_TOL})
-    status = {0: simplex.OPTIMAL, 1: simplex.ITERATION_LIMIT,
-              2: simplex.INFEASIBLE, 3: simplex.UNBOUNDED}.get(res.status, res.message)
+    status = {0: OPTIMAL, 1: ITERATION_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}.get(
+        res.status, res.message)
     x = res.x if res.x is not None else np.zeros(model.n_vars)
     obj = float(res.fun) if res.fun is not None else float("nan")
     iters = int(getattr(res, "nit", 0))

@@ -170,6 +170,12 @@ class TestMatrix:
         with pytest.raises(ValueError, match="unique"):
             run_experiments(ctx, [e, e])
 
+    @pytest.mark.parametrize("exp_id", ["../escaped", "a/../../x", "a\\b", "nul\0"])
+    def test_id_naming_a_path_rejected(self, exp_id):
+        # the id names the file traces_<id>.csv in the output directory
+        with pytest.raises(ValueError, match="names the file traces_<id>.csv"):
+            ExperimentConfig(id=exp_id, ess_subset=("battery",))
+
     def test_failure_is_isolated(self, ctx):
         # a pin outside its bounds fails in the build, one design only
         ceiling = ctx.catalog["battery"].e_cap_max
@@ -304,6 +310,15 @@ class TestScenarioCache:
         assert second == first
         assert list(tmp_path.glob("scenario-*.json")) == files
 
+    def test_older_layout_cache_is_rebuilt(self, tmp_path):
+        # the name of these inputs' cache file before the key hashed the layout
+        days = make_demo_dataset(seed=0, n_days=20)
+        older = tmp_path / "scenario-65fb028a458d6a87.json"
+        older.write_text('{"n_clusters": 2}')
+        assert cached_scenario(days, 2, 4, 0, cache_dir=tmp_path) == build_scenario(days, 2, 4, 0)
+        assert older.read_text() == '{"n_clusters": 2}'
+        assert len(list(tmp_path.glob("scenario-*.json"))) == 2
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -339,7 +354,8 @@ class TestCli:
         assert main(["synth", "--config", str(cfg_path),
                      "--out", str(out)]) == 0
         text = json.loads(out.read_text())
-        assert text["n_clusters"] == 2 and len(text["sequence"]) == 2
+        assert set(text) == {"labels", "rep_days", "sequence", "representatives"}
+        assert len(text["representatives"]) == 2 and len(text["sequence"]) == 2
 
     def test_synth_from_flags_matches_config(self, workspace, tmp_path):
         csvs = {key: json.loads(workspace[1].read_text())[key]
@@ -457,7 +473,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command, extra, config, message", [
         ("optimize", ["--scenario", "{tmp}/bad.json"], {},
-         "scenario: missing field 'centroids'"),
+         "scenario: unknown field 'n_clusters'"),
         ("optimize", ["--scenario", "{tmp}/missing.json"], {}, "No such file or directory"),
         ("export-mps", ["--ess", "battery,foo", "--out", "{tmp}/m.mps"], {},
          "export: technologies not in catalog: ['foo']"),
@@ -475,7 +491,8 @@ class TestCli:
                                               "fixed": {"capex_epigraph.battery": 0}}]},
          "experiments[0].fixed: unknown pin 'capex_epigraph.battery'"),
         ("experiments", [], {"experiments": [{"id": "../escaped", "ess": ["battery"]}]},
-         "field 'experiments[0].id' is not an integer or a string without '/', '\\' or NUL"),
+         "experiment id '../escaped' holds '/', '\\' or NUL, "
+         "but it names the file traces_<id>.csv"),
         ("experiments", [], {"experiments": [{"id": "a", "ess": ["battery"]},
                                              {"id": "b", "ess": ["foo"]}]},
          "b: technologies not in catalog: ['foo']"),
@@ -495,13 +512,16 @@ class TestCli:
          "battery: max_energy_kwh must be a finite number in (0, inf), got -5.0"),
         ("optimize", [], {"seed": -1}, "field 'seed' is not a non-negative integer"),
         ("optimize", ["--scenario", ""], {}, "No such file or directory: ''"),
+        ("optimize", ["--scenario", "{tmp}/bad_label.json"], {},
+         "labels name cluster 99, outside 0..0"),
     ], ids=["incomplete scenario", "missing scenario", "unknown technology",
             "string clusters", "unknown horizon field", "unknown grid field",
             "unknown pin", "undotted pin", "epigraph pin", "path in experiment id",
             "experiment technology",
             "experiment without id", "scenario without steps", "scenario bad date",
             "scenario steps not dividing a day", "nan tariff", "nan catalog field",
-            "negative catalog field", "negative seed", "empty scenario path"])
+            "negative catalog field", "negative seed", "empty scenario path",
+            "scenario label outside the clusters"])
     def test_input_faults_print_one_line(self, workspace, tmp_path, capsys,
                                          command, extra, config, message):
         root, cfg_path = workspace
@@ -514,6 +534,7 @@ class TestCli:
             {**raw, "representatives": [{**day, "date": "2021-13-01"}]}))
         (tmp_path / "seven_steps.json").write_text(json.dumps(
             {**raw, "representatives": [{**day, **{n: day[n][:7] for n in SERIES}}]}))
+        (tmp_path / "bad_label.json").write_text(json.dumps({**raw, "labels": [0, 99]}))
         catalog = (RESOURCES / "catalog_case_study.ini").read_text()
         (tmp_path / "nan_catalog.ini").write_text(catalog.replace(
             "cost_energy_eur_per_kwh = 900", "cost_energy_eur_per_kwh = nan"))
@@ -532,6 +553,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("hessmg: error: ") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_failed_design_reports_no_total(self, workspace, tmp_path, capsys):
+        # the report line, like the output files, gives no number for a failed design
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**json.loads(workspace[1].read_text()), "experiments": [
+            {"id": "ok", "ess": ["battery"]},
+            {"id": "pinned", "ess": ["battery"], "fixed": {"E_max.battery": 99}}]}))
+        assert main(["experiments", "--config", str(cfg_path),
+                     "--out-dir", str(tmp_path / "run")]) == 1
+        ok, pinned = capsys.readouterr().out.splitlines()
+        assert ok.startswith("exp ok: status=optimal total=") and ok.endswith(" kEUR")
+        assert pinned == ("exp pinned: status=error "
+                          "(pinned E_max.battery = 99 lies outside [0.0, 5.0])")
 
     def test_sub_hourly_scenario_sets_the_step(self, tmp_path):
         scenario = tmp_path / "scenario.json"

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hessmg.data import SERIES, DataFormatError, HistoricalDay, make_demo_dataset
 from hessmg.scenario import (ScenarioModel, build_scenario, cluster_weights,
@@ -119,10 +121,10 @@ class TestRepresentatives:
 
 
 def test_cluster_weights_counting():
-    pi = cluster_weights(np.array([0, 0, 1, 1, 1, 1]), 6)
+    pi = cluster_weights(np.array([0, 0, 1, 1, 1, 1]))
     np.testing.assert_allclose(pi, [1 / 3, 2 / 3])
     assert pi.sum() == 1.0
-    assert cluster_weights(np.array([0, 0]), 2).tolist() == [1.0]
+    assert cluster_weights(np.array([0, 0])).tolist() == [1.0]
 
 
 class TestTransition:
@@ -183,7 +185,6 @@ class TestBuildScenario:
     def test_case_study_shape(self):
         days = make_demo_dataset(seed=0, n_days=120)
         sc = build_scenario(days, w=20, t_syn=30, seed=0)
-        sc.validate()
         assert sc.n_clusters == 20 and len(sc.sequence) == 30
         assert len(sc.synthetic_days) == 30
 
@@ -202,7 +203,32 @@ class TestBuildScenario:
         sc = build_scenario(days, 4, 10, seed=1)
         again = ScenarioModel.from_json(sc.to_json())
         assert again == sc
-        again.validate()
+        assert set(json.loads(sc.to_json())) == {"labels", "rep_days", "sequence",
+                                                 "representatives"}
+
+    def test_label_outside_the_clusters_rejected(self):
+        sc = build_scenario(make_demo_dataset(seed=4, n_days=10), 2, 4, seed=1)
+        fields = {"labels": sc.labels, "rep_days": sc.rep_days, "sequence": sc.sequence,
+                  "representatives": sc.representatives}
+        for bad in (7, 2, -1):
+            labels = sc.labels.copy()
+            labels[-1] = bad
+            with pytest.raises(ValueError, match=f"labels name cluster {bad}, outside 0..1"):
+                ScenarioModel(**{**fields, "labels": labels})
+
+
+@settings(max_examples=20, deadline=None)
+@given(w=st.integers(1, 6), extra_days=st.integers(0, 6), seed=st.integers(0, 2**16))
+def test_scenario_round_trip_and_derived_statistics(w, extra_days, seed):
+    """A built scenario reads back equal from its JSON, and its weights and
+    transition matrix are the ones its labels give."""
+    days = make_demo_dataset(seed=seed % 7, n_days=12)
+    sc = build_scenario(days, w, w + extra_days, seed)
+    assert ScenarioModel.from_json(sc.to_json()) == sc
+    assert sc.n_clusters == w and len(sc.sequence) == w + extra_days
+    assert np.array_equal(sc.weights, np.bincount(sc.labels) / len(sc.labels))
+    assert sc.transition.shape == (w, w)
+    np.testing.assert_allclose(sc.transition.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def _truncate_second_representative(raw):
@@ -224,13 +250,13 @@ class TestScenarioJson:
         return json.loads(build_scenario(days, 2, 4, seed=1).to_json())
 
     @pytest.mark.parametrize("edit, match", [
-        (_set("weights", [0.9, 0.2]), "probability vector"),
-        (_set("transition", [[1.5, -0.5], [0.5, 0.5]]), "row-stochastic"),
+        (lambda raw: raw["labels"].__setitem__(-1, 7), "cluster 7, outside 0..1"),
+        (lambda raw: raw["labels"].__setitem__(0, -1), "cluster -1, outside 0..1"),
         (_set("sequence", [0, 1, 2, 1]), "sequence index outside the representatives"),
         (_set("sequence", [0, 1, -1, 1]), "sequence index outside the representatives"),
         (_set("sequence", [0, 0, 0, 0]), "does not visit every cluster"),
         (_truncate_second_representative, "representatives differ in length"),
-        (lambda raw: raw["representatives"].pop(), "1 representatives for 2 clusters"),
+        (lambda raw: raw["representatives"].pop(), "cluster 1, outside 0..0"),
         (lambda raw: raw["rep_days"].reverse(), "not a day of its own cluster"),
         (_set("rep_days", [0, 999]), "not a day of its own cluster"),
         (lambda raw: [d.update(dict.fromkeys(SERIES, [])) for d in raw["representatives"]],
@@ -247,20 +273,23 @@ class TestScenarioJson:
 
     @pytest.mark.parametrize("edit, match", [
         (lambda raw: raw.pop("representatives"), "scenario: missing field 'representatives'"),
-        (lambda raw: raw.pop("n_clusters"), "scenario: missing field 'n_clusters'"),
+        (_set("n_clusters", 2), "scenario: unknown field 'n_clusters'"),
         (lambda raw: raw["representatives"][1].pop("pv_cf"),
          "scenario: missing field 'representatives[1].pv_cf'"),
-        (lambda raw: raw.clear(), "scenario: missing field 'n_clusters'"),
+        (lambda raw: raw.clear(), "scenario: missing field 'labels'"),
         (_set("representatives", 5), "scenario: field 'representatives' is not a list of objects"),
         (lambda raw: raw["representatives"].append(3),
          "scenario: field 'representatives' is not a list of objects"),
-        (_set("n_clusters", "2"), "scenario: field 'n_clusters' is not an integer"),
-        (_set("n_clusters", True), "scenario: field 'n_clusters' is not an integer"),
+        (_set("n_clusters", "2"), "scenario: unknown field 'n_clusters'"),
+        (_set("n_clusters", True), "scenario: unknown field 'n_clusters'"),
         (_set("labels", "0101"), "scenario: field 'labels' is not a list of integers"),
         (_set("sequence", [0, 1, 0.5, 1]), "scenario: field 'sequence' is not a list of integers"),
-        (_set("weights", [0.5, "0.5"]), "scenario: field 'weights' is not a list of numbers"),
-        (_set("transition", [[1.0, 0.0], 1.0]),
-         "scenario: field 'transition' is not a list of number lists"),
+        (_set("weights", [0.5, "0.5"]), "scenario: unknown field 'weights'"),
+        (_set("transition", [[1.0, 0.0], 1.0]), "scenario: unknown field 'transition'"),
+        (lambda raw: raw.pop("labels"), "scenario: missing field 'labels'"),
+        (lambda raw: raw["labels"].__setitem__(0, True),
+         "scenario: field 'labels' is not a list of integers"),
+        (_set("rep_days", [0, 1.0]), "scenario: field 'rep_days' is not a list of integers"),
         (lambda raw: raw["representatives"][0].__setitem__("price", "12.0"),
          "scenario: field 'representatives[0].price' is not a list of numbers"),
         (lambda raw: raw["representatives"][1].__setitem__("date", 20210101),
@@ -273,7 +302,8 @@ class TestScenarioJson:
     ], ids=["representatives", "n_clusters", "day pv_cf", "empty object",
             "representatives int", "representative int", "n_clusters string",
             "n_clusters bool", "labels string", "sequence float", "weights string",
-            "transition row number", "day price string", "day date number",
+            "transition row number", "labels", "labels bool", "rep_days float",
+            "day price string", "day date number",
             "day date invalid", "unknown field", "day unknown field"])
     def test_missing_field_named(self, raw, edit, match):
         edited = copy.deepcopy(raw)
@@ -293,3 +323,10 @@ class TestScenarioJson:
 
     def test_consistent_scenario_accepted(self, raw):
         assert ScenarioModel.from_json(json.dumps(raw)).n_clusters == 2
+
+    def test_older_layout_names_its_first_removed_field(self, raw):
+        # the layout that also stored what the labels give
+        older = {"n_clusters": 2, "centroids": [[0.0] * 12] * 2, **raw,
+                 "weights": [0.5, 0.5], "transition": [[0.5, 0.5], [0.5, 0.5]]}
+        with pytest.raises(ValueError, match=re.escape("scenario: unknown field 'n_clusters'")):
+            ScenarioModel.from_json(json.dumps(older))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from hessmg.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, simplex_solve)
+from hessmg.simplex import simplex_solve
+from hessmg.solve import INFEASIBLE, OPTIMAL, UNBOUNDED
 
 
 def _solve(c, a, b, lo, hi):

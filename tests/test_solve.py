@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -38,6 +43,13 @@ def test_equality_form_slack_bounds():
 
 
 class TestEngines:
+    def test_import_leaves_the_reference_engine_unloaded(self):
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import hessmg, sys; sys.exit('hessmg.simplex' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
     def test_default_engine_is_highs_for_small_models(self):
         _, model = _model(ess=False)
         sol = solve(model)
