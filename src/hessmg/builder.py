@@ -97,10 +97,10 @@ def register_variables(model: ModelInstance, data: ProblemData):
     model.add_var("P_max_src", PV, lb=0.0, ub=pv.p_cap_max)
     model.add_var("P_peak", GRID, lb=0.0)
 
-    # Static grid-side caps: the contracted-capacity rows couple the *net*
-    # bus flow, which leaves a paired import+export ray unbounded when
-    # prices go negative. The converter hardware cannot exceed the largest
-    # contractable rating, which closes that ray.
+    # Static column caps at the largest rating: the gross converter rows
+    # (grid_cap, ess_pow) already imply them and close the paired
+    # import+export and charge+discharge rays, so these stay only as bounds
+    # that HiGHS uses (dropping them costs it more iterations).
     import_cap = grid.p_cap_max / grid.eta_c
     export_cap = grid.p_cap_max * grid.eta_d
     model.add_vars([("P_src_plus", GRID, 0.0, import_cap),
@@ -117,24 +117,24 @@ def register_variables(model: ModelInstance, data: ProblemData):
 
 
 def add_source_flows(model: ModelInstance, data: ProblemData):
-    """PV availability and contracted-capacity envelopes for the grid.
+    """PV availability and the contracted-capacity row of the grid.
 
-    Bus-side grid power is eta_c*P+ - P-/eta_d; its magnitude is limited by
-    the contracted capacity variable. PV bus power is limited by
-    eta_pv * cf_k * P_pv_max (curtailment allowed).
+    The grid converter moves power one way at a time, up to the contracted
+    capacity: import eta_c*P+ or export P-/eta_d at the bus. One gross row,
+    eta_c*P+ + P-/eta_d <= P_max_src.G, is the convex hull of that
+    disjunction, so the LP admits no paired flow at full rating. PV bus
+    power is limited by eta_pv * cf_k * P_pv_max (curtailment allowed).
     """
     grid, pv = data.sources.grid, data.sources.pv
     pv_max = model.var("P_max_src", PV)
     g_max = model.var("P_max_src", GRID)
-    imp = model.columns("P_src_plus", GRID)
-    exp = model.columns("P_src_minus", GRID)
-    net = [(imp, grid.eta_c), (exp, -1.0 / grid.eta_d)]
     _add_step_rows(
         model, "bounds", data.horizon.n_steps,
         ("pv_avail.k", LE, 0.0, [(model.columns("P_pv", PV), 1.0),
                                  (pv_max, -pv.eta * data.pv_cf)]),
-        ("grid_cap_hi.k", LE, 0.0, net + [(g_max, -1.0)]),
-        ("grid_cap_lo.k", LE, 0.0, [(c, -v) for c, v in net] + [(g_max, -1.0)]))
+        ("grid_cap.k", LE, 0.0, [(model.columns("P_src_plus", GRID), grid.eta_c),
+                                 (model.columns("P_src_minus", GRID), 1.0 / grid.eta_d),
+                                 (g_max, -1.0)]))
 
 
 def add_balance(model: ModelInstance, data: ProblemData):
@@ -162,12 +162,13 @@ def add_capacity_bounds(model: ModelInstance, data: ProblemData):
             groups.append((f"soe_dod.{name}.k", GE, 0.0,
                            [(soe, 1.0), (e_max, -ess.dod_min_frac)]))
         _add_step_rows(model, "bounds", data.horizon.n_steps + 1, *groups)
-        plus = model.columns("P_ess_plus", name)
-        minus = model.columns("P_ess_minus", name)
+        # one direction at a time, up to the rating: the gross row is the
+        # hull of "discharge or charge", as for the grid in add_source_flows
         _add_step_rows(
             model, "bounds", data.horizon.n_steps,
-            (f"ess_pow_hi.{name}.k", LE, 0.0, [(plus, 1.0), (minus, -1.0), (p_max, -1.0)]),
-            (f"ess_pow_lo.{name}.k", LE, 0.0, [(plus, -1.0), (minus, 1.0), (p_max, -1.0)]))
+            (f"ess_pow.{name}.k", LE, 0.0, [(model.columns("P_ess_plus", name), 1.0),
+                                            (model.columns("P_ess_minus", name), 1.0),
+                                            (p_max, -1.0)]))
 
 
 def gross_flow_terms(model: ModelInstance, data: ProblemData, name: str):

@@ -458,16 +458,42 @@ _CATALOG_FIELDS = {
 }
 
 
+def _catalog_syntax_fault(path, exc: configparser.Error) -> CatalogError:
+    """One line naming the catalog file, the line the parser blames (when
+    it gives one) and what is wrong there."""
+    lineno = getattr(exc, "lineno", None)
+    if isinstance(exc, configparser.DuplicateOptionError):
+        what = f"key {exc.option} repeated in [{exc.section}]"
+    elif isinstance(exc, configparser.DuplicateSectionError):
+        what = f"section [{exc.section}] repeated"
+    elif isinstance(exc, configparser.MissingSectionHeaderError):
+        what = f"key before any [section]: {exc.line.strip()}"
+    elif isinstance(exc, configparser.ParsingError):
+        lineno = exc.errors[0][0]
+        what = "not a key = value line"
+    else:
+        what = " ".join(exc.message.split())
+    return CatalogError(f"{path}:{lineno}: {what}" if lineno else f"{path}: {what}")
+
+
 def load_catalog(catalog_path) -> dict[str, EssSpec]:
-    """Read the storage technology catalog (one INI section per technology)."""
-    parser = configparser.ConfigParser()
-    if not parser.read(catalog_path):
-        raise CatalogError(f"cannot read catalog {catalog_path}")
+    """Read the storage technology catalog (one INI section per technology).
+    Every section holds exactly the keys of `_CATALOG_FIELDS`, each value
+    read as written (no `%` interpolation)."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        if not parser.read(catalog_path):
+            raise CatalogError(f"cannot read catalog {catalog_path}")
+        raw = {name: dict(parser[name]) for name in parser.sections()}
+    except configparser.Error as exc:
+        raise _catalog_syntax_fault(catalog_path, exc) from None
     # a value is checked as written: every scale is positive, so its interval holds
     intervals = {f.name: f.metadata.get("interval") for f in fields(EssSpec)}
     catalog = {}
-    for name in parser.sections():
-        section = parser[name]
+    for name, section in raw.items():
+        for key in section:
+            if key not in _CATALOG_FIELDS:
+                raise CatalogError(f"{name}: unknown field {key}")
         vals = {}
         for key, (spec_field, scale) in _CATALOG_FIELDS.items():
             if key not in section:

@@ -174,8 +174,9 @@ VIOLATION_TOL = 1e-6  # largest verify violation of a design reported without er
 
 def paired_flow_warnings(report: VerifyReport) -> list[str]:
     """One line per entity whose import/export (grid) or charge/discharge
-    (storage) pair is nonzero together at some step. An LP cannot forbid
-    this; the optimum uses it to dump energy as conversion losses."""
+    (storage) pair is nonzero together at some step. The gross converter
+    rows forbid pairing at full rating but not below it, where the optimum
+    can still use it to dump energy as conversion losses."""
     out = []
     for entity, products in report.pair_products.items():
         steps = np.flatnonzero(products > PAIR_TOL)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hessmg.builder import (GRID, PV, BuildError, ProblemData, build)
 from hessmg.costs import eol_discount, npv_factor
 from hessmg.data import EssSpec, Horizon, SourceSpec, make_demo_dataset
-from hessmg.lp import GE, LE
+from hessmg.lp import GE, LE, Row
 from hessmg.scenario import build_scenario
 from hessmg.solve import SolveOptions, max_primal_residual, solve
 from test_wear import _gross
@@ -53,7 +55,8 @@ class TestStructure:
         # sources: 2 capacities + peak + 3 per step; storage: 3 designs,
         # K+1 states, 2 per step (wear is an expression of the powers)
         assert model.n_vars == 3 + 3 * k + 3 + (k + 1) + 2 * k
-        assert (model.n_vars, model.n_rows) == (151, 269)
+        # one gross converter row per step each for the grid and the battery
+        assert (model.n_vars, model.n_rows) == (151, 221)
         assert not [n for n in model.col_names
                     if n.startswith(("R_crate.", "q_aux.", "Q_throughput."))]
 
@@ -149,6 +152,27 @@ class TestCoefficients:
         assert [r.name for r in model.rows if r.family == "mccormick"] == [
             f"q_crate.battery.k{k}" for k in range(24)]
 
+    def test_gross_converter_rows(self):
+        # one row per converter and step caps the gross flow by the rating:
+        # grid eta_c P+ + P-/eta_d <= P_max_src.G, storage P+ + P- <= P_max_ess
+        model = build(_data(ess={"battery": BATTERY}))
+        grid = _row(model, "grid_cap.k6")
+        assert grid.sense == "<=" and grid.rhs == 0.0 and grid.family == "bounds"
+        assert _coef(model, grid, "P_src_plus", GRID, 6) == pytest.approx(0.95)
+        assert _coef(model, grid, "P_src_minus", GRID, 6) == pytest.approx(1 / 0.95)
+        assert _coef(model, grid, "P_max_src", GRID) == -1.0
+        ess = _row(model, "ess_pow.battery.k6")
+        assert ess.sense == "<=" and ess.rhs == 0.0 and ess.family == "bounds"
+        assert _coef(model, ess, "P_ess_plus", "battery", 6) == 1.0
+        assert _coef(model, ess, "P_ess_minus", "battery", 6) == 1.0
+        assert _coef(model, ess, "P_max_ess", "battery") == -1.0
+        assert len(grid.cols) == len(ess.cols) == 3
+        names = model.row_names
+        assert [n for n in names if n.startswith("grid_cap")] == [
+            f"grid_cap.k{k}" for k in range(24)]
+        assert [n for n in names if n.startswith("ess_pow")] == [
+            f"ess_pow.battery.k{k}" for k in range(24)]
+
     def test_throughput_row(self):
         # no throughput row: the objective charges wear per MWh of gross
         # flow on the storage powers, (tau/eta_d) P+ and tau eta_c P-
@@ -232,6 +256,75 @@ class TestSmallSolves:
             assert net >= -1e-9, name
             served += plus[0] - minus[0]
         assert served >= 4.0 - 2.8 - 1e-9
+
+
+def _with_net_rows(model):
+    """The same LP with each gross converter row, a*P+ + b*P- - cap <= 0,
+    replaced by the two net rows +-(a*P+ - b*P-) - cap <= 0 that leave
+    pairing free up to the rating."""
+    rows = []
+    for r in model.rows:
+        if not r.name.startswith(("grid_cap.", "ess_pow.")):
+            rows.append(r)
+            continue
+        flows = [(c, v) for c, v in zip(r.cols, r.coefs) if v > 0]
+        cap = [(c, v) for c, v in zip(r.cols, r.coefs) if v < 0]
+        (plus, a), (minus, b) = flows
+        head, _, tail = r.name.partition(".")
+        for side, sign in (("_hi", 1.0), ("_lo", -1.0)):
+            terms = [(plus, sign * a), (minus, -sign * b)] + cap
+            rows.append(Row([c for c, _ in terms], [v for _, v in terms], r.sense, r.rhs,
+                            f"{head}{side}.{tail}", r.family))
+    model.rows = rows
+    return model
+
+
+def _demo_day(price, ess):
+    """The first demo day (its charger peak exceeds the grid ceiling) with
+    its prices replaced."""
+    day = make_demo_dataset(seed=0, n_days=1)[0]
+    return ProblemData(horizon=Horizon(t_syn=1), sources=SourceSpec(), ess=ess,
+                       price=np.asarray(price, dtype=float), demand_ch=day.demand_ch,
+                       demand_wh=day.demand_wh, pv_cf=day.pv_cf)
+
+
+class TestGrossConverterRows:
+    """Each converter gets one gross row per step, the convex hull of "one
+    direction at a time, up to the rating". The two net rows it replaced
+    admit every gross-row dispatch, so the gross optimum is never below
+    the net one; without negative prices pairing gains nothing, and the
+    optima agree."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(price=st.lists(st.floats(-200.0, 400.0), min_size=24, max_size=24),
+           floor=st.sampled_from([-200.0, 0.0]), supercapacitor=st.booleans())
+    def test_never_below_the_net_rows(self, case_catalog, price, floor, supercapacitor):
+        ess = {"battery": BATTERY}
+        if supercapacitor:
+            ess["supercapacitor"] = case_catalog["supercapacitor"]
+        data = _demo_day(np.maximum(price, floor), ess)
+        gross, net = solve(build(data)), solve(_with_net_rows(build(data)))
+        assert gross.optimal and net.optimal
+        scale = max(1.0, abs(net.objective))
+        assert gross.objective >= net.objective - 1e-9 * scale
+        if (data.price >= 0).all():
+            assert gross.objective == pytest.approx(net.objective, rel=1e-9)
+
+    def test_negative_prices_do_not_pair_at_full_rating(self):
+        # prices shifted down by 80 EUR/MWh go negative at night, where the
+        # net rows let the grid import and export at once beyond the rating
+        data = _demo_day(make_demo_dataset(seed=0, n_days=1)[0].price - 80.0,
+                         {"battery": BATTERY})
+        assert (data.price < 0).any()
+        grid = data.sources.grid
+        excess = []
+        for model in (build(data), _with_net_rows(build(data))):
+            sol = solve(model)
+            assert sol.optimal
+            gross = (grid.eta_c * sol.x[model.columns("P_src_plus", GRID)]
+                     + sol.x[model.columns("P_src_minus", GRID)] / grid.eta_d)
+            excess.append(gross.max() - sol.value(model, "P_max_src", GRID))
+        assert excess[0] <= 1e-9 < excess[1]
 
 
 def _lifted(data, fixed=None):

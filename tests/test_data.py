@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import datetime as dt
 import math
+import pathlib
 import re
 import warnings
 from unittest import mock
@@ -18,6 +19,7 @@ from hessmg.data import (SERIES, SIGNAL_FILES, CatalogError, DataFormatError, Es
                          SourceSpec, load_catalog, load_dataset, make_demo_dataset,
                          save_dataset)
 
+RESOURCES = pathlib.Path(__file__).resolve().parents[1] / "src" / "hessmg" / "resources"
 LAYOUTS = tuple((f.header, len(f.series)) for f in SIGNAL_FILES)
 
 
@@ -462,6 +464,35 @@ class TestCatalog:
         p.write_text("[x]\neta_c = 0.9\n")
         with pytest.raises(CatalogError, match="missing field"):
             load_catalog(p)
+
+    def test_unknown_field_rejected(self, tmp_path):
+        # a key that names no catalog field is a fault, as in a JSON config,
+        # also when it comes from [DEFAULT]
+        text = (RESOURCES / "catalog_case_study.ini").read_text()
+        p = tmp_path / "cat.ini"
+        p.write_text(text.replace("[battery]\n", "[battery]\ncrate_max_per_hour = 99\n"))
+        with pytest.raises(CatalogError, match="^battery: unknown field crate_max_per_hour$"):
+            load_catalog(p)
+        p.write_text("[DEFAULT]\nlife = 1\n" + text)
+        with pytest.raises(CatalogError, match="^battery: unknown field life$"):
+            load_catalog(p)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t.replace("[flywheel]\n", "[flywheel]\neta_c = 0.9\n"),
+         r"cat\.ini:\d+: key eta_c repeated in \[flywheel\]"),
+        (lambda t: "eta_c = 0.9\n" + t, r"cat\.ini:1: key before any \[section\]"),
+        (lambda t: t + "[battery]\n", r"cat\.ini:\d+: section \[battery\] repeated"),
+        (lambda t: t.replace("[battery]\n", "[battery]\nno value here\n"),
+         r"cat\.ini:\d+: not a key = value line"),
+        (lambda t: t.replace("eta_c = 0.83", "eta_c = 83%"),
+         r"^battery: field eta_c is not a number$"),
+    ], ids=["duplicate key", "no section", "duplicate section", "no equals", "percent"])
+    def test_malformed_ini_is_one_catalog_fault(self, tmp_path, edit, message):
+        p = tmp_path / "cat.ini"
+        p.write_text(edit((RESOURCES / "catalog_case_study.ini").read_text()))
+        with pytest.raises(CatalogError, match=message) as info:
+            load_catalog(p)
+        assert "\n" not in str(info.value)
 
     def test_catalog_fields_map_onto_each_spec_field_once(self):
         targets = [spec_field for spec_field, _ in data._CATALOG_FIELDS.values()]

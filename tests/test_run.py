@@ -116,7 +116,8 @@ class TestPairedFlows:
         assert res.status == "optimal" and res.error is None
         grid = next(w for w in res.warnings if w.startswith("G:"))
         assert "import and export at steps 0, 1, 2, 3 " in grid
-        assert "largest product 7.18" in grid
+        # the gross grid_cap row forbids pairing at full rating, not below it
+        assert "largest product 1.95" in grid
         # wear is paid on the gross flow, so the battery does not burn the
         # cheap energy by charging and discharging at once
         assert not any(w.startswith("battery:") for w in res.warnings)
@@ -514,6 +515,10 @@ class TestCli:
         ("optimize", ["--scenario", ""], {}, "No such file or directory: ''"),
         ("optimize", ["--scenario", "{tmp}/bad_label.json"], {},
          "labels name cluster 99, outside 0..0"),
+        ("export-mps", ["--catalog", "{tmp}/duplicate_key.ini", "--out", "{tmp}/m.mps"], {},
+         "duplicate_key.ini:35: key eta_c repeated in [flywheel]"),
+        ("export-mps", ["--catalog", "{tmp}/no_section.ini", "--out", "{tmp}/m.mps"], {},
+         "no_section.ini:1: key before any [section]: eta_c = 0.9"),
     ], ids=["incomplete scenario", "missing scenario", "unknown technology",
             "string clusters", "unknown horizon field", "unknown grid field",
             "unknown pin", "undotted pin", "epigraph pin", "path in experiment id",
@@ -521,7 +526,8 @@ class TestCli:
             "experiment without id", "scenario without steps", "scenario bad date",
             "scenario steps not dividing a day", "nan tariff", "nan catalog field",
             "negative catalog field", "negative seed", "empty scenario path",
-            "scenario label outside the clusters"])
+            "scenario label outside the clusters", "catalog duplicate key",
+            "catalog key before any section"])
     def test_input_faults_print_one_line(self, workspace, tmp_path, capsys,
                                          command, extra, config, message):
         root, cfg_path = workspace
@@ -540,6 +546,9 @@ class TestCli:
             "cost_energy_eur_per_kwh = 900", "cost_energy_eur_per_kwh = nan"))
         (tmp_path / "negative_catalog.ini").write_text(catalog.replace(
             "max_energy_kwh = 5000", "max_energy_kwh = -5"))
+        (tmp_path / "duplicate_key.ini").write_text(catalog.replace(
+            "[flywheel]\n", "[flywheel]\neta_c = 0.9\n"))
+        (tmp_path / "no_section.ini").write_text("eta_c = 0.9\n" + catalog)
         if config:
             cfg = {**json.loads(cfg_path.read_text()), **config}
             cfg_path = tmp_path / "config.json"
