@@ -4,10 +4,13 @@ Runs the experiment matrix {B}, {B,S}, {B,F}, {B,S,F} against one shared
 scenario and writes the summary CSV. Because every richer portfolio
 contains the feasible set of the poorer one, total cost can only go down
 (or stay flat) as technologies are added — the matrix output is checked
-against that property.
+against that property, and the demo exits non-zero if a portfolio costs
+more than one of its subsets. A design that took the optimum of a larger
+portfolio (which left its extra technologies unused) is named as such.
 """
 
 import pathlib
+import sys
 
 from hessmg import Horizon, SourceSpec, build_scenario, load_catalog, make_demo_dataset
 from hessmg.run import (ExperimentConfig, RunContext, run_experiments,
@@ -37,8 +40,18 @@ def main():
           f"{'extra tech MW':>14}")
     for r in results:
         extra = sum(v for n, v in r.p_max.items() if n != "battery")
+        source = f"  optimum of {r.optimum_from}" if r.optimum_from else ""
         print(f"{r.exp_id:<10} {r.objective:12.1f} "
-              f"{r.e_max.get('battery', 0.0):12.2f} {extra:14.3f}")
+              f"{r.e_max.get('battery', 0.0):12.2f} {extra:14.3f}{source}")
+
+    techs = {e.id: set(e.ess_subset) for e in experiments}
+    cost = {r.exp_id: r.objective for r in results}
+    for small in cost:
+        for big in cost:
+            if techs[small] < techs[big] and not (
+                    cost[big] <= cost[small] + 1e-6 * max(1.0, abs(cost[small]))):
+                sys.exit(f"{big} costs {cost[big]:.9g} kEUR, more than its subset "
+                         f"{small} at {cost[small]:.9g} kEUR")
 
     best = min(r.objective for r in results)
     base = next(r.objective for r in results if r.exp_id == "1_B")

@@ -84,6 +84,8 @@ def _solve(ctx, experiments, out_dir, jobs=1):
     for r in results:  # a failed design has no total, as in the output files
         total = f" total={r.objective:.4f} kEUR" if r.breakdown is not None else ""
         note = f" ({r.error})" if r.error else ""
+        if r.optimum_from is not None:
+            note += f" (optimum of {r.optimum_from})"
         print(f"exp {r.exp_id}: status={r.status}{total}{note}")
     return 0 if all(r.status == "optimal" and not r.error for r in results) else 1
 

@@ -172,6 +172,12 @@ class ModelInstance:
             raise KeyError((kind, entity))
         return np.arange(steps.start, steps.stop, steps.step)
 
+    @property
+    def index(self) -> dict[tuple, int | range]:
+        """Every registered variable: (kind, entity) -> its column, or the
+        range of its per-step columns."""
+        return dict(self._index)
+
     def entities(self, kind) -> list[str]:
         """Entities that have a per-step variable of `kind`."""
         return [e for (k, e), cols in self._index.items()

@@ -5,6 +5,7 @@ plus the storage-combination experiment matrix and file outputs.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import copy
 import csv
 import hashlib
@@ -16,12 +17,12 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .builder import GRID, PV, ProblemData, build, design_pins
-from .costs import CostBreakdown, audit
+from .costs import AUDIT_REL_TOL, CostBreakdown, audit
 from .data import (INTEGER, NUMBER, OBJECT, SERIES, STRING, EssSpec, GridSpec, Horizon,
                    HistoricalDay, JsonType, PvSpec, SourceSpec, check_object,
                    list_of, load_catalog, load_dataset)
 from .scenario import ScenarioModel, build_scenario
-from .solve import VerifyReport, solve as solve_model, verify
+from .solve import OPTIMAL, VerifyReport, solve as solve_model, verify
 
 TRACE_HEADER = ("step", "series", "value")
 
@@ -56,6 +57,7 @@ class DesignResult:
     solve_seconds: float
     error: str | None = None
     warnings: list[str] = field(default_factory=list)
+    optimum_from: str | None = None  # id of the design whose optimum this one took
 
     @classmethod
     def failed(cls, exp_id, status, error, solve_seconds=0.0) -> "DesignResult":
@@ -74,6 +76,7 @@ class DesignResult:
             "p_pv_max_mw": self.p_pv_max,
             "objective_keur": self.objective,
             "solve_seconds": self.solve_seconds,
+            "optimum_from": self.optimum_from,
             "traces": {k: v.tolist() for k, v in self.traces.items()},
         }
         if self.breakdown is not None:
@@ -210,52 +213,145 @@ def problem_data(ctx: RunContext, exp: ExperimentConfig) -> ProblemData:
     return ProblemData.from_scenario(ctx.scenario, ctx.horizon, ctx.sources, ess)
 
 
-def run_one(ctx: RunContext, exp: ExperimentConfig,
-            data: ProblemData | None = None) -> DesignResult:
+@dataclass(frozen=True)
+class Optimum:
+    """The point of an optimal, error-free design, kept while
+    ``run_experiments`` runs so that a design with a subset of its
+    technologies can take it."""
+
+    exp_id: str
+    x: np.ndarray
+    index: dict[tuple, int | range]  # (kind, entity) -> column(s) of `x`
+    objective: float
+
+
+def _steps(cols: int | range) -> np.ndarray:
+    return np.arange(cols.start, cols.stop, cols.step) if isinstance(cols, range) \
+        else np.array([cols])
+
+
+def _restricted(model, donor: Optimum) -> np.ndarray | None:
+    """`donor`'s point on the columns of `model`, matched by (kind, entity);
+    None unless the donor has every variable of `model` and each donor
+    column that `model` lacks is exactly 0."""
+    own = {key: _steps(cols) for key, cols in model.index.items()}
+    theirs = {key: _steps(cols) for key, cols in donor.index.items()}
+    if (sum(map(len, own.values())) != model.n_vars
+            or any(len(theirs.get(key, ())) != len(cols) for key, cols in own.items())):
+        return None
+    dropped = [theirs[key] for key in theirs.keys() - own.keys()]
+    if dropped and np.any(donor.x[np.concatenate(dropped)] != 0.0):
+        return None
+    x = np.empty(model.n_vars)
+    for key, cols in own.items():
+        x[cols] = donor.x[theirs[key]]
+    return x
+
+
+def _taken_optimum(model, donors) -> tuple[str, np.ndarray, float] | None:
+    """(donor id, point, objective) of the first of `donors` whose
+    ``_restricted`` point has an objective in `model` within AUDIT_REL_TOL
+    of the donor's; None when no donor gives one."""
+    for donor in donors:
+        x = _restricted(model, donor)
+        if x is None:
+            continue
+        objective = float(model.objective_vector() @ x) + model.objective_constant
+        if abs(objective - donor.objective) <= AUDIT_REL_TOL * max(1.0, abs(donor.objective)):
+            return donor.exp_id, x, objective
+    return None
+
+
+def run_one(ctx: RunContext, exp: ExperimentConfig, data: ProblemData | None = None,
+            donors=(), optima: dict | None = None) -> DesignResult:
     """Build, solve, verify and audit a single experiment; `data` is its
-    ``problem_data`` when the caller has made that already."""
+    ``problem_data`` when the caller has made that already.
+
+    `donors` are ``Optimum``s of designs whose technologies contain this
+    one's, with its pins. The design takes the point of the first that
+    leaves every technology it lacks at exactly 0 and whose objective it
+    keeps within AUDIT_REL_TOL (``run_experiments`` says why that point is
+    optimal); it reports ``optimum_from`` that donor and ``solve_seconds``
+    0.0. Otherwise HiGHS solves it. Either way the point is verified and
+    audited in this design's own model. An optimal, error-free design puts
+    its ``Optimum`` into `optima` under its id when that is given.
+    """
     if data is None:
         data = problem_data(ctx, exp)
     model = build(data, fixed=exp.fixed or None)
-    sol = solve_model(model)
-    if not sol.optimal:
-        return DesignResult.failed(exp.id, sol.status, f"solver status {sol.status}",
-                                   sol.wall_time)
-    report = verify(model, sol.x)
-    breakdown = audit(sol.x, model, data, solver_objective=sol.objective)
-    sources = _design_values(model, sol.x, "P_max_src", [GRID, PV])
-    return DesignResult(
-        exp_id=exp.id, status=sol.status,
-        e_max=_design_values(model, sol.x, "E_max", list(data.ess)),
-        p_max=_design_values(model, sol.x, "P_max_ess", list(data.ess)),
+    taken = _taken_optimum(model, donors)
+    if taken is not None:
+        donor, x, objective = taken
+        seconds = 0.0
+    else:
+        sol = solve_model(model)
+        if not sol.optimal:
+            return DesignResult.failed(exp.id, sol.status, f"solver status {sol.status}",
+                                       sol.wall_time)
+        donor, x, objective, seconds = None, sol.x, sol.objective, sol.wall_time
+    report = verify(model, x)
+    breakdown = audit(x, model, data, solver_objective=objective)
+    sources = _design_values(model, x, "P_max_src", [GRID, PV])
+    result = DesignResult(
+        exp_id=exp.id, status=OPTIMAL,
+        e_max=_design_values(model, x, "E_max", list(data.ess)),
+        p_max=_design_values(model, x, "P_max_ess", list(data.ess)),
         p_grid_max=sources[GRID], p_pv_max=sources[PV],
-        breakdown=breakdown, traces=extract_traces(sol.x, model, data),
-        objective=sol.objective, solve_seconds=sol.wall_time,
+        breakdown=breakdown, traces=extract_traces(x, model, data),
+        objective=objective, solve_seconds=seconds,
         error=None if report.max_violation <= VIOLATION_TOL else
         f"feasibility check: violation {report.max_violation:.3g}",
-        warnings=paired_flow_warnings(report))
+        warnings=paired_flow_warnings(report), optimum_from=donor)
+    if optima is not None and result.error is None:
+        optima[exp.id] = Optimum(exp.id, x, model.index, objective)
+    return result
 
 
 def run_experiments(ctx: RunContext, experiments: list[ExperimentConfig],
                     jobs: int = 1) -> list[DesignResult]:
     """Run the matrix; sorted by id. An input fault of any experiment (a
     technology the catalog lacks) raises before the first design is solved;
-    a failure while solving is isolated to its experiment's result."""
+    a failure while solving is isolated to its experiment's result.
+
+    Experiments run in levels of decreasing technology count, each level
+    through the pool of `jobs` threads. A design's donors are the optimal,
+    error-free designs of earlier levels whose technologies contain its
+    own and whose pins equal its own, fewest technologies first, then by
+    id, so any `jobs` gives the same results; ``run_one`` takes the first
+    donor point that leaves every technology it lacks at exactly 0. That
+    point is optimal. Every row that names a technology holds when all of
+    that technology's columns are 0, and no cost term of a technology is
+    independent of its size. So the zero-extension of any subset point is
+    feasible for the superset at the same cost, and the subset's optimum
+    costs at least the superset's. A restricted point that is feasible and
+    reaches that cost is therefore optimal. Donor points are dropped when
+    this call returns.
+    """
     if len({e.id for e in experiments}) != len(experiments):
         raise ValueError("experiment ids must be unique")
     data = {exp.id: problem_data(ctx, exp) for exp in experiments}
+    techs = {exp.id: frozenset(exp.ess_subset) for exp in experiments}
+    fixed = {exp.id: exp.fixed for exp in experiments}
+    optima: dict[str, Optimum] = {}
 
-    def guarded(exp):
+    def donors(exp):
+        fits = [o for o in optima.values()
+                if techs[exp.id] <= techs[o.exp_id] and fixed[exp.id] == fixed[o.exp_id]]
+        return sorted(fits, key=lambda o: (len(techs[o.exp_id]), o.exp_id))
+
+    def guarded(exp, offered):
         try:
-            return run_one(ctx, exp, data[exp.id])
+            return run_one(ctx, exp, data[exp.id], offered, optima)
         except Exception as exc:  # isolate per-experiment failures
             return DesignResult.failed(exp.id, "error", str(exc))
 
-    if jobs <= 1:
-        results = [guarded(e) for e in experiments]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(guarded, experiments))
+    results = []
+    pool = concurrent.futures.ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    with pool or contextlib.nullcontext():
+        for size in sorted({len(t) for t in techs.values()}, reverse=True):
+            level = [e for e in experiments if len(techs[e.id]) == size]
+            offered = [donors(e) for e in level]  # before any design of this level ends
+            results += (pool.map if pool else map)(guarded, level, offered)
     return sorted(results, key=lambda r: r.exp_id)
 
 

@@ -3,20 +3,24 @@ import dataclasses
 import importlib
 import json
 import os
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from hessmg.builder import BuildError
+import hessmg.run as run_module
+from hessmg.builder import BuildError, build
 from hessmg.cli import main
-from hessmg.data import SERIES, Horizon, SourceSpec, make_demo_dataset, write_demo_files
-from hessmg.run import (ExperimentConfig, RunContext, cached_scenario,
-                        context_from_config, run_experiments, run_one,
+from hessmg.data import (SERIES, GridSpec, Horizon, SourceSpec, make_demo_dataset,
+                         write_demo_files)
+from hessmg.run import (VIOLATION_TOL, ExperimentConfig, RunContext, cached_scenario,
+                        context_from_config, problem_data, run_experiments, run_one,
                         scenario_cache_key,
                         emit_traces, write_outputs, write_results_json,
                         write_summary, summary_columns)
 from hessmg.scenario import build_scenario
+from hessmg.solve import solve, verify
 
 import pathlib
 
@@ -32,15 +36,24 @@ def ctx(case_catalog):
                       catalog=case_catalog, scenario=scenario)
 
 
+# the paper's storage matrix: B, BS, BF, BSF
+MATRIX = [
+    ExperimentConfig(id="1", ess_subset=("battery",)),
+    ExperimentConfig(id="2", ess_subset=("battery", "supercapacitor")),
+    ExperimentConfig(id="3", ess_subset=("battery", "flywheel")),
+    ExperimentConfig(id="4", ess_subset=("battery", "supercapacitor", "flywheel")),
+]
+
+
 @pytest.fixture(scope="module")
 def matrix_results(ctx):
-    experiments = [
-        ExperimentConfig(id="1", ess_subset=("battery",)),
-        ExperimentConfig(id="2", ess_subset=("battery", "supercapacitor")),
-        ExperimentConfig(id="3", ess_subset=("battery", "flywheel")),
-        ExperimentConfig(id="4", ess_subset=("battery", "supercapacitor", "flywheel")),
-    ]
-    return run_experiments(ctx, experiments)
+    return run_experiments(ctx, MATRIX)
+
+
+def _without_timing(result):
+    out = result.as_dict()
+    del out["solve_seconds"]
+    return out
 
 
 class TestRunOne:
@@ -155,16 +168,10 @@ class TestMatrix:
         assert obj["4"] <= min(obj["2"], obj["3"]) + tol
 
     def test_parallel_matches_serial(self, ctx, matrix_results):
-        experiments = [
-            ExperimentConfig(id="1", ess_subset=("battery",)),
-            ExperimentConfig(id="2", ess_subset=("battery", "supercapacitor")),
-            ExperimentConfig(id="3", ess_subset=("battery", "flywheel")),
-            ExperimentConfig(id="4", ess_subset=("battery", "supercapacitor", "flywheel")),
-        ]
-        parallel = run_experiments(ctx, experiments, jobs=4)
-        for a, b in zip(matrix_results, parallel):
-            assert a.exp_id == b.exp_id
-            assert a.objective == pytest.approx(b.objective, rel=1e-9)
+        # the same donors at any pool size: every value, the donor too, is equal
+        parallel = run_experiments(ctx, MATRIX, jobs=4)
+        assert [r.optimum_from for r in parallel] == ["2", "4", "4", None]
+        assert list(map(_without_timing, parallel)) == list(map(_without_timing, matrix_results))
 
     def test_duplicate_ids_rejected(self, ctx):
         e = ExperimentConfig(id="1", ess_subset=("battery",))
@@ -205,6 +212,126 @@ class TestMatrix:
                 ExperimentConfig(id="bad", ess_subset=("gravity",)),
             ])
         assert solved == []
+
+
+def _point_in(model, sub, x_sub):
+    """`x_sub`, a point of `sub`, on the columns of `model`: every column
+    `sub` lacks at 0."""
+    x = np.zeros(model.n_vars)
+    for key, cols in sub.index.items():
+        x[model.index[key]] = x_sub[cols]
+    return x
+
+
+class TestDonors:
+    def test_zero_extension_keeps_feasibility_and_cost(self, ctx):
+        # the lemma behind taking a subset's optimum from its superset
+        b, bsf = (build(problem_data(ctx, exp)) for exp in (MATRIX[0], MATRIX[3]))
+        sol = solve(b)
+        assert sol.optimal
+        x = _point_in(bsf, b, sol.x)
+        assert verify(bsf, x).max_violation <= verify(b, sol.x).max_violation + 1e-12
+        assert verify(bsf, x).max_violation <= VIOLATION_TOL
+        cost = float(bsf.objective_vector() @ x) + bsf.objective_constant
+        assert cost == pytest.approx(sol.objective, rel=1e-9)
+
+    def test_reused_matrix_matches_all_highs(self, ctx, matrix_results):
+        # on the demo data the hybrids leave supercapacitor and flywheel at 0,
+        # so only the largest portfolio is solved
+        assert [r.optimum_from for r in matrix_results] == ["2", "4", "4", None]
+        for reused in matrix_results:
+            solved = run_one(ctx, next(e for e in MATRIX if e.id == reused.exp_id))
+            assert solved.optimum_from is None
+            assert reused.objective == pytest.approx(solved.objective, rel=1e-9)
+            assert reused.breakdown.as_csv_values() == pytest.approx(
+                solved.breakdown.as_csv_values(), rel=1e-9)
+            assert reused.breakdown.capex_per_ess == pytest.approx(
+                solved.breakdown.capex_per_ess, rel=1e-9)
+            assert reused.e_max == solved.e_max and reused.p_max == solved.p_max
+        assert [r.solve_seconds == 0.0 for r in matrix_results] == [True] * 3 + [False]
+
+    def test_superset_that_installs_the_technology_is_no_donor(self, case_catalog):
+        # with 1/1000 of the battery wear cost and a 2.05 MW grid contract the
+        # battery alone cannot serve the demand, and BSF installs supercapacitor
+        catalog = dict(case_catalog)
+        catalog["battery"] = dataclasses.replace(
+            catalog["battery"], om_energy=catalog["battery"].om_energy / 1000)
+        days = make_demo_dataset(seed=11, n_days=30)
+        ctx = RunContext(horizon=Horizon(t_syn=4),
+                         sources=SourceSpec(grid=GridSpec(p_cap_max=2.05)),
+                         catalog=catalog, scenario=build_scenario(days, w=4, t_syn=4, seed=0))
+        results = {r.exp_id: r for r in run_experiments(ctx, MATRIX)}
+        assert results["4"].e_max["supercapacitor"] > 0.0
+        assert results["2"].optimum_from == "4"
+        # BF lacks the installed supercapacitor: HiGHS solves it
+        assert results["3"].optimum_from is None and results["3"].status == "optimal"
+        assert _without_timing(results["3"]) == _without_timing(run_one(ctx, MATRIX[2]))
+        assert results["3"].objective > results["4"].objective
+        # B's donors all install a technology it lacks; alone it is infeasible
+        assert results["1"].optimum_from is None and results["1"].status == "infeasible"
+
+    def test_checks_run_per_design_and_solve_only_without_donor(self, ctx, monkeypatch):
+        calls = {"verify": 0, "audit": 0, "solve_model": 0}
+
+        def counted(name):
+            original = getattr(run_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(run_module, name, wrapper)
+        for name in calls:
+            counted(name)
+        results = run_experiments(ctx, MATRIX)
+        assert calls == {"verify": 4, "audit": 4,
+                         "solve_model": sum(r.optimum_from is None for r in results)}
+        assert calls["solve_model"] == 1
+
+    def test_donor_point_is_checked_before_it_is_taken(self, ctx):
+        optima = {}
+        run_one(ctx, MATRIX[3], None, (), optima)
+        donor = optima["4"]
+        assert run_one(ctx, MATRIX[2], None, [donor]).optimum_from == "4"
+        # a supercapacitor energy of 1e-12 costs nothing; only the zero test sees it
+        x = donor.x.copy()
+        x[donor.index[("E_soe", "supercapacitor")][0]] = 1e-12
+        nudged = dataclasses.replace(donor, x=x)
+        # an objective off by more than the audit tolerance
+        off = dataclasses.replace(donor, objective=donor.objective * (1 + 1e-5))
+        for bad in (nudged, off):
+            res = run_one(ctx, MATRIX[2], None, [bad])
+            assert res.optimum_from is None and res.solve_seconds > 0.0
+            assert res.objective == pytest.approx(donor.objective, rel=1e-9)
+
+    def test_pins_must_match(self, ctx):
+        # a superset with other pins is no donor
+        pinned = dataclasses.replace(MATRIX[3], fixed={"E_max.battery": 3.0})
+        results = run_experiments(ctx, [MATRIX[0], pinned])
+        assert [r.optimum_from for r in results] == [None, None]
+
+    def test_each_optimum_reaches_its_subset_under_thread_switching(self, ctx):
+        # pairs told apart by their pins: B_i can take only BSF_i's optimum,
+        # so an optimum lost between worker threads shows as a solved B_i
+        pairs = [{"P_max_src.PV": 0.5 * i} for i in range(6)]
+        experiments = [ExperimentConfig(id=f"{kind}{i}", ess_subset=ess, fixed=pins)
+                       for i, pins in enumerate(pairs)
+                       for kind, ess in (("b", MATRIX[0].ess_subset), ("s", MATRIX[3].ess_subset))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = run_experiments(ctx, experiments, jobs=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [(r.exp_id, r.optimum_from) for r in results] == [
+            *((f"b{i}", f"s{i}") for i in range(6)), *((f"s{i}", None) for i in range(6))]
+
+    def test_failed_superset_is_no_donor(self, ctx):
+        ceiling = ctx.catalog["battery"].e_cap_max
+        bad = ExperimentConfig(id="4", ess_subset=MATRIX[3].ess_subset,
+                               fixed={"E_max.battery": ceiling + 1.0})
+        sub = dataclasses.replace(MATRIX[1], fixed=bad.fixed)
+        results = run_experiments(ctx, [sub, bad])
+        assert [(r.status, r.optimum_from) for r in results] == [("error", None)] * 2
 
 
 class TestOutputs:
@@ -413,6 +540,14 @@ class TestCli:
         with open(out / "summary.csv") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 3
+        # battery-only takes the optimum of battery+flywheel, which installs no flywheel
+        results = json.loads((out / "results.json").read_text())
+        assert [(r["optimum_from"], r["solve_seconds"] == 0.0) for r in results] == [
+            ("b", True), (None, False)]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("exp a: status=optimal total=")
+        assert lines[0].endswith(" kEUR (optimum of b)")
+        assert lines[1].endswith(" kEUR")
         assert (out / "traces_a.csv").exists()
         assert (out / "traces_b.csv").exists()
 
