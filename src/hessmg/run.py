@@ -66,7 +66,8 @@ class DesignResult:
                    p_pv_max=math.nan, breakdown=None, traces={}, objective=math.nan,
                    solve_seconds=solve_seconds, error=error)
 
-    def as_dict(self):
+    def record(self):
+        """The design's results.json record; its traces go to traces_<id>.csv alone."""
         out = {
             "exp_id": self.exp_id,
             "status": self.status,
@@ -77,7 +78,6 @@ class DesignResult:
             "objective_keur": self.objective,
             "solve_seconds": self.solve_seconds,
             "optimum_from": self.optimum_from,
-            "traces": {k: v.tolist() for k, v in self.traces.items()},
         }
         if self.breakdown is not None:
             out["costs"] = self.breakdown.as_dict()
@@ -87,6 +87,10 @@ class DesignResult:
             out["warnings"] = list(self.warnings)
         return _json_ready(out)
 
+    def as_dict(self):
+        """``record()`` plus every trace as a list: the whole result as one dict."""
+        return {**self.record(), "traces": {k: v.tolist() for k, v in self.traces.items()}}
+
 
 def _reported(value: float | None) -> float | None:
     """A number as outputs write it: -0.0 as 0.0, and None (an empty CSV cell,
@@ -95,11 +99,9 @@ def _reported(value: float | None) -> float | None:
 
 
 def _json_ready(value):
-    """`value` with every float, also inside dicts and lists, ``_reported``."""
+    """`value` with every float, also inside dicts, ``_reported``."""
     if isinstance(value, dict):
         return {k: _json_ready(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_json_ready(v) for v in value]
     return _reported(value) if isinstance(value, float) else value
 
 
@@ -132,7 +134,8 @@ def scenario_cache_key(days: list[HistoricalDay], w: int, t_syn: int, seed: int)
 
 
 def cached_scenario(days, w, t_syn, seed, cache_dir=None) -> ScenarioModel:
-    """Build (or reload) the scenario; cache keyed by data hash + parameters."""
+    """Build (or reload) the scenario; cache keyed by data hash + parameters,
+    each file written whole or not at all (a temporary file renamed onto it)."""
     if cache_dir is None:
         return build_scenario(days, w, t_syn, seed)
     os.makedirs(cache_dir, exist_ok=True)
@@ -142,8 +145,15 @@ def cached_scenario(days, w, t_syn, seed, cache_dir=None) -> ScenarioModel:
         with open(path) as fh:
             return ScenarioModel.from_json(fh.read())
     model = build_scenario(days, w, t_syn, seed)
-    with open(path, "w") as fh:
-        fh.write(model.to_json())
+    partial = f"{path}.{os.getpid()}.partial"
+    try:
+        with open(partial, "w") as fh:
+            fh.write(model.to_json())
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(partial)
+        raise
     return model
 
 
@@ -327,6 +337,8 @@ def run_experiments(ctx: RunContext, experiments: list[ExperimentConfig],
     reaches that cost is therefore optimal. Donor points are dropped when
     this call returns.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if len({e.id for e in experiments}) != len(experiments):
         raise ValueError("experiment ids must be unique")
     data = {exp.id: problem_data(ctx, exp) for exp in experiments}
@@ -389,7 +401,7 @@ def emit_traces(result: DesignResult, path):
 
 def write_results_json(results: list[DesignResult], path):
     with open(path, "w") as fh:
-        json.dump([r.as_dict() for r in results], fh, indent=2, allow_nan=False)
+        json.dump([r.record() for r in results], fh, indent=2, allow_nan=False)
 
 
 def write_outputs(results: list[DesignResult], catalog_order: list[str], out_dir):

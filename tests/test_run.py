@@ -19,7 +19,7 @@ from hessmg.run import (VIOLATION_TOL, ExperimentConfig, RunContext, cached_scen
                         scenario_cache_key,
                         emit_traces, write_outputs, write_results_json,
                         write_summary, summary_columns)
-from hessmg.scenario import build_scenario
+from hessmg.scenario import ScenarioModel, build_scenario
 from hessmg.solve import solve, verify
 
 import pathlib
@@ -134,7 +134,7 @@ class TestPairedFlows:
         # wear is paid on the gross flow, so the battery does not burn the
         # cheap energy by charging and discharging at once
         assert not any(w.startswith("battery:") for w in res.warnings)
-        assert res.as_dict()["warnings"] == res.warnings
+        assert res.record()["warnings"] == res.warnings
 
     def test_wear_free_storage_warns_of_paired_flows(self, case_catalog):
         catalog = dict(case_catalog)
@@ -151,7 +151,7 @@ class TestPairedFlows:
                       ExperimentConfig(id="day", ess_subset=("battery",)))
         assert res.status == "optimal"
         assert res.warnings == []
-        assert "warnings" not in res.as_dict()
+        assert "warnings" not in res.record()
 
 
 class TestMatrix:
@@ -172,6 +172,13 @@ class TestMatrix:
         parallel = run_experiments(ctx, MATRIX, jobs=4)
         assert [r.optimum_from for r in parallel] == ["2", "4", "4", None]
         assert list(map(_without_timing, parallel)) == list(map(_without_timing, matrix_results))
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, ctx, jobs):
+        # an input fault, found before any design is built
+        with mock.patch("hessmg.run.build", side_effect=AssertionError("built")):
+            with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+                run_experiments(ctx, MATRIX, jobs=jobs)
 
     def test_duplicate_ids_rejected(self, ctx):
         e = ExperimentConfig(id="1", ess_subset=("battery",))
@@ -398,10 +405,15 @@ class TestOutputs:
 
         def no_constant(name):
             raise ValueError(f"not JSON: {name}")
-        pinned = json.loads((tmp_path / "results.json").read_text(),
-                            parse_constant=no_constant)[1]
+        ok, pinned = json.loads((tmp_path / "results.json").read_text(),
+                                parse_constant=no_constant)
         assert pinned["status"] == "error" and "outside" in pinned["error"]
         assert pinned["objective_keur"] is None and pinned["p_grid_max_mw"] is None
+        # each record holds the documented keys only: no traces
+        record = {"exp_id", "status", "e_max_mwh", "p_max_mw", "p_grid_max_mw",
+                  "p_pv_max_mw", "objective_keur", "solve_seconds", "optimum_from"}
+        assert set(ok) == record | {"costs"} | ({"warnings"} if results[0].warnings else set())
+        assert set(pinned) == record | {"error"}
         with open(tmp_path / "summary.csv") as fh:
             rows = {row[0]: row for row in csv.reader(fh)}
         assert rows["pinned"][1:] == [""] * (len(rows["exp_id"]) - 2) + ["error"]
@@ -437,6 +449,20 @@ class TestScenarioCache:
         second = cached_scenario(days, 2, 4, 0, cache_dir=tmp_path)
         assert second == first
         assert list(tmp_path.glob("scenario-*.json")) == files
+
+    @pytest.mark.parametrize("failing", [(ScenarioModel, "to_json"), (os, "replace")],
+                             ids=["serializing", "renaming"])
+    def test_failed_write_leaves_no_cache(self, tmp_path, failing):
+        # a cache file is written whole or not at all: a failed write leaves
+        # nothing behind, and the next call builds the scenario again
+        days = make_demo_dataset(seed=1, n_days=8)
+        with mock.patch.object(*failing, side_effect=OSError("disk full")):
+            with pytest.raises(OSError, match="disk full"):
+                cached_scenario(days, 2, 4, 0, cache_dir=tmp_path)
+        assert os.listdir(tmp_path) == []
+        assert cached_scenario(days, 2, 4, 0, cache_dir=tmp_path) == build_scenario(days, 2, 4, 0)
+        assert [f.name for f in tmp_path.iterdir()] == [
+            f"scenario-{scenario_cache_key(days, 2, 4, 0)}.json"]
 
     def test_older_layout_cache_is_rebuilt(self, tmp_path):
         # the name of these inputs' cache file before the key hashed the layout
@@ -596,7 +622,11 @@ class TestCli:
                      "--ess", "battery", "--out-dir", str(out)]) == 0
         result = json.loads((out / "results.json").read_text())[0]
         assert result["status"] == "optimal"
-        assert len(result["traces"]["demand_CH"]) == 3 * 24
+        steps = {}
+        with open(out / "traces_design.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                steps.setdefault(row["series"], []).append(int(row["step"]))
+        assert steps and all(s == list(range(3 * 24)) for s in steps.values())
 
     def test_config_horizon_wins_over_scenario(self, workspace, tmp_path, capsys):
         root, cfg_path = workspace  # the config sets t_syn = 2
@@ -647,6 +677,7 @@ class TestCli:
         ("experiments", ["--catalog", "{tmp}/negative_catalog.ini"], {},
          "battery: max_energy_kwh must be a finite number in (0, inf), got -5.0"),
         ("optimize", [], {"seed": -1}, "field 'seed' is not a non-negative integer"),
+        ("experiments", ["--jobs", "0"], {}, "jobs must be at least 1, got 0"),
         ("optimize", ["--scenario", ""], {}, "No such file or directory: ''"),
         ("optimize", ["--scenario", "{tmp}/bad_label.json"], {},
          "labels name cluster 99, outside 0..0"),
@@ -660,7 +691,7 @@ class TestCli:
             "experiment technology",
             "experiment without id", "scenario without steps", "scenario bad date",
             "scenario steps not dividing a day", "nan tariff", "nan catalog field",
-            "negative catalog field", "negative seed", "empty scenario path",
+            "negative catalog field", "negative seed", "zero jobs", "empty scenario path",
             "scenario label outside the clusters", "catalog duplicate key",
             "catalog key before any section"])
     def test_input_faults_print_one_line(self, workspace, tmp_path, capsys,
