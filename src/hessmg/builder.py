@@ -224,17 +224,16 @@ def add_peak(model: ModelInstance, data: ProblemData):
                             (model.columns("P_src_plus", GRID), -1.0)]))
 
 
-def design_pins(ess) -> list[tuple[str, str]]:
-    """The design sizes a study may pin in a model with the storage
-    technologies `ess`, as (kind, entity): the grid and PV contract sizes
-    and each technology's energy and power ratings."""
-    return [("P_max_src", GRID), ("P_max_src", PV)] + [
-        (kind, name) for kind in ("E_max", "P_max_ess") for name in ess]
+def design_pins(ess) -> list[str]:
+    """The names of the design columns a study may pin in a model with the
+    storage technologies `ess`: the grid and PV contract sizes and each
+    technology's energy and power ratings."""
+    return [f"P_max_src.{GRID}", f"P_max_src.{PV}"] + [
+        f"{kind}.{name}" for kind in ("E_max", "P_max_ess") for name in ess]
 
 
 def apply_fixed_values(model: ModelInstance, data: ProblemData, fixed: dict):
-    """Pin design sizes, e.g. {("E_max", "battery"): 1.0} or, as JSON
-    configs spell it, {"E_max.battery": 1.0}.
+    """Pin design sizes by column name, e.g. {"E_max.battery": 1.0}.
 
     A pin must be one of ``design_pins(data.ess)`` and lie within its
     declared bounds: the C-rate row is exact only while E_max stays under
@@ -242,12 +241,10 @@ def apply_fixed_values(model: ModelInstance, data: ProblemData, fixed: dict):
     """
     pins = design_pins(data.ess)
     lower, upper = model.bounds_arrays()
-    for key, value in fixed.items():
-        key = tuple(key.split(".", 1)) if isinstance(key, str) else tuple(key)
-        name = ".".join(map(str, key))
-        if key not in pins:
+    for name, value in fixed.items():
+        if name not in pins:
             raise BuildError(f"unknown pin {name}: not a design size of this model")
-        col = model.var(*key)
+        col = model.col_names.index(name)
         lb, ub = float(lower[col]), float(upper[col])
         if not lb <= value <= ub:
             raise BuildError(f"pinned {name} = {value} lies outside [{lb}, {ub}]")

@@ -62,8 +62,7 @@ def cmd_demo_data(args):
 
 def cmd_synth(args):
     _, scenario = runner.synthesize(_merged_config(args, builds=False))
-    with open(args.out, "w") as fh:
-        fh.write(scenario.to_json())
+    runner.write_whole(args.out, scenario.to_json())
     print(f"wrote {args.out}: {scenario.n_clusters} clusters over "
           f"{len(scenario.labels)} historical days, {len(scenario.sequence)} synthetic days")
     return 0

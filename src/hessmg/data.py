@@ -154,6 +154,9 @@ class EssSpec:
     resale_factor: float = within("[0, 1]")   # fraction of remaining value recovered at EOL
 
     def __post_init__(self):
+        # the name is one token of LP column and row names, as MPS writes them
+        if self.name.split() != [self.name]:
+            raise CatalogError(f"technology name {self.name!r} is empty or holds whitespace")
         check_fields(self, self.name, CatalogError)
 
 

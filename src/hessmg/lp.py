@@ -3,6 +3,8 @@
 A model is held as arrays. Columns are registered per ``(kind, entity)``:
 a design variable is one column, a per-step variable is one arithmetic
 range of columns (``add_vars`` interleaves several of them step by step).
+Each column is named ``kind.entity``, or ``kind.entity.k<step>``, when it
+is added; outside the builder, that name is how a column is found.
 Bounds and the minimization objective are dense arrays over the columns.
 Rows arrive in blocks through ``add_rows`` and are stored as COO triplets,
 sorted by column within each row, plus a sense code, a right-hand side and
@@ -172,12 +174,6 @@ class ModelInstance:
             raise KeyError((kind, entity))
         return np.arange(steps.start, steps.stop, steps.step)
 
-    @property
-    def index(self) -> dict[tuple, int | range]:
-        """Every registered variable: (kind, entity) -> its column, or the
-        range of its per-step columns."""
-        return dict(self._index)
-
     def entities(self, kind) -> list[str]:
         """Entities that have a per-step variable of `kind`."""
         return [e for (k, e), cols in self._index.items()
@@ -185,14 +181,8 @@ class ModelInstance:
 
     @property
     def col_names(self) -> list[str]:
+        """Each column's name, fixed when the column is added."""
         return self._col_names
-
-    @col_names.setter
-    def col_names(self, names):
-        names = list(names)
-        if len(names) != self.n_vars:
-            raise ModelError(f"{len(names)} names for {self.n_vars} columns")
-        self._col_names = names
 
     @property
     def lower(self) -> list[float]:

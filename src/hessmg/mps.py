@@ -15,7 +15,9 @@ text, names mapped to indices through one dict, numbers converted by one
 ``np.array(..., float)``. Any other section or layout is read line by
 line, and every error names its line. The rows are added as one block. A
 nonzero objective constant is carried as the (negated) RHS entry of the
-objective row, the common solver convention.
+objective row, the common solver convention. The first N row is the
+objective; a later N row is a free row, dropped with its COLUMNS and RHS
+entries. A row name given twice in ROWS is an error.
 """
 
 from __future__ import annotations
@@ -116,7 +118,8 @@ def write_mps(model: ModelInstance, path, name: str = "HESSMG"):
 
 _SECTIONS = ("NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "OBJSENSE")
 _PIECE = 1 << 20    # a section body is parsed this many characters at a time
-_ROW_TYPE = {"N": -1, **_TYPE_TO_CODE}     # objective rows get index -1
+_ROW_TYPE = {"N": -1, **_TYPE_TO_CODE}     # N rows have a negative code
+_OBJECTIVE, _FREE = -1, -2     # row_index of the first N row, of any later one
 _WHITESPACE = np.zeros(256, dtype=bool)    # the ASCII whitespace of str.split
 _WHITESPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
 
@@ -186,7 +189,8 @@ class _Reader:
         self.path = path
         self.section = None
         self.done = False
-        self.row_index: dict[str, int] = {}  # constraint row -> index; N rows -> -1
+        self.row_index: dict[str, int] = {}  # constraint row -> index; N rows < 0
+        self.objective_read = False
         self.row_codes: list[int] = []
         self.row_names: list[str] = []
         self.col_index: dict[str, int] = {}
@@ -247,10 +251,16 @@ class _Reader:
         if None in codes:
             return False
         codes = np.array(codes, dtype=np.int64)
-        index = np.full(len(codes), -1)
+        index = np.full(len(codes), _FREE)
         constraint = codes >= 0
         index[constraint] = len(self.row_codes) + np.arange(constraint.sum())
-        self.row_index.update(zip(tokens[1::2], index.tolist()))
+        if not self.objective_read and not constraint.all():
+            index[constraint.argmin()] = _OBJECTIVE     # the file's first N row
+        names = dict(zip(tokens[1::2], index.tolist()))
+        if len(names) < len(codes) or not self.row_index.keys().isdisjoint(names):
+            return False    # a repeated name: the line path reports its line
+        self.objective_read |= not constraint.all()
+        self.row_index.update(names)
         self.row_codes.extend(codes[constraint].tolist())
         self.row_names.extend(itertools.compress(tokens[1::2], constraint.tolist()))
         return True
@@ -297,8 +307,11 @@ class _Reader:
         rtype, name = tokens[0].upper(), tokens[1]
         if rtype not in _ROW_TYPE:
             raise self.error(lineno, f"bad row type {rtype}")
+        if name in self.row_index:
+            raise self.error(lineno, f"repeated row name {name}")
         if _ROW_TYPE[rtype] < 0:
-            self.row_index[name] = -1
+            self.row_index[name] = _FREE if self.objective_read else _OBJECTIVE
+            self.objective_read = True
         else:
             self.row_index[name] = len(self.row_codes)
             self.row_codes.append(_ROW_TYPE[rtype])
@@ -327,10 +340,11 @@ class _Reader:
             i = self.row_index.get(name)
             if i is None:
                 raise self.error(lineno, f"unknown row {name}")
-            if i < 0:
-                self.obj_constant = -self.number(value, lineno)
-            else:
-                self.rhs[i] = self.number(value, lineno)
+            value = self.number(value, lineno)
+            if i == _OBJECTIVE:
+                self.obj_constant = -value
+            elif i >= 0:
+                self.rhs[i] = value
 
     def bound(self, tokens, lineno):
         if len(tokens) < 3:
@@ -381,9 +395,10 @@ class _Reader:
         else:
             cols = rows = np.empty(0, dtype=np.int64)
             values = np.empty(0)
-        objective = rows < 0
+        objective = rows == _OBJECTIVE
         model.add_objective(cols[objective], values[objective])
-        cols, rows, values = cols[~objective], rows[~objective], values[~objective]
+        keep = rows >= 0
+        cols, rows, values = cols[keep], rows[keep], values[keep]
         # entries come column by column; turning that CSC into a CSR puts
         # them row by row in linear time
         m = len(self.row_codes)

@@ -133,9 +133,23 @@ def scenario_cache_key(days: list[HistoricalDay], w: int, t_syn: int, seed: int)
     return h.hexdigest()[:16]
 
 
+def write_whole(path, text: str):
+    """Write `text` to `path` whole or not at all: into a temporary file
+    beside it, renamed onto it."""
+    partial = f"{path}.{os.getpid()}.partial"
+    try:
+        with open(partial, "w") as fh:
+            fh.write(text)
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(partial)
+        raise
+
+
 def cached_scenario(days, w, t_syn, seed, cache_dir=None) -> ScenarioModel:
     """Build (or reload) the scenario; cache keyed by data hash + parameters,
-    each file written whole or not at all (a temporary file renamed onto it)."""
+    each file ``write_whole``."""
     if cache_dir is None:
         return build_scenario(days, w, t_syn, seed)
     os.makedirs(cache_dir, exist_ok=True)
@@ -145,15 +159,7 @@ def cached_scenario(days, w, t_syn, seed, cache_dir=None) -> ScenarioModel:
         with open(path) as fh:
             return ScenarioModel.from_json(fh.read())
     model = build_scenario(days, w, t_syn, seed)
-    partial = f"{path}.{os.getpid()}.partial"
-    try:
-        with open(partial, "w") as fh:
-            fh.write(model.to_json())
-        os.replace(partial, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(partial)
-        raise
+    write_whole(path, model.to_json())
     return model
 
 
@@ -231,31 +237,22 @@ class Optimum:
 
     exp_id: str
     x: np.ndarray
-    index: dict[tuple, int | range]  # (kind, entity) -> column(s) of `x`
+    columns: dict[str, int]  # column name -> its index in `x`
     objective: float
 
 
-def _steps(cols: int | range) -> np.ndarray:
-    return np.arange(cols.start, cols.stop, cols.step) if isinstance(cols, range) \
-        else np.array([cols])
-
-
 def _restricted(model, donor: Optimum) -> np.ndarray | None:
-    """`donor`'s point on the columns of `model`, matched by (kind, entity);
-    None unless the donor has every variable of `model` and each donor
-    column that `model` lacks is exactly 0."""
-    own = {key: _steps(cols) for key, cols in model.index.items()}
-    theirs = {key: _steps(cols) for key, cols in donor.index.items()}
-    if (sum(map(len, own.values())) != model.n_vars
-            or any(len(theirs.get(key, ())) != len(cols) for key, cols in own.items())):
+    """`donor`'s point on the columns of `model`, matched by name; None
+    unless the donor has every column of `model` and each donor column
+    that `model` lacks is exactly 0."""
+    try:
+        cols = np.fromiter(map(donor.columns.__getitem__, model.col_names), np.int64,
+                           model.n_vars)
+    except KeyError:
         return None
-    dropped = [theirs[key] for key in theirs.keys() - own.keys()]
-    if dropped and np.any(donor.x[np.concatenate(dropped)] != 0.0):
-        return None
-    x = np.empty(model.n_vars)
-    for key, cols in own.items():
-        x[cols] = donor.x[theirs[key]]
-    return x
+    dropped = np.ones(len(donor.x), dtype=bool)
+    dropped[cols] = False
+    return None if np.any(donor.x[dropped] != 0.0) else donor.x[cols]
 
 
 def _taken_optimum(model, donors) -> tuple[str, np.ndarray, float] | None:
@@ -313,7 +310,8 @@ def run_one(ctx: RunContext, exp: ExperimentConfig, data: ProblemData | None = N
         f"feasibility check: violation {report.max_violation:.3g}",
         warnings=paired_flow_warnings(report), optimum_from=donor)
     if optima is not None and result.error is None:
-        optima[exp.id] = Optimum(exp.id, x, model.index, objective)
+        optima[exp.id] = Optimum(exp.id, x, dict(zip(model.col_names, range(model.n_vars))),
+                                 objective)
     return result
 
 
@@ -466,7 +464,7 @@ def run_config(raw: dict, path) -> dict:
     check_object(sources.get("pv", {}), _spec_fields(PvSpec), path, "sources.pv.")
     for i, exp in enumerate(raw.get("experiments", [])):
         check_object(exp, _EXPERIMENT_FIELDS, path, f"experiments[{i}].", required=("id",))
-        pins = list(map(".".join, design_pins(exp.get("ess", []))))
+        pins = design_pins(exp.get("ess", []))
         for pin in exp.get("fixed", {}):
             if pin not in pins:
                 raise ValueError(f"{path}: experiments[{i}].fixed: unknown pin {pin!r}; "

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from hessmg.builder import GRID, PV, ProblemData, build
+from hessmg.builder import ProblemData, build
 from hessmg.costs import audit, eol_discount, npv_factor
 from hessmg.data import (EssSpec, GridSpec, Horizon, HistoricalDay, SourceSpec,
                          load_catalog, make_demo_dataset)
@@ -67,8 +67,8 @@ def test_1_oracle_equivalence():
     data = ProblemData(
         horizon=horizon, sources=SourceSpec(), ess={"battery": battery},
         price=price, demand_ch=demand, demand_wh=np.zeros(6), pv_cf=np.zeros(6))
-    fixed = {("E_max", "battery"): 40.0, ("P_max_ess", "battery"): 1.0,
-             ("P_max_src", PV): 0.0, ("P_max_src", GRID): 2.8}
+    fixed = {"E_max.battery": 40.0, "P_max_ess.battery": 1.0,
+             "P_max_src.PV": 0.0, "P_max_src.G": 2.8}
     model = build(data, fixed=fixed)
     model.set_bounds(model.columns("E_soe", "battery")[0], 20.0, 20.0)  # half of E_max
     sol = solve(model, SolveOptions(engine="highs"))
@@ -277,7 +277,7 @@ def test_7_npv_correctness():
             horizon=horizon, sources=SourceSpec(), ess={},
             price=np.full(k, 60.0), demand_ch=np.full(k, 1.0),
             demand_wh=np.zeros(k), pv_cf=np.zeros(k))
-        model = build(data, fixed={("P_max_src", PV): 0.0})
+        model = build(data, fixed={"P_max_src.PV": 0.0})
         sol = solve(model, SolveOptions(engine="highs"))
         assert sol.optimal
         return audit(sol.x, model, data, solver_objective=sol.objective)
@@ -307,8 +307,8 @@ ENDATA
 def test_8_mps_round_trip(tmp_path):
     """Golden single-variable file byte-exact; full model re-parses identically."""
     tiny = ModelInstance()
-    x = tiny.add_var("x", "", lb=0.0, ub=INF)
-    tiny.col_names = ["x"]
+    tiny.add_columns(["x"], [0.0], [INF])
+    x = 0
     tiny.add_row([(x, 1.0)], GE, 3.0, "floor", "t")
     tiny.add_objective(x, 1.0)
     golden_path = tmp_path / "tiny.mps"

@@ -201,9 +201,12 @@ class TestCoefficients:
 
     def test_apply_fixed_values(self):
         model = build(_data(ess={"battery": BATTERY}),
-                      fixed={("E_max", "battery"): 2.0, ("P_max_src", PV): 0.0})
+                      fixed={"E_max.battery": 2.0, "P_max_src.PV": 0.0})
         col = model.var("E_max", "battery")
         assert model.lower[col] == model.upper[col] == 2.0
+        # a pin is the column's name and nothing else
+        with pytest.raises(BuildError, match="unknown pin"):
+            build(_data(ess={"battery": BATTERY}), fixed={("E_max", "battery"): 2.0})
 
 
 class TestSmallSolves:
@@ -379,7 +382,7 @@ class TestCrateProjection:
         data = _random_instance(seed)
         fixed = None
         if seed == 4:   # a pin at the ceiling keeps E_max <= E_cap
-            fixed = {("E_max", "battery"): data.ess["battery"].e_cap_max}
+            fixed = {"E_max.battery": data.ess["battery"].e_cap_max}
         projected = solve(build(data, fixed=fixed))
         lifted = solve(_lifted(data, fixed=fixed))
         assert projected.optimal and lifted.optimal

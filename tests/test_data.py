@@ -499,6 +499,12 @@ class TestCatalog:
         assert sorted(targets) == sorted(
             f.name for f in dataclasses.fields(EssSpec) if f.name != "name")
 
+    @pytest.mark.parametrize("name", ["fly wheel", "", " ", "fly\twheel", "flywheel\n"])
+    def test_name_that_is_not_one_token_rejected(self, case_catalog, name):
+        # a technology name is part of LP column names, which MPS splits at whitespace
+        with pytest.raises(CatalogError, match=f"^technology name {re.escape(repr(name))} "):
+            dataclasses.replace(case_catalog["flywheel"], name=name)
+
     def test_zero_efficiency_rejected(self, tmp_path, case_catalog):
         with pytest.raises(CatalogError, match="eta_c"):
             dataclasses.replace(case_catalog["battery"], eta_c=0.0)

@@ -12,6 +12,7 @@ from hessmg.lp import EQ, GE, INF, LE, SENSES, ModelError, ModelInstance
 from hessmg import mps
 from hessmg.mps import MpsFormatError, read_mps, write_mps
 from hessmg.scenario import build_scenario
+from hessmg.solve import solve
 
 
 def _tiny_model():
@@ -208,7 +209,7 @@ def _golden_instances():
     data = ProblemData.from_scenario(
         build_scenario(days, w=2, t_syn=2, seed=8), Horizon(t_syn=2), SourceSpec(),
         {"battery": cat["battery"], "supercapacitor": cat["supercapacitor"]})
-    yield "pinned", build(data, fixed={("E_max", "battery"): 1.25, ("P_max_src", "PV"): 2.0})
+    yield "pinned", build(data, fixed={"E_max.battery": 1.25, "P_max_src.PV": 2.0})
 
 
 # sha256 and size of write_mps output, recorded with the row-by-row writer
@@ -370,6 +371,41 @@ class TestMps:
         path = tmp_path / "bad.mps"
         path.write_text(GOLDEN_MPS.replace(old, new))
         with pytest.raises(MpsFormatError, match=f"^{re.escape(str(path))}:{line}: "):
+            read_mps(path)
+
+    @pytest.mark.parametrize("comment", [False, True], ids=["bulk", "line by line"])
+    def test_first_n_row_is_the_objective(self, tmp_path, comment):
+        # a later N row is a free row: its COLUMNS and RHS entries are dropped
+        text = ("NAME FREE\nROWS\n N COST\n N FREE\n G floor\nCOLUMNS\n x COST 1\n"
+                " x FREE 100\n x floor 1\nRHS\n RHS FREE 5\n RHS floor 2\nBOUNDS\nENDATA\n")
+        if comment:
+            for section in ("ROWS\n", "COLUMNS\n"):
+                text = text.replace(section, section + " * comment\n")
+        path = tmp_path / "free.mps"
+        path.write_text(text)
+        want = ModelInstance()
+        want.add_columns(["x"], [0.0], [INF])
+        want.add_row([(0, 1.0)], GE, 2.0, "floor", "t")
+        want.add_objective(0, 1.0)
+        model = read_mps(path)
+        assert model.signature() == want.signature()
+        assert solve(model).objective == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("comment, piece, line", [(False, None, 6), (True, None, 7),
+                                                      (False, 1, 6)],
+                             ids=["bulk", "line by line", "in a later piece"])
+    @pytest.mark.parametrize("name", ["cover", "COST"])
+    def test_repeated_row_name_names_its_line(self, tmp_path, monkeypatch,
+                                              name, comment, piece, line):
+        text = GOLDEN_MPS.replace(" E link\n", f" E link\n G {name}\n")
+        if comment:
+            text = text.replace("ROWS\n", "ROWS\n * comment\n")
+        if piece is not None:
+            monkeypatch.setattr(mps, "_PIECE", piece)
+        path = tmp_path / "repeated.mps"
+        path.write_text(text)
+        with pytest.raises(MpsFormatError,
+                           match=f"^{re.escape(str(path))}:{line}: repeated row name "):
             read_mps(path)
 
     def test_isolated_columns_round_trip(self, tmp_path):

@@ -225,8 +225,7 @@ def _point_in(model, sub, x_sub):
     """`x_sub`, a point of `sub`, on the columns of `model`: every column
     `sub` lacks at 0."""
     x = np.zeros(model.n_vars)
-    for key, cols in sub.index.items():
-        x[model.index[key]] = x_sub[cols]
+    x[[model.col_names.index(name) for name in sub.col_names]] = x_sub
     return x
 
 
@@ -301,7 +300,7 @@ class TestDonors:
         assert run_one(ctx, MATRIX[2], None, [donor]).optimum_from == "4"
         # a supercapacitor energy of 1e-12 costs nothing; only the zero test sees it
         x = donor.x.copy()
-        x[donor.index[("E_soe", "supercapacitor")][0]] = 1e-12
+        x[donor.columns["E_soe.supercapacitor.k0"]] = 1e-12
         nudged = dataclasses.replace(donor, x=x)
         # an objective off by more than the audit tolerance
         off = dataclasses.replace(donor, objective=donor.objective * (1 + 1e-5))
@@ -522,6 +521,17 @@ class TestCli:
                      "--out", str(tmp_path / "config.json")]) == 0
         assert (tmp_path / "flags.json").read_bytes() == (tmp_path / "config.json").read_bytes()
 
+    @pytest.mark.parametrize("before", [None, b"an older scenario"], ids=["new", "existing"])
+    def test_failed_synth_leaves_out_as_it_was(self, workspace, tmp_path, before):
+        # --out is written whole or not at all
+        out = tmp_path / "scenario.json"
+        if before is not None:
+            out.write_bytes(before)
+        with mock.patch.object(ScenarioModel, "to_json", side_effect=ValueError("no JSON")):
+            assert main(["synth", "--config", str(workspace[1]), "--out", str(out)]) == 2
+        assert os.listdir(tmp_path) == ([] if before is None else ["scenario.json"])
+        assert before is None or out.read_bytes() == before
+
     @pytest.mark.parametrize("extra, config, message", [
         (["--clusters", "3", "--days", "0"], None,
          "horizon: t_syn must be an integer in [1, inf), got 0"),
@@ -685,6 +695,8 @@ class TestCli:
          "duplicate_key.ini:35: key eta_c repeated in [flywheel]"),
         ("export-mps", ["--catalog", "{tmp}/no_section.ini", "--out", "{tmp}/m.mps"], {},
          "no_section.ini:1: key before any [section]: eta_c = 0.9"),
+        ("export-mps", ["--catalog", "{tmp}/spaced_name.ini", "--out", "{tmp}/m.mps"], {},
+         "technology name 'fly wheel' is empty or holds whitespace"),
     ], ids=["incomplete scenario", "missing scenario", "unknown technology",
             "string clusters", "unknown horizon field", "unknown grid field",
             "unknown pin", "undotted pin", "epigraph pin", "path in experiment id",
@@ -693,7 +705,7 @@ class TestCli:
             "scenario steps not dividing a day", "nan tariff", "nan catalog field",
             "negative catalog field", "negative seed", "zero jobs", "empty scenario path",
             "scenario label outside the clusters", "catalog duplicate key",
-            "catalog key before any section"])
+            "catalog key before any section", "technology name with a space"])
     def test_input_faults_print_one_line(self, workspace, tmp_path, capsys,
                                          command, extra, config, message):
         root, cfg_path = workspace
@@ -715,6 +727,7 @@ class TestCli:
         (tmp_path / "duplicate_key.ini").write_text(catalog.replace(
             "[flywheel]\n", "[flywheel]\neta_c = 0.9\n"))
         (tmp_path / "no_section.ini").write_text("eta_c = 0.9\n" + catalog)
+        (tmp_path / "spaced_name.ini").write_text(catalog.replace("[flywheel]", "[fly wheel]"))
         if config:
             cfg = {**json.loads(cfg_path.read_text()), **config}
             cfg_path = tmp_path / "config.json"
@@ -728,6 +741,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("hessmg: error: ") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "m.mps").exists()
 
     def test_failed_design_reports_no_total(self, workspace, tmp_path, capsys):
         # the report line, like the output files, gives no number for a failed design
