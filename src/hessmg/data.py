@@ -68,6 +68,15 @@ class DataFormatError(ValueError):
     """Malformed or inconsistent input file."""
 
 
+class _RangeFault(DataFormatError):
+    """A value of a day's series outside its range: `day`, `series` and
+    `step` say which, `words` what is wrong with it."""
+
+    def __init__(self, day, series, step, words):
+        super().__init__(f"{day}: {words}")
+        self.day, self.series, self.step, self.words = day, series, int(step), words
+
+
 class CatalogError(ValueError):
     """Missing or invalid technology catalog entry."""
 
@@ -229,8 +238,10 @@ class HistoricalDay:
             if not np.isfinite(row).all():
                 raise DataFormatError(f"{self.date}: non-finite {name}")
         if values[1:3].min() < 0:
-            raise DataFormatError(f"{self.date}: negative demand")
-        raise DataFormatError(f"{self.date}: capacity factor out of range")
+            row, step = np.argwhere(values[1:3] < 0)[0]
+            raise _RangeFault(self.date, SERIES[1 + row], step, "negative demand")
+        step = np.flatnonzero((values[3] < 0) | (values[3] > 1))[0]
+        raise _RangeFault(self.date, "pv_cf", step, "capacity factor out of range")
 
     def __eq__(self, other):
         if not isinstance(other, HistoricalDay):
@@ -384,6 +395,12 @@ def _read_bulk(path, header, n_values):
     return secs * 1_000_000, columns
 
 
+def _stamp_text(stamp) -> str:
+    """A stamp in microseconds (days counted as ``date.toordinal()``) as ISO text."""
+    return (dt.datetime.fromordinal(stamp // _DAY_US)
+            + dt.timedelta(microseconds=stamp % _DAY_US)).isoformat()
+
+
 def _complete_days(stamps, columns, horizon, label):
     """{date: [one array per value column]} for the complete days of one
     file, from its rows in any order (stamps in microseconds). A repeated
@@ -397,7 +414,8 @@ def _complete_days(stamps, columns, horizon, label):
     spd = horizon.steps_per_day
     day_of = stamps // _DAY_US
     days, start, count = np.unique(day_of, return_index=True, return_counts=True)
-    on_grid = ~np.isin(days, day_of[stamps % (60_000_000 * horizon.tau_minutes) != 0])
+    off_grid = stamps % (60_000_000 * horizon.tau_minutes) != 0
+    on_grid = ~np.isin(days, day_of[off_grid])
     complete = on_grid & (count == spd)
     for i in np.flatnonzero(~complete).tolist():
         day = dt.date.fromordinal(int(days[i]))
@@ -405,8 +423,13 @@ def _complete_days(stamps, columns, horizon, label):
             warnings.warn(
                 f"{label}: dropping incomplete day {day} ({count[i]}/{spd} steps)",
                 IncompleteDayWarning, stacklevel=3)
+        elif on_grid[i]:
+            raise DataFormatError(f"{label}: gap inside day {day} ({count[i]}/{spd} steps)")
         else:
-            raise DataFormatError(f"{label}: gap inside day {day}")
+            stamp = int(stamps[off_grid & (day_of == days[i])][0])
+            raise DataFormatError(
+                f"{label}: stamp {_stamp_text(stamp)} is off the "
+                f"{horizon.tau_minutes}-minute step grid")
     return {dt.date.fromordinal(d): [c[s:s + spd] for c in columns]
             for d, s in zip(days[complete].tolist(), start[complete].tolist())}
 
@@ -416,7 +439,8 @@ def load_dataset(price_path, demand_path, pv_path, horizon: Horizon) -> list[His
 
     Incomplete days at either end of any file are dropped with a warning;
     only dates complete in all three files are returned. A repeated
-    timestamp keeps its last row; a non-finite value is an error.
+    timestamp keeps its last row; a non-finite value is an error, and so is
+    a value outside its series' range, named with its file, stamp and column.
     """
     paths = (price_path, demand_path, pv_path)
     parsed = [_read_bulk(path, f.header, len(f.series))
@@ -427,10 +451,19 @@ def load_dataset(price_path, demand_path, pv_path, horizon: Horizon) -> list[His
     for (stamps, columns), f in zip(parsed, SIGNAL_FILES):
         per_file.append(_complete_days(stamps, columns, horizon, f.label))
     dates = sorted(set(per_file[0]).intersection(*per_file[1:]))
-    return [HistoricalDay(date=day, **{name: column
-                                       for f, days in zip(SIGNAL_FILES, per_file)
-                                       for name, column in zip(f.series, days[day])})
-            for day in dates]
+    try:
+        return [HistoricalDay(date=day, **{name: column
+                                           for f, days in zip(SIGNAL_FILES, per_file)
+                                           for name, column in zip(f.series, days[day])})
+                for day in dates]
+    except _RangeFault as fault:
+        i = next(i for i, f in enumerate(SIGNAL_FILES) if fault.series in f.series)
+        column = SIGNAL_FILES[i].series.index(fault.series)
+        value = per_file[i][fault.day][column][fault.step]
+        stamp = fault.day.toordinal() * _DAY_US + fault.step * 60_000_000 * horizon.tau_minutes
+        raise DataFormatError(
+            f"{paths[i]}: {_stamp_text(stamp)}: {fault.words} "
+            f"({SIGNAL_FILES[i].header[1 + column]} = {value})") from None
 
 
 def save_dataset(days, price_path, demand_path, pv_path):

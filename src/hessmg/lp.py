@@ -10,8 +10,8 @@ Rows arrive in blocks through ``add_rows`` and are stored as COO triplets,
 sorted by column within each row, plus a sense code, a right-hand side and
 a family code per row and a list of row names; ``add_row`` adds one row
 through the same checks. ``row_matrix()`` assembles the CSR once and
-caches it until the next row is added. The solver, the residual and
-``verify`` checks and the MPS writer all read that one CSR.
+caches it until the next row is added. The solver, ``verify`` and the
+MPS writer all read that one CSR.
 
 ``rows`` gives the same rows as ``Row`` objects, made on access; it is
 meant for tests and for inspecting models, not for hot paths.
@@ -343,9 +343,6 @@ class ModelInstance:
 
     def rhs_vector(self) -> np.ndarray:
         return self._rhs.array.copy()
-
-    def row_activities(self, x) -> np.ndarray:
-        return self.row_matrix() @ np.asarray(x)
 
     @property
     def rows(self) -> "RowView":

@@ -192,15 +192,14 @@ VIOLATION_TOL = 1e-6  # largest verify violation of a design reported without er
 
 
 def paired_flow_warnings(report: VerifyReport) -> list[str]:
-    """One line per entity whose import/export (grid) or charge/discharge
-    (storage) pair is nonzero together at some step. The gross converter
-    rows forbid pairing at full rating but not below it, where the optimum
-    can still use it to dump energy as conversion losses."""
+    """One line per pair of ``report.pair_products`` whose two flows are
+    nonzero together at some step. The gross converter rows forbid pairing
+    at full rating but not below it, where the optimum can still use it to
+    dump energy as conversion losses."""
     out = []
-    for entity, products in report.pair_products.items():
+    for (entity, flows), products in report.pair_products.items():
         steps = np.flatnonzero(products > PAIR_TOL)
         if len(steps):
-            flows = "import and export" if entity == GRID else "charge and discharge"
             shown = ", ".join(map(str, steps[:PAIR_STEPS_SHOWN].tolist()))
             more = (f" and {len(steps) - PAIR_STEPS_SHOWN} more"
                     if len(steps) > PAIR_STEPS_SHOWN else "")

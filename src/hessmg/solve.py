@@ -76,7 +76,7 @@ def _solve_simplex(model):
 
 def _row_violations(model: ModelInstance, x) -> np.ndarray:
     """Per-row violation of a point: how far each row misses its sense."""
-    gap = model.row_activities(x) - model.rhs_vector()
+    gap = model.row_matrix() @ x - model.rhs_vector()
     codes = model.sense_codes()
     gap[codes == SENSES.index(GE)] *= -1.0
     eq = codes == SENSES.index(EQ)
@@ -128,11 +128,9 @@ def solve(model: ModelInstance, options: SolveOptions | None = None) -> Solution
 
 
 def max_primal_residual(model: ModelInstance, x) -> float:
-    """Largest constraint or bound violation of a candidate point; ``verify``
-    reports the same per row family."""
-    x = np.asarray(x)
-    rows = float(np.max(_row_violations(model, x), initial=0.0))
-    return max(rows, _bound_violation(model, x))
+    """Largest constraint or bound violation of a candidate point:
+    ``verify``'s ``max_violation``."""
+    return verify(model, x).max_violation
 
 
 @dataclass
@@ -142,11 +140,11 @@ class VerifyReport:
     family_violation: dict[str, float]
     worst_row: dict[str, str]
     bound_violation: float
-    pair_products: dict[str, np.ndarray]   # entity -> per-step product of +/- pair
+    pair_products: dict[tuple[str, str], np.ndarray]  # (entity, PAIRS flows) -> product
 
     @property
     def max_violation(self) -> float:
-        return max(self.bound_violation, *self.family_violation.values())
+        return max([self.bound_violation, *self.family_violation.values()])
 
     @property
     def max_complementarity(self) -> float:
@@ -154,12 +152,13 @@ class VerifyReport:
                    default=0.0)
 
 
-# kinds whose per-step +/- columns should not both be nonzero
-PAIRS = (("P_src_plus", "P_src_minus"), ("P_ess_plus", "P_ess_minus"))
+# (plus kind, minus kind) -> the two flows, which should not both be nonzero at a step
+PAIRS = {("P_src_plus", "P_src_minus"): "import and export",
+         ("P_ess_plus", "P_ess_minus"): "charge and discharge"}
 
 
 def verify(model: ModelInstance, x) -> VerifyReport:
-    """Recompute every row activity and the import/export product pairs.
+    """Recompute every row activity and each converter's ``PAIRS`` products.
 
     Report-only: nothing here reuses the solver's residuals or objective.
     """
@@ -175,9 +174,9 @@ def verify(model: ModelInstance, x) -> VerifyReport:
         worst_row[family] = model.row_names[worst]
 
     pair_products = {}
-    for plus, minus in PAIRS:
+    for (plus, minus), words in PAIRS.items():
         for entity in model.entities(plus):
-            pair_products[entity] = (x[model.columns(plus, entity)]
-                                     * x[model.columns(minus, entity)])
+            pair_products[entity, words] = (x[model.columns(plus, entity)]
+                                            * x[model.columns(minus, entity)])
     return VerifyReport(family_violation, worst_row, _bound_violation(model, x),
                         pair_products)

@@ -232,7 +232,7 @@ class TestSmallSolves:
         model = build(data)
         sol = solve(model, SolveOptions(engine="highs"))
         assert sol.optimal
-        act = model.row_activities(sol.x)
+        act = model.row_matrix() @ sol.x
         for i, row in enumerate(model.rows):
             if row.family == "balance":
                 assert act[i] == pytest.approx(row.rhs, abs=1e-7)

@@ -394,8 +394,10 @@ def test_edited_price_file_matches_line_path(tmp_path, edit, crlf, bulk, expecte
 
 
 @pytest.mark.parametrize("edit, expected", [
-    (_fraction_in_middle_day, (DataFormatError, "prices: gap inside day 2021-01-02")),
-    (_extra_fraction_on_last_day, (DataFormatError, "prices: gap inside day 2021-01-03")),
+    (_fraction_in_middle_day, (DataFormatError, "prices: stamp 2021-01-02T05:00:00.500000 "
+                                                "is off the 60-minute step grid")),
+    (_extra_fraction_on_last_day, (DataFormatError, "prices: stamp 2021-01-03T21:00:00.250000 "
+                                                    "is off the 60-minute step grid")),
     (_header_only, ([], [])),
 ], ids=["fraction in middle day", "extra fraction on last day", "header only"])
 def test_fractional_stamps_and_empty_files(tmp_path, edit, expected):
@@ -405,6 +407,30 @@ def test_fractional_stamps_and_empty_files(tmp_path, edit, expected):
     save_dataset(make_demo_dataset(seed=5, n_days=3), *paths)
     paths[0].write_text("\n".join(edit(paths[0].read_text().splitlines())) + "\n")
     assert _outcome(paths, Horizon(t_syn=1)) == expected
+
+
+def test_hourly_files_under_a_15_minute_step_say_how_many_steps_a_day_holds(tmp_path):
+    """Hourly stamps sit on the 15-minute grid, so nothing is off it: each
+    day is short, and the first inner one is an error that counts its steps."""
+    paths = (tmp_path / "p.csv", tmp_path / "d.csv", tmp_path / "pv.csv")
+    save_dataset(make_demo_dataset(seed=5, n_days=3), *paths)
+    assert _outcome(paths, Horizon(tau_minutes=15, t_syn=1)) == (
+        DataFormatError, "prices: gap inside day 2021-01-02 (24/96 steps)")
+
+
+@pytest.mark.parametrize("file, cell, expected", [
+    (1, "-0.5", "2021-01-02T05:00:00: negative demand (wh_mw = -0.5)"),
+    (2, "1.2", "2021-01-02T05:00:00: capacity factor out of range (pv_cf = 1.2)"),
+], ids=["negative demand", "capacity factor above 1"])
+@pytest.mark.parametrize("line", [False, True], ids=["bulk", "line"])
+def test_range_fault_names_file_stamp_and_value(tmp_path, file, cell, expected, line):
+    paths = (tmp_path / "p.csv", tmp_path / "d.csv", tmp_path / "pv.csv")
+    save_dataset(make_demo_dataset(seed=5, n_days=3), *paths)
+    lines = paths[file].read_text().splitlines()
+    lines[30] = ",".join(lines[30].split(",")[:-1] + [cell])
+    paths[file].write_text("\n".join(lines) + "\n")
+    kind, message = _outcome(paths, Horizon(t_syn=1), line=line)
+    assert kind is DataFormatError and message == f"{paths[file]}: {expected}"
 
 
 @pytest.mark.parametrize("line", [False, True], ids=["bulk", "line"])

@@ -107,7 +107,7 @@ class TestModelInstance:
         np.testing.assert_array_equal(a, [[1, 1], [1, -1]])
         assert [SENSES[s] for s in m.sense_codes()] == [GE, EQ]
         np.testing.assert_array_equal(m.rhs_vector(), [1.0, 0.5])
-        np.testing.assert_array_equal(m.row_activities([1.0, 2.0]), [3.0, -1.0])
+        np.testing.assert_array_equal(m.row_matrix() @ [1.0, 2.0], [3.0, -1.0])
         lo, hi = m.bounds_arrays()
         assert lo.tolist() == [0.0, -INF] and hi.tolist() == [4.0, INF]
 

@@ -15,7 +15,8 @@ from hessmg.cli import main
 from hessmg.data import (SERIES, GridSpec, Horizon, SourceSpec, make_demo_dataset,
                          write_demo_files)
 from hessmg.run import (VIOLATION_TOL, ExperimentConfig, RunContext, cached_scenario,
-                        context_from_config, problem_data, run_experiments, run_one,
+                        context_from_config, paired_flow_warnings, problem_data,
+                        run_experiments, run_one,
                         scenario_cache_key,
                         emit_traces, write_outputs, write_results_json,
                         write_summary, summary_columns)
@@ -145,6 +146,23 @@ class TestPairedFlows:
         assert res.status == "optimal" and res.error is None
         assert any(w.startswith("battery: simultaneous charge and discharge")
                    for w in res.warnings)
+
+    def test_storage_named_like_the_grid_keeps_both_pairs(self, case_catalog):
+        # each pair is keyed by its converter, so a storage named "G" does not
+        # replace the grid's products, and the grid's pairing is still reported
+        catalog = {"G": dataclasses.replace(case_catalog["battery"], name="G")}
+        data = problem_data(_one_day_ctx(catalog), ExperimentConfig(id="g", ess_subset=("G",)))
+        model = build(data)
+        x = np.zeros(model.n_vars)
+        x[model.columns("P_src_plus", "G")] = 1.0
+        x[model.columns("P_src_minus", "G")] = 1.0
+        report = verify(model, x)
+        assert set(report.pair_products) == {("G", "import and export"),
+                                             ("G", "charge and discharge")}
+        assert report.max_complementarity == 1.0
+        assert paired_flow_warnings(report) == [
+            "G: simultaneous import and export at steps 0, 1, 2, 3, 4 and 19 more "
+            "(largest product 1)"]
 
     def test_normal_day_has_no_warning(self, case_catalog):
         res = run_one(_one_day_ctx(case_catalog),

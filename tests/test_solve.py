@@ -112,7 +112,7 @@ class TestVerify:
         _, model = _model()
         sol = solve(model)
         x = sol.x + np.random.default_rng(0).normal(0.0, 0.01, model.n_vars)
-        act = model.row_activities(x)
+        act = model.row_matrix() @ x
         worst = {}
         for i, row in enumerate(model.rows):
             gap = max(0.0, {"<=": act[i] - row.rhs, ">=": row.rhs - act[i]}.get(
@@ -127,6 +127,12 @@ class TestVerify:
         assert max_primal_residual(model, x) == max(
             [v for v, _ in worst.values()] + [bounds])
 
+    def test_rowless_model_reports_its_bound_violation(self):
+        m = ModelInstance()
+        m.add_var("a", "x", lb=0.0, ub=1.0)
+        assert verify(m, [2.0]).max_violation == 1.0
+        assert max_primal_residual(m, [2.0]) == 1.0
+
     def test_bound_violation_detected(self):
         _, model = _model()
         sol = solve(model, SolveOptions(engine="highs"))
@@ -139,7 +145,8 @@ class TestVerify:
         sol = solve(model, SolveOptions(engine="highs"))
         report = verify(model, sol.x)
         k = len(model.columns("P_src_plus", GRID))
-        assert set(report.pair_products) == {"G", "battery"}
+        assert set(report.pair_products) == {("G", "import and export"),
+                                             ("battery", "charge and discharge")}
         assert all(len(p) == k for p in report.pair_products.values())
         assert report.max_complementarity < 1e-6
 
@@ -151,4 +158,4 @@ class TestVerify:
         exp = model.var("P_src_minus", GRID, 0)
         x[imp] = max(x[imp], 1.0)
         x[exp] = 1.0
-        assert verify(model, x).pair_products["G"][0] >= 1.0
+        assert verify(model, x).pair_products["G", "import and export"][0] >= 1.0

@@ -102,7 +102,7 @@ def _instance(seed, crate_max=None, horizon=None, zero_pv=False, price_low=-120.
 def _storage_pairing(model, data, x):
     """Largest charge * discharge product of any storage at any step."""
     products = verify(model, x).pair_products
-    return max(float(products[name].max()) for name in data.ess)
+    return max(float(products[name, "charge and discharge"].max()) for name in data.ess)
 
 
 class TestSwingReference:
