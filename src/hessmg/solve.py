@@ -1,5 +1,14 @@
-"""Solver front end: solves a ModelInstance with scipy's HiGHS backend and
-verifies solutions independently of the solver.
+"""Solver front end: solves a ModelInstance with HiGHS and verifies solutions
+independently of the solver.
+
+A model reaches HiGHS through SciPy's bundled bindings
+(``scipy.optimize._highspy._core``, the module behind SciPy's own
+``method="highs"`` LP function): one ``HighsLp`` holds the CSR row matrix with
+each row as a bound pair, and a fresh ``Highs`` per solve takes it with the
+options that function sets. Rows go in that function's order, all ``<=`` then
+``>=`` then ``==``, because HiGHS's pivots, and so its optimum and iteration
+count, follow the row order. SciPy's LP function stays only as an independent
+reference in the tests and the benchmark's checks.
 
 The dense embedded simplex stays as a reference engine that tests compare
 HiGHS against (``SolveOptions(engine="simplex")``); nothing selects it by
@@ -12,8 +21,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
-import scipy.sparse as sp
+from scipy.optimize._highspy import _core as highs
 
 from .lp import EQ, GE, LE, SENSES, ModelInstance
 
@@ -26,6 +34,16 @@ ITERATION_LIMIT = "iteration-limit"
 
 FEAS_TOL = 1e-7     # primal feasibility tolerance of both engines
 OPT_TOL = 1e-7      # dual feasibility (optimality) tolerance of both engines
+
+# the HiGHS options SciPy's method="highs" LP function sets away from their defaults
+_HIGHS_OPTIONS = {"output_flag": False, "presolve": "on",
+                  "primal_feasibility_tolerance": FEAS_TOL,
+                  "dual_feasibility_tolerance": OPT_TOL}
+_HIGHS_STATUS = {highs.HighsModelStatus.kOptimal: OPTIMAL,
+                 highs.HighsModelStatus.kInfeasible: INFEASIBLE,
+                 highs.HighsModelStatus.kUnbounded: UNBOUNDED,
+                 highs.HighsModelStatus.kIterationLimit: ITERATION_LIMIT}
+_HIGHS_ROW_RANK = np.array([{LE: 0, GE: 1, EQ: 2}[s] for s in SENSES])
 
 
 @dataclass(frozen=True)
@@ -91,26 +109,41 @@ def _bound_violation(model: ModelInstance, x) -> float:
 
 
 def _solve_highs(model):
-    a = model.row_matrix()
-    rhs = model.rhs_vector()
     codes = model.sense_codes()
-    le_rows, eq_rows, ge_rows = (np.flatnonzero(codes == i) for i in range(len(SENSES)))
-    a_ub = sp.vstack([a[le_rows], -a[ge_rows]]) if len(le_rows) or len(ge_rows) else None
-    b_ub = np.concatenate([rhs[le_rows], -rhs[ge_rows]]) if a_ub is not None else None
-    a_eq = a[eq_rows] if len(eq_rows) else None
-    b_eq = rhs[eq_rows] if len(eq_rows) else None
+    # SciPy's LP row order (all <=, then >=, then ==) keeps HiGHS's pivots, and so
+    # every optimum and iteration count, as they were through that function
+    order = np.argsort(_HIGHS_ROW_RANK[codes], kind="stable")
+    a = model.row_matrix()[order]
+    rhs = model.rhs_vector()[order]
+    codes = codes[order]
     lower, upper = model.bounds_arrays()
-    res = scipy.optimize.linprog(
-        model.objective_vector(), A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-        bounds=np.column_stack([lower, upper]), method="highs",
-        options={"primal_feasibility_tolerance": FEAS_TOL,
-                 "dual_feasibility_tolerance": OPT_TOL})
-    status = {0: OPTIMAL, 1: ITERATION_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}.get(
-        res.status, res.message)
-    x = res.x if res.x is not None else np.zeros(model.n_vars)
-    obj = float(res.fun) if res.fun is not None else float("nan")
-    iters = int(getattr(res, "nit", 0))
-    return status, x, obj, iters
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = model.n_vars
+    lp.num_row_ = lp.a_matrix_.num_row_ = model.n_rows
+    lp.col_cost_ = model.objective_vector()
+    lp.col_lower_ = lower
+    lp.col_upper_ = upper
+    lp.row_lower_ = np.where(codes == SENSES.index(LE), -np.inf, rhs)
+    lp.row_upper_ = np.where(codes == SENSES.index(GE), np.inf, rhs)
+    lp.a_matrix_.format_ = highs.MatrixFormat.kRowwise
+    lp.a_matrix_.start_ = a.indptr
+    lp.a_matrix_.index_ = a.indices
+    lp.a_matrix_.value_ = a.data
+    h = highs._Highs()    # one per solve: threads under --jobs never share one
+    for name, value in _HIGHS_OPTIONS.items():
+        h.setOptionValue(name, value)
+    if h.passModel(lp) == highs.HighsStatus.kError:    # run() would solve an empty model
+        model_status = highs.HighsModelStatus.kModelError
+    else:
+        h.run()
+        model_status = h.getModelStatus()
+    info = h.getInfo()
+    iters = max(info.simplex_iteration_count, 0)    # -1 when HiGHS never ran
+    status = _HIGHS_STATUS.get(model_status) or h.modelStatusToString(model_status)
+    if status != OPTIMAL:
+        return status, np.zeros(model.n_vars), float("nan"), iters
+    return (status, np.array(h.getSolution().col_value),
+            float(info.objective_function_value), iters)
 
 
 def solve(model: ModelInstance, options: SolveOptions | None = None) -> Solution:

@@ -335,7 +335,9 @@ class TestDonors:
 
     def test_each_optimum_reaches_its_subset_under_thread_switching(self, ctx):
         # pairs told apart by their pins: B_i can take only BSF_i's optimum,
-        # so an optimum lost between worker threads shows as a solved B_i
+        # so an optimum lost between worker threads shows as a solved B_i; the
+        # six BSF designs solve at once, each in its own Highs, and must give
+        # the records of one thread
         pairs = [{"P_max_src.PV": 0.5 * i} for i in range(6)]
         experiments = [ExperimentConfig(id=f"{kind}{i}", ess_subset=ess, fixed=pins)
                        for i, pins in enumerate(pairs)
@@ -348,6 +350,8 @@ class TestDonors:
             sys.setswitchinterval(interval)
         assert [(r.exp_id, r.optimum_from) for r in results] == [
             *((f"b{i}", f"s{i}") for i in range(6)), *((f"s{i}", None) for i in range(6))]
+        serial = run_experiments(ctx, experiments, jobs=1)
+        assert list(map(_without_timing, results)) == list(map(_without_timing, serial))
 
     def test_failed_superset_is_no_donor(self, ctx):
         ceiling = ctx.catalog["battery"].e_cap_max

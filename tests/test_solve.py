@@ -5,12 +5,16 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.optimize
+import scipy.sparse as sp
+from scipy.optimize._highspy import _core as highs
 
 from hessmg.builder import GRID, ProblemData, build
 from hessmg.data import EssSpec, Horizon, SourceSpec
-from hessmg.lp import GE, LE, ModelInstance
-from hessmg.solve import (SolveOptions, max_primal_residual, solve,
-                          to_equality_form, verify)
+from hessmg.lp import EQ, GE, LE, SENSES, ModelInstance
+from hessmg.solve import (_HIGHS_OPTIONS, FEAS_TOL, INFEASIBLE, ITERATION_LIMIT,
+                          OPT_TOL, OPTIMAL, UNBOUNDED, SolveOptions,
+                          max_primal_residual, solve, to_equality_form, verify)
 
 BATTERY = EssSpec(
     name="battery", eta_c=0.83, eta_d=0.88, cost_energy=900.0,
@@ -84,6 +88,61 @@ class TestEngines:
         sol = solve(model)
         raw = model.objective_vector() @ sol.x
         assert sol.objective == pytest.approx(raw + model.objective_constant, rel=1e-12)
+
+    @pytest.mark.parametrize("t_syn", [1, 3, 4])
+    def test_highs_matches_linprog_bit_for_bit(self, t_syn):
+        # the rows as linprog takes them: <= rows, >= rows negated to <=, then ==;
+        # a change to the row order or the options moves the pivots and fails here
+        # (at t_syn=4, rows in model order take 175 iterations instead of 178)
+        _, model = _model(t_syn=t_syn)
+        a, rhs, codes = model.row_matrix(), model.rhs_vector(), model.sense_codes()
+        le, ge, eq = (np.flatnonzero(codes == SENSES.index(s)) for s in (LE, GE, EQ))
+        lower, upper = model.bounds_arrays()
+        ref = scipy.optimize.linprog(
+            model.objective_vector(), A_ub=sp.vstack([a[le], -a[ge]]),
+            b_ub=np.concatenate([rhs[le], -rhs[ge]]), A_eq=a[eq], b_eq=rhs[eq],
+            bounds=np.column_stack([lower, upper]), method="highs",
+            options={"primal_feasibility_tolerance": FEAS_TOL,
+                     "dual_feasibility_tolerance": OPT_TOL})
+        sol = solve(model)
+        assert ref.status == 0 and sol.optimal
+        assert np.array_equal(sol.x, ref.x)
+        assert sol.objective == ref.fun + model.objective_constant
+        assert sol.iterations == ref.nit
+
+    def test_highs_accepts_every_option(self):
+        # a rejected option is no error at solve time, only a setting left at its default
+        for name, value in _HIGHS_OPTIONS.items():
+            assert highs._Highs().setOptionValue(name, value) == highs.HighsStatus.kOk, name
+
+    def test_infeasible_model(self):
+        m = ModelInstance()
+        x = m.add_var("a", "x", lb=0.0, ub=1.0)
+        m.add_row([(x, 1.0)], GE, 2.0, "r", "t")
+        sol = solve(m)
+        assert sol.status == INFEASIBLE
+        assert np.array_equal(sol.x, [0.0]) and np.isnan(sol.objective)
+
+    def test_unbounded_model(self):
+        m = ModelInstance()
+        x = m.add_var("a", "x")
+        y = m.add_var("a", "y")
+        m.add_objective([x, y], [-1.0, -1.0])
+        m.add_row([(x, 1.0), (y, -1.0)], LE, 1.0, "r", "t")
+        sol = solve(m)
+        assert sol.status == UNBOUNDED
+        assert np.array_equal(sol.x, [0.0, 0.0]) and np.isnan(sol.objective)
+
+    def test_model_highs_refuses_is_not_solved_empty(self):
+        # a column fixed at +inf passes the container, but HiGHS rejects the
+        # model; it must not report the optimum of an empty model instead
+        m = ModelInstance()
+        x = m.add_var("a", "x", lb=np.inf)
+        m.add_row([(x, 1.0)], LE, 1.0, "r", "t")
+        sol = solve(m)
+        assert sol.status not in (OPTIMAL, INFEASIBLE, UNBOUNDED, ITERATION_LIMIT)
+        assert "error" in sol.status.lower() and sol.iterations == 0
+        assert np.array_equal(sol.x, [0.0]) and np.isnan(sol.objective)
 
     def test_residual_reported(self):
         _, model = _model()
