@@ -122,7 +122,7 @@ class ModelInstance:
         and `ub` hold one bound per column."""
         lb = np.asarray(lb, dtype=float).ravel()
         ub = np.asarray(ub, dtype=float).ravel()
-        bad = np.isnan(lb) | np.isnan(ub) | (lb > ub)
+        bad = np.isnan(lb) | np.isnan(ub) | (lb > ub) | (lb == INF) | (ub == -INF)
         if bad.any():
             i = bad.argmax()
             raise ModelError(f"bad bounds [{lb[i]}, {ub[i]}] for {names[i]}")

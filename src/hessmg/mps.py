@@ -1,4 +1,4 @@
-"""Free-format MPS writer and reader.
+"""Free-format MPS writer, and the reader of its files.
 
 The writer emits ROWS/COLUMNS/RHS/BOUNDS sections with one entry per line,
 deterministically ordered, so exports are byte-stable. It works from the
@@ -6,23 +6,20 @@ model's arrays: COLUMNS walks the CSC of the objective row stacked on the
 constraint matrix, so each column's objective entry comes first and its
 rows follow in declaration order. Every distinct value is formatted once,
 and lines go to the file in chunks, never as one list of the whole file.
+A nonzero objective constant is the negated RHS entry of the N row.
 
-The reader parses the same dialect back into a ModelInstance for
-round-trip checks and for feeding files produced by other tools. A ROWS,
-COLUMNS or BOUNDS section in the regular layout (the same number of tokens
-on every line, no comments) is parsed in bulk: one split of the section
-text, names mapped to indices through one dict, numbers converted by one
-``np.array(..., float)``. Any other section or layout is read line by
-line, and every error names its line. The rows are added as one block. A
-nonzero objective constant is carried as the (negated) RHS entry of the
-objective row, the common solver convention. The first N row is the
-objective; a later N row is a free row, dropped with its COLUMNS and RHS
-entries. A row name given twice in ROWS is an error.
+The reader's job is the round trip of this writer: it shows that a file
+holds the model bit for bit. It takes the writer's layout only, NAME ROWS
+COLUMNS RHS BOUNDS ENDATA in that order with the one N row first, and
+parses each section body in bulk, in pieces of whole lines. Anything else
+raises MpsFormatError naming the file and the section: a comment or blank
+line, another section (OBJSENSE, RANGES), an integer MARKER or bound, a PL
+bound, a second N row, a repeated row name, an unknown name, a token that
+is not a number or a line with the wrong number of fields.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 
 import numpy as np
@@ -116,62 +113,66 @@ def write_mps(model: ModelInstance, path, name: str = "HESSMG"):
         fh.write("ENDATA\n")
 
 
-_SECTIONS = ("NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "OBJSENSE")
+# the sections write_mps writes, in order, with the fields on each line of
+# their bodies; NAME and ENDATA have none
+_LAYOUT = {"NAME": (), "ROWS": (2,), "COLUMNS": (3,), "RHS": (3,), "BOUNDS": (3, 4),
+           "ENDATA": ()}
 _PIECE = 1 << 20    # a section body is parsed this many characters at a time
-_ROW_TYPE = {"N": -1, **_TYPE_TO_CODE}     # N rows have a negative code
-_OBJECTIVE, _FREE = -1, -2     # row_index of the first N row, of any later one
+_ROW_TYPE = {"N": -1, **_TYPE_TO_CODE}
+_OBJECTIVE = -1     # the row index of the N row, which ROWS holds first and once
+_BOUND_CODE = {t: i for i, t in enumerate(("UP", "LO", "FX", "FR", "MI"))}
+_VALUED = 3         # bound codes below this carry a value
+_SETS_LOWER = np.array([False, True, True, True, True])    # by bound code
+_SETS_UPPER = np.array([True, False, True, True, False])
 _WHITESPACE = np.zeros(256, dtype=bool)    # the ASCII whitespace of str.split
 _WHITESPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
 
 
 def read_mps(path) -> ModelInstance:
-    """Parse a free-format MPS file written by write_mps (or compatible)."""
+    """Parse a file written by write_mps back into its model.
+
+    Any other layout raises MpsFormatError naming the file and the section.
+    """
     with open(path) as fh:
         text = fh.read()
     reader = _Reader(path)
-    # lines that start in column 0 are section headers or comments
-    starts = [m.start() + 1 for m in re.finditer(r"\n\S", text)]
-    if text[:1] and not text[:1].isspace():
-        starts.insert(0, 0)
-    reader.body(text, 0, starts[0] if starts else len(text), 1)
-    lineno, counted = 1, 0
-    for a, b in zip(starts, starts[1:] + [len(text)]):
-        lineno += text.count("\n", counted, a)
-        counted = a
+    if not text[:1] or text[:1].isspace():
+        raise reader.error("NAME", "not the first line")
+    # lines that start in column 0 are section headers; NAME's holds a name
+    starts = [0] + [m.start() + 1 for m in re.finditer(r"\n\S", text)]
+    found, bodies = [], []
+    for a, b in zip(starts[:len(_LAYOUT) + 1], starts[1:] + [len(text)]):
         end = text.find("\n", a, b)
         end = b if end < 0 else end
         head = text[a:end].split()
-        if not head[0].startswith("*"):
-            reader.header(head, lineno)
-            if reader.done:
-                break
-        reader.body(text, end + 1, b, lineno + 1)
+        found.append(" ".join(head[:1] if head[0] == "NAME" else head))
+        bodies.append((end + 1, b))
+    if found != list(_LAYOUT):
+        raise MpsFormatError(f"{path}: sections {' '.join(found)}; "
+                             f"write_mps writes {' '.join(_LAYOUT)}")
+    for section, (start, stop) in zip(_LAYOUT, bodies):
+        reader.body(section, text, start, stop)
     del text    # lowers peak memory while the model is assembled
     return reader.model()
 
 
-def _is_uniform(text: str, width: int) -> bool:
-    """True if every line of `text` holds exactly `width` tokens or none,
-    and no line can be a comment."""
-    if "*" in text or not text.isascii():
-        return False
-    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    space = _WHITESPACE[b]
-    # a token starts where whitespace is followed by non-whitespace
+def _fields_per_line(text: str) -> np.ndarray:
+    """The number of whitespace-separated fields on each line of `text`."""
+    b = np.frombuffer(text.encode(), dtype=np.uint8)
+    space = np.append(True, _WHITESPACE[b])    # as if a space came first
+    # a field starts where whitespace is followed by non-whitespace
     first = np.flatnonzero(space[:-1] > space[1:])
-    line_end = np.concatenate((np.flatnonzero(b == 10), [len(b)]))
-    per_line = np.diff(np.searchsorted(first, line_end), prepend=-int(not space[:1].all()))
-    return bool(((per_line == 0) | (per_line == width)).all())
+    line_end = np.flatnonzero(b == 10)
+    if not text.endswith("\n"):
+        line_end = np.append(line_end, len(b))
+    return np.diff(np.searchsorted(first, line_end), prepend=0)
 
 
 def _parse_floats(texts):
-    """The numbers in `texts` as one float array (None if one is not a
-    number), parsing each distinct text once."""
+    """The numbers in `texts` as one float array, parsing each distinct text
+    once; ValueError names a text that is not a number."""
     distinct = dict.fromkeys(texts)
-    try:
-        parsed = np.array(list(distinct), dtype=float)
-    except ValueError:
-        return None
+    parsed = np.array(list(distinct), dtype=float)
     index = dict(zip(distinct, range(len(distinct))))
     return parsed[np.fromiter(map(index.__getitem__, texts), np.int64, len(texts))]
 
@@ -179,237 +180,145 @@ def _parse_floats(texts):
 class _Reader:
     """Parsing state of one file, fed one piece of a section body at a time.
 
-    ROWS, COLUMNS and BOUNDS pieces in the regular layout (the same
-    number of tokens on every line, no comments, every name known) are
-    parsed in bulk. Anything else goes line by line, which also reports
-    every error with its line number.
+    Each piece is parsed in bulk: one split, names mapped to indices through
+    one dict, numbers converted by one ``np.array(..., float)``.
     """
 
     def __init__(self, path):
         self.path = path
-        self.section = None
-        self.done = False
-        self.row_index: dict[str, int] = {}  # constraint row -> index; N rows < 0
-        self.objective_read = False
+        self.row_index: dict[str, int] = {}     # row name -> index
         self.row_codes: list[int] = []
         self.row_names: list[str] = []
         self.col_index: dict[str, int] = {}
-        self.entries: list[tuple] = []       # COLUMNS (cols, rows, values) blocks
-        self.rhs: dict[int, float] = {}
-        self.obj_constant = 0.0
-        self.bounds: list[tuple] = []        # (type, column, value) in file order
+        none = np.empty(0, dtype=np.int64)
+        self.entries = [(none, none, np.empty(0))]      # COLUMNS (cols, rows, values)
+        self.rhs_entries = [(none, np.empty(0))]        # RHS (rows, values)
+        self.bound_entries = [(none, none, np.empty(0))]    # BOUNDS (codes, cols, values)
 
-    def error(self, lineno, message):
-        return MpsFormatError(f"{self.path}:{lineno}: {message}")
+    def error(self, section, message):
+        return MpsFormatError(f"{self.path}: {section}: {message}")
 
-    def number(self, text, lineno) -> float:
-        try:
-            return float(text)
-        except ValueError:
-            raise self.error(lineno, f"not a number: {text!r}") from None
-
-    def header(self, head, lineno):
-        self.section = head[0].upper()
-        if self.section == "ENDATA":
-            self.done = True
-        elif self.section not in _SECTIONS:
-            raise self.error(lineno, f"unknown section {self.section}")
-        elif self.section == "OBJSENSE":
-            self.objsense(head[1:], lineno)
-
-    def body(self, text, start, stop, lineno):
-        """Parse text[start:stop], which begins on line `lineno`, in pieces
-        of whole lines, so that no piece's tokens take much memory."""
+    def body(self, section, text, start, stop):
+        """Parse text[start:stop], the body of `section`, in pieces of whole
+        lines, so that no piece's tokens take much memory."""
         while start < stop:
             cut = stop
             if stop - start > _PIECE:
                 cut = text.find("\n", start + _PIECE, stop) + 1 or stop
-            piece = text[start:cut]
-            self.piece(piece, lineno)
-            lineno += piece.count("\n")
+            self.piece(section, text[start:cut])
             start = cut
 
-    def piece(self, text, lineno):
-        bulk = {"ROWS": (2, self.rows_bulk), "COLUMNS": (3, self.columns_bulk),
-                "BOUNDS": (4, self.bounds_bulk)}.get(self.section)
-        if bulk is not None and "MARKER" not in text and _is_uniform(text, bulk[0]):
-            tokens = text.split()
-            if not tokens or bulk[1](tokens):
-                return
-        handle = {None: self.stray, "NAME": None, "ROWS": self.row,
-                  "COLUMNS": self.column_entry, "RHS": self.rhs_entry, "RANGES": self.ranges,
-                  "BOUNDS": self.bound, "OBJSENSE": self.objsense}[self.section]
-        for k, line in enumerate(text.split("\n")):
-            tokens = line.split()
-            if tokens and not tokens[0].startswith("*") and handle is not None:
-                handle(tokens, lineno + k)
+    def piece(self, section, text):
+        widths = _LAYOUT[section]
+        fields = _fields_per_line(text)
+        wrong = ~np.isin(fields, widths)
+        if wrong.any():
+            raise self.error(section, f"a line of {fields[wrong.argmax()]} fields; "
+                             f"write_mps writes {' or '.join(map(str, widths)) or 'none'}")
+        tokens = text.split()
+        if len(tokens) != fields.sum():
+            raise self.error(section, "whitespace that is not ASCII")
+        getattr(self, section.lower())(tokens, fields)    # rows, columns, rhs, bounds
 
-    # -- bulk: True when the whole piece was taken --------------------------
+    def lookup(self, section, kind, index, names) -> np.ndarray:
+        try:
+            return np.fromiter(map(index.__getitem__, names), np.int64, len(names))
+        except KeyError as e:
+            raise self.error(section, f"unknown {kind} {e.args[0]}") from None
 
-    def rows_bulk(self, tokens) -> bool:
-        codes = list(map(_ROW_TYPE.get, map(str.upper, tokens[0::2])))
-        if None in codes:
-            return False
-        codes = np.array(codes, dtype=np.int64)
-        index = np.full(len(codes), _FREE)
-        constraint = codes >= 0
-        index[constraint] = len(self.row_codes) + np.arange(constraint.sum())
-        if not self.objective_read and not constraint.all():
-            index[constraint.argmin()] = _OBJECTIVE     # the file's first N row
-        names = dict(zip(tokens[1::2], index.tolist()))
-        if len(names) < len(codes) or not self.row_index.keys().isdisjoint(names):
-            return False    # a repeated name: the line path reports its line
-        self.objective_read |= not constraint.all()
-        self.row_index.update(names)
-        self.row_codes.extend(codes[constraint].tolist())
-        self.row_names.extend(itertools.compress(tokens[1::2], constraint.tolist()))
-        return True
+    def numbers(self, section, texts) -> np.ndarray:
+        try:
+            return _parse_floats(texts)
+        except ValueError as e:
+            raise self.error(section, str(e)) from None
 
-    def columns_bulk(self, tokens) -> bool:
-        n = len(tokens) // 3
-        try:    # an unknown row name maps to None, which fromiter rejects
-            rows = np.fromiter(map(self.row_index.get, tokens[1::3]), np.int64, n)
-        except TypeError:
-            return False
-        values = _parse_floats(tokens[2::3])
-        if values is None:
-            return False
+    def set_name(self, section, names, want):
+        other = set(names) - {want}
+        if other:
+            raise self.error(section, f"set name {min(other)}; write_mps writes {want}")
+
+    def rows(self, tokens, fields):
+        names = tokens[1::2]
+        codes = self.lookup("ROWS", "row type", _ROW_TYPE, tokens[0::2])
+        first = int(not self.row_index)     # 1 in the piece that opens ROWS
+        n_rows = np.flatnonzero(codes < 0).tolist()
+        if first and n_rows[:1] != [0]:
+            raise self.error("ROWS", "the first row is not the N row")
+        if n_rows[first:]:
+            raise self.error("ROWS", f"a second N row {names[n_rows[first]]}")
+        start = _OBJECTIVE if first else len(self.row_codes)
+        index = dict(zip(names, range(start, start + len(names))))
+        if len(index) < len(names) or not self.row_index.keys().isdisjoint(index):
+            seen = set(self.row_index)
+            repeated = next(name for name in names if name in seen or seen.add(name))
+            raise self.error("ROWS", f"repeated row name {repeated}")
+        self.row_index.update(index)
+        self.row_codes.extend(codes[first:].tolist())
+        self.row_names.extend(names[first:])
+
+    def columns(self, tokens, fields):
+        rows = self.lookup("COLUMNS", "row", self.row_index, tokens[1::3])
+        values = self.numbers("COLUMNS", tokens[2::3])
         # a column's entries sit on consecutive lines: map each run's name once
         names = np.array(tokens[0::3], dtype=object)
         new_run = np.concatenate(([True], names[1:] != names[:-1]))
         run_cols = np.array([self.col_index.setdefault(name, len(self.col_index))
                              for name in names[new_run].tolist()], dtype=np.int64)
         self.entries.append((run_cols[np.cumsum(new_run) - 1], rows, values))
-        return True
 
-    def bounds_bulk(self, tokens) -> bool:
-        types = list(map(str.upper, tokens[0::4]))
-        cols = list(map(self.col_index.get, tokens[2::4]))
-        if not set(types) <= {"UP", "LO", "FX"} or None in cols:
-            return False
-        values = _parse_floats(tokens[3::4])
-        if values is None:
-            return False
-        self.bounds.extend(zip(types, cols, values.tolist()))
-        return True
+    def rhs(self, tokens, fields):
+        self.set_name("RHS", tokens[0::3], "RHS")
+        self.rhs_entries.append((self.lookup("RHS", "row", self.row_index, tokens[1::3]),
+                                 self.numbers("RHS", tokens[2::3])))
 
-    # -- line by line -------------------------------------------------------
-
-    def stray(self, tokens, lineno):
-        raise self.error(lineno, "content before any section")
-
-    def ranges(self, tokens, lineno):
-        raise self.error(lineno, "RANGES not supported")
-
-    def row(self, tokens, lineno):
-        if len(tokens) != 2:
-            raise self.error(lineno, "ROWS entry is not a type and a name")
-        rtype, name = tokens[0].upper(), tokens[1]
-        if rtype not in _ROW_TYPE:
-            raise self.error(lineno, f"bad row type {rtype}")
-        if name in self.row_index:
-            raise self.error(lineno, f"repeated row name {name}")
-        if _ROW_TYPE[rtype] < 0:
-            self.row_index[name] = _FREE if self.objective_read else _OBJECTIVE
-            self.objective_read = True
-        else:
-            self.row_index[name] = len(self.row_codes)
-            self.row_codes.append(_ROW_TYPE[rtype])
-            self.row_names.append(name)
-
-    def column_entry(self, tokens, lineno):
-        if any("MARKER" in t for t in tokens):
-            raise self.error(lineno, "integer markers are not supported")
-        j = self.col_index.setdefault(tokens[0], len(self.col_index))
-        if len(tokens) % 2 == 0:
-            raise self.error(lineno, "odd COLUMNS entry")
-        rows, values = [], []
-        for name, value in zip(tokens[1::2], tokens[2::2]):
-            i = self.row_index.get(name)
-            if i is None:
-                raise self.error(lineno, f"unknown row {name}")
-            rows.append(i)
-            values.append(self.number(value, lineno))
-        self.entries.append((np.full(len(rows), j, dtype=np.int64),
-                             np.array(rows, dtype=np.int64), np.array(values)))
-
-    def rhs_entry(self, tokens, lineno):
-        if len(tokens) % 2 == 0:
-            raise self.error(lineno, "odd RHS entry")
-        for name, value in zip(tokens[1::2], tokens[2::2]):
-            i = self.row_index.get(name)
-            if i is None:
-                raise self.error(lineno, f"unknown row {name}")
-            value = self.number(value, lineno)
-            if i == _OBJECTIVE:
-                self.obj_constant = -value
-            elif i >= 0:
-                self.rhs[i] = value
-
-    def bound(self, tokens, lineno):
-        if len(tokens) < 3:
-            raise self.error(lineno, "BOUNDS entry without a column")
-        btype, name = tokens[0].upper(), tokens[2]
-        if name not in self.col_index:
-            raise self.error(lineno, f"unknown column {name}")
-        if btype in ("BV", "LI", "UI"):
-            raise self.error(lineno, f"integer bound {btype} not supported")
-        if btype not in ("UP", "LO", "FX", "FR", "MI", "PL"):
-            raise self.error(lineno, f"bad bound type {btype}")
-        value = None
-        if btype in ("UP", "LO", "FX"):
-            if len(tokens) != 4:
-                raise self.error(lineno, f"bound {btype} needs one value")
-            value = self.number(tokens[3], lineno)
-        self.bounds.append((btype, self.col_index[name], value))
-
-    def objsense(self, tokens, lineno):
-        if tokens and tokens[0].upper() not in ("MIN", "MINIMIZE"):
-            raise self.error(lineno, f"objective sense {tokens[0]} not supported "
-                                     "(minimization only)")
-
-    # -- the model ------------------------------------------------------------
+    def bounds(self, tokens, fields):
+        # lines of 3 and 4 fields mix: each line's first token places its fields
+        at = np.cumsum(fields) - fields
+        tokens = np.array(tokens, dtype=object)
+        codes = self.lookup("BOUNDS", "bound type", _BOUND_CODE, tokens[at])
+        valued = fields == 4
+        wrong = (codes < _VALUED) != valued
+        if wrong.any():
+            i = wrong.argmax()
+            raise self.error("BOUNDS", f"a {tokens[at[i]]} bound of {fields[i]} fields")
+        self.set_name("BOUNDS", tokens[at + 1], "BND")
+        cols = self.lookup("BOUNDS", "column", self.col_index, tokens[at + 2])
+        values = np.zeros(len(at))
+        values[valued] = self.numbers("BOUNDS", tokens[at[valued] + 3])
+        self.bound_entries.append((codes, cols, values))
 
     def model(self) -> ModelInstance:
-        n = len(self.col_index)
-        lower, upper = np.zeros(n), np.full(n, INF)
-        for btype, j, value in self.bounds:
-            if btype == "UP":
-                upper[j] = value
-            elif btype == "LO":
-                lower[j] = value
-            elif btype == "FX":
-                lower[j] = upper[j] = value
-            elif btype == "FR":
-                lower[j], upper[j] = -INF, INF
-            elif btype == "MI":
-                lower[j] = -INF
-            else:   # PL
-                upper[j] = INF
+        if not self.row_index:
+            raise self.error("ROWS", "no N row")
+        # each BOUNDS line sets its bounds in file order; FR and MI set infinite ones
+        codes, cols, values = map(np.concatenate, zip(*self.bound_entries))
+        lower, upper = np.zeros(len(self.col_index)), np.full(len(self.col_index), INF)
+        valued = codes < _VALUED
+        sets = _SETS_LOWER[codes]
+        lower[cols[sets]] = np.where(valued, values, -INF)[sets]
+        sets = _SETS_UPPER[codes]
+        upper[cols[sets]] = np.where(valued, values, INF)[sets]
         model = ModelInstance()
         model.add_columns(list(self.col_index), lower, upper)
 
-        if self.entries:
-            cols, rows, values = (np.concatenate(parts) for parts in zip(*self.entries))
-            self.entries = []
-        else:
-            cols = rows = np.empty(0, dtype=np.int64)
-            values = np.empty(0)
+        cols, rows, values = map(np.concatenate, zip(*self.entries))
+        self.entries = []
         objective = rows == _OBJECTIVE
         model.add_objective(cols[objective], values[objective])
-        keep = rows >= 0
-        cols, rows, values = cols[keep], rows[keep], values[keep]
+        cols, rows, values = cols[~objective], rows[~objective], values[~objective]
         # entries come column by column; turning that CSC into a CSR puts
         # them row by row in linear time
-        m = len(self.row_codes)
+        m, n = len(self.row_codes), len(self.col_index)
         if (np.diff(cols) < 0).any():
             order = np.argsort(cols, kind="stable")
             cols, rows, values = cols[order], rows[order], values[order]
         col_ptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
         a = sp.csc_matrix((values, rows, col_ptr), shape=(m, n)).tocsr()
+        rows, values = map(np.concatenate, zip(*self.rhs_entries))
+        objective = rows == _OBJECTIVE
         rhs = np.zeros(m)
-        rhs[list(self.rhs)] = list(self.rhs.values())
+        rhs[rows[~objective]] = values[~objective]
         model.add_rows("mps", self.row_names, a.indices, a.data, self.row_codes, rhs,
                        indptr=a.indptr)
-        model.objective_constant = self.obj_constant
+        model.objective_constant = -float(values[objective][-1]) if objective.any() else 0.0
         return model

@@ -134,11 +134,11 @@ class TestEngines:
         assert np.array_equal(sol.x, [0.0, 0.0]) and np.isnan(sol.objective)
 
     def test_model_highs_refuses_is_not_solved_empty(self):
-        # a column fixed at +inf passes the container, but HiGHS rejects the
+        # a coefficient of 1e16 passes the container, but HiGHS rejects the
         # model; it must not report the optimum of an empty model instead
         m = ModelInstance()
-        x = m.add_var("a", "x", lb=np.inf)
-        m.add_row([(x, 1.0)], LE, 1.0, "r", "t")
+        x = m.add_var("a", "x")
+        m.add_row([(x, 1e16)], LE, 1.0, "r", "t")
         sol = solve(m)
         assert sol.status not in (OPTIMAL, INFEASIBLE, UNBOUNDED, ITERATION_LIMIT)
         assert "error" in sol.status.lower() and sol.iterations == 0
