@@ -14,16 +14,27 @@ defined once by ``gross_flow_terms``: the SoE recursion and the C-rate row
 use it, and the objective prices wear on it directly. It is never below the
 net change |E[k+1] - E[k]| and equals it whenever the cell does not charge
 and discharge in the same step, so losses burnt by paired flows pay wear.
+
+``build`` makes a model in three calls to the container: the columns in one
+``add_layout``, every row in one ``add_rows`` and the whole objective in one
+``add_objective``. The stage functions (``source_flow_rows``,
+``balance_rows``, ``capacity_rows``, ``dynamics_rows``, ``crate_rows``,
+``peak_rows`` and ``costs.capex_rows``) each return their rows as ``Rows``
+blocks with the terms of each row sorted by column, which ``add_blocks``
+joins in declaration order; ``costs.objective`` returns every cost term in
+the order its coefficients are summed.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import SERIES, EssSpec, Horizon, SourceSpec
-from .lp import EQ, GE, INF, LE, SENSES, ModelInstance
+from .lp import EQ, GE, INF, LE, SENSES, ModelInstance, step_names
 from .scenario import ScenarioModel
 
 GRID = "G"
@@ -66,26 +77,74 @@ class ProblemData:
                       for name in SERIES})
 
 
-def _add_step_rows(model: ModelInstance, family: str, n: int, *groups):
-    """Add rows for steps 0..n-1 as one block, step-major: row k of every
-    group in group order, then step k+1. A group is ``(name prefix, sense,
-    rhs, terms)``; a term is ``(columns, coefficient)``, each a scalar or
-    one value per step. Rows of a group with fewer terms are padded with
-    zero coefficients, which add_rows drops."""
+class Rows(NamedTuple):
+    """A block of rows of one family, each row's terms sorted by column;
+    zero coefficients pad the shorter rows, and ``add_rows`` drops them."""
+
+    family: str
+    names: list[str]
+    cols: np.ndarray     # (n, width)
+    coefs: np.ndarray    # (n, width)
+    sense: np.ndarray    # per-row index into SENSES
+    rhs: np.ndarray
+
+
+def sorted_rows(family: str, names, cols, coefs, sense, rhs) -> Rows:
+    """A ``Rows`` block from (n, width) terms in any order: a stable sort
+    within each row puts them by column, so repeated columns keep their
+    order."""
+    cols = np.asarray(cols, dtype=np.int64)
+    n, width = cols.shape
+    order = np.argsort(cols, axis=1, kind="stable")
+    order += np.arange(0, n * width, width)[:, None]    # flat index of each term
+    return Rows(family, names, cols.ravel()[order],
+                np.asarray(coefs, dtype=float).ravel()[order],
+                np.asarray(sense, dtype=np.int8), np.asarray(rhs, dtype=float))
+
+
+def _first_column(term) -> int:
+    col = term[0]
+    return col if isinstance(col, int) else col[0]
+
+
+def _step_rows(family: str, n: int, *groups) -> Rows:
+    """Rows for steps 0..n-1, step-major: row k of every group in group
+    order, then step k+1. A group is ``(name prefix, sense, rhs, terms)``;
+    a term is ``(columns, coefficient)``, each a scalar or one value per
+    step. A group's terms go in the order of their step-0 columns, which
+    sorts every step's row: each series of columns is an arithmetic range
+    inside one segment of the column layout, so two terms keep their order
+    from step to step (``add_rows`` sorts any row that would not). A row of
+    a group with fewer terms is padded with its last column at zero."""
     width = max(len(g[3]) for g in groups)
-    cols = np.zeros((n, len(groups), width), dtype=np.int64)
+    cols = np.empty((n, len(groups), width), dtype=np.int64)
     coefs = np.zeros((n, len(groups), width))
-    codes = np.empty((n, len(groups)), dtype=np.int8)
     rhs = np.empty((n, len(groups)))
-    for g, (_, sense, r, terms) in enumerate(groups):
-        codes[:, g] = SENSES.index(sense)
+    for g, (_, _, r, terms) in enumerate(groups):
         rhs[:, g] = r
-        for t, (col, coef) in enumerate(terms):
+        for t, (col, coef) in enumerate(sorted(terms, key=_first_column)):
             cols[:, g, t] = col
             coefs[:, g, t] = coef
-    names = [p + k for k in map(str, range(n)) for p, _, _, _ in groups]
-    model.add_rows(family, names, cols.reshape(-1, width), coefs.reshape(-1, width),
-                   codes.ravel(), rhs.ravel())
+        if len(terms) < width:
+            cols[:, g, len(terms):] = cols[:, g, len(terms) - 1, None]
+    codes = np.array([SENSES.index(g[1]) for g in groups] * n, dtype=np.int8)
+    return Rows(family, step_names([g[0] for g in groups], n), cols.reshape(-1, width),
+                coefs.reshape(-1, width), codes, rhs.ravel())
+
+
+def add_blocks(model: ModelInstance, blocks):
+    """Add every row of `blocks`, in order, in one ``add_rows`` call."""
+    families = list(dict.fromkeys(b.family for b in blocks))
+    counts = [len(b.names) for b in blocks]
+    widths = np.repeat([b.cols.shape[1] for b in blocks], counts)
+    model.add_rows(
+        (families, np.repeat([families.index(b.family) for b in blocks], counts)),
+        itertools.chain.from_iterable(b.names for b in blocks),
+        np.concatenate([b.cols.ravel() for b in blocks]),
+        np.concatenate([b.coefs.ravel() for b in blocks]),
+        np.concatenate([b.sense for b in blocks]),
+        np.concatenate([b.rhs for b in blocks]),
+        indptr=np.concatenate(([0], np.cumsum(widths))))
 
 
 def register_variables(model: ModelInstance, data: ProblemData):
@@ -93,30 +152,29 @@ def register_variables(model: ModelInstance, data: ProblemData):
     k_steps = data.horizon.n_steps
     grid, pv = data.sources.grid, data.sources.pv
 
-    model.add_var("P_max_src", GRID, lb=0.0, ub=grid.p_cap_max)
-    model.add_var("P_max_src", PV, lb=0.0, ub=pv.p_cap_max)
-    model.add_var("P_peak", GRID, lb=0.0)
-
     # Static column caps at the largest rating: the gross converter rows
     # (grid_cap, ess_pow) already imply them and close the paired
     # import+export and charge+discharge rays, so these stay only as bounds
     # that HiGHS uses (dropping them costs it more iterations).
     import_cap = grid.p_cap_max / grid.eta_c
     export_cap = grid.p_cap_max * grid.eta_d
-    model.add_vars([("P_src_plus", GRID, 0.0, import_cap),
-                    ("P_src_minus", GRID, 0.0, export_cap),
-                    ("P_pv", PV, 0.0, INF)], k_steps)
-
+    layout = [([("P_max_src", GRID, 0.0, grid.p_cap_max),
+                ("P_max_src", PV, 0.0, pv.p_cap_max),
+                ("P_peak", GRID, 0.0, INF)], None),
+              ([("P_src_plus", GRID, 0.0, import_cap),
+                ("P_src_minus", GRID, 0.0, export_cap),
+                ("P_pv", PV, 0.0, INF)], k_steps)]
     for name, ess in data.ess.items():
-        model.add_var("E_max", name, lb=0.0, ub=ess.e_cap_max)
-        model.add_var("P_max_ess", name, lb=0.0, ub=ess.p_cap_max)
-        model.add_var("capex_epigraph", name, lb=0.0)
-        model.add_vars([("E_soe", name, 0.0, ess.e_cap_max)], k_steps + 1)
-        model.add_vars([("P_ess_plus", name, 0.0, ess.p_cap_max),
-                        ("P_ess_minus", name, 0.0, ess.p_cap_max)], k_steps)
+        layout += [([("E_max", name, 0.0, ess.e_cap_max),
+                     ("P_max_ess", name, 0.0, ess.p_cap_max),
+                     ("capex_epigraph", name, 0.0, INF)], None),
+                   ([("E_soe", name, 0.0, ess.e_cap_max)], k_steps + 1),
+                   ([("P_ess_plus", name, 0.0, ess.p_cap_max),
+                     ("P_ess_minus", name, 0.0, ess.p_cap_max)], k_steps)]
+    model.add_layout(layout)
 
 
-def add_source_flows(model: ModelInstance, data: ProblemData):
+def source_flow_rows(model: ModelInstance, data: ProblemData) -> list[Rows]:
     """PV availability and the contracted-capacity row of the grid.
 
     The grid converter moves power one way at a time, up to the contracted
@@ -128,16 +186,16 @@ def add_source_flows(model: ModelInstance, data: ProblemData):
     grid, pv = data.sources.grid, data.sources.pv
     pv_max = model.var("P_max_src", PV)
     g_max = model.var("P_max_src", GRID)
-    _add_step_rows(
-        model, "bounds", data.horizon.n_steps,
+    return [_step_rows(
+        "bounds", data.horizon.n_steps,
         ("pv_avail.k", LE, 0.0, [(model.columns("P_pv", PV), 1.0),
                                  (pv_max, -pv.eta * data.pv_cf)]),
         ("grid_cap.k", LE, 0.0, [(model.columns("P_src_plus", GRID), grid.eta_c),
                                  (model.columns("P_src_minus", GRID), 1.0 / grid.eta_d),
-                                 (g_max, -1.0)]))
+                                 (g_max, -1.0)]))]
 
 
-def add_balance(model: ModelInstance, data: ProblemData):
+def balance_rows(model: ModelInstance, data: ProblemData) -> list[Rows]:
     """DC bus balance: storage + PV + grid bus power equals bus demand."""
     grid = data.sources.grid
     terms = [(model.columns("P_src_plus", GRID), grid.eta_c),
@@ -147,12 +205,12 @@ def add_balance(model: ModelInstance, data: ProblemData):
         terms.append((model.columns("P_ess_plus", name), 1.0))
         terms.append((model.columns("P_ess_minus", name), -1.0))
     rhs = (data.demand_ch + data.demand_wh) / data.sources.eta_demand
-    _add_step_rows(model, "balance", data.horizon.n_steps,
-                   ("balance.k", EQ, rhs, terms))
+    return [_step_rows("balance", data.horizon.n_steps, ("balance.k", EQ, rhs, terms))]
 
 
-def add_capacity_bounds(model: ModelInstance, data: ProblemData):
+def capacity_rows(model: ModelInstance, data: ProblemData) -> list[Rows]:
     """Couplings whose right-hand sides are design variables."""
+    blocks = []
     for name, ess in data.ess.items():
         e_max = model.var("E_max", name)
         p_max = model.var("P_max_ess", name)
@@ -161,14 +219,15 @@ def add_capacity_bounds(model: ModelInstance, data: ProblemData):
         if ess.dod_min_frac > 0.0:
             groups.append((f"soe_dod.{name}.k", GE, 0.0,
                            [(soe, 1.0), (e_max, -ess.dod_min_frac)]))
-        _add_step_rows(model, "bounds", data.horizon.n_steps + 1, *groups)
+        blocks.append(_step_rows("bounds", data.horizon.n_steps + 1, *groups))
         # one direction at a time, up to the rating: the gross row is the
-        # hull of "discharge or charge", as for the grid in add_source_flows
-        _add_step_rows(
-            model, "bounds", data.horizon.n_steps,
+        # hull of "discharge or charge", as for the grid in source_flow_rows
+        blocks.append(_step_rows(
+            "bounds", data.horizon.n_steps,
             (f"ess_pow.{name}.k", LE, 0.0, [(model.columns("P_ess_plus", name), 1.0),
                                             (model.columns("P_ess_minus", name), 1.0),
-                                            (p_max, -1.0)]))
+                                            (p_max, -1.0)])))
+    return blocks
 
 
 def gross_flow_terms(model: ModelInstance, data: ProblemData, name: str):
@@ -180,25 +239,28 @@ def gross_flow_terms(model: ModelInstance, data: ProblemData, name: str):
             (model.columns("P_ess_minus", name), tau * ess.eta_c)]
 
 
-def add_ess_dynamics(model: ModelInstance, data: ProblemData):
+def dynamics_rows(model: ModelInstance, data: ProblemData) -> list[Rows]:
     """State-of-energy recursion and the end-vs-start periodicity row.
 
     E[k+1] = E[k] - (tau/eta_d) * p_plus + tau * eta_c * p_minus, and
     E[K] >= E[0]: the period ends with at least the energy it started with.
     """
     k_steps = data.horizon.n_steps
+    blocks = []
     for name in data.ess:
         (plus, discharge_coef), (minus, charge_coef) = gross_flow_terms(model, data, name)
         soe = model.columns("E_soe", name)
-        _add_step_rows(model, "dynamics", k_steps, (
+        blocks.append(_step_rows("dynamics", k_steps, (
             f"soe_dyn.{name}.k", EQ, 0.0,
             [(soe[1:], 1.0), (soe[:-1], -1.0),
-             (plus, discharge_coef), (minus, -charge_coef)]))
-        model.add_row([(soe[k_steps], 1.0), (soe[0], -1.0)], GE, 0.0,
-                      f"soe_periodic.{name}", "dynamics")
+             (plus, discharge_coef), (minus, -charge_coef)])))
+        blocks.append(sorted_rows("dynamics", [f"soe_periodic.{name}"],
+                                  [[soe[k_steps], soe[0]]], [[1.0, -1.0]],
+                                  [SENSES.index(GE)], [0.0]))
+    return blocks
 
 
-def add_crate_mccormick(model: ModelInstance, data: ProblemData):
+def crate_rows(model: ModelInstance, data: ProblemData) -> list[Rows]:
     """C-rate limit on the gross energy through the cell: g_k <= R_cap * E_max.
 
     The per-step limit is the bilinear E_max * R with a rate R in
@@ -209,19 +271,18 @@ def add_crate_mccormick(model: ModelInstance, data: ProblemData):
     one row per step is exact and no R column is built. At E_max = E_cap
     the envelope is the product itself, g_k = E_max * R.
     """
-    for name, ess in data.ess.items():
-        e_max = model.var("E_max", name)
-        _add_step_rows(
-            model, "mccormick", data.horizon.n_steps,
-            (f"q_crate.{name}.k", LE, 0.0,
-             gross_flow_terms(model, data, name) + [(e_max, -ess.crate_max)]))
+    return [_step_rows("mccormick", data.horizon.n_steps,
+                       (f"q_crate.{name}.k", LE, 0.0,
+                        gross_flow_terms(model, data, name)
+                        + [(model.var("E_max", name), -ess.crate_max)]))
+            for name, ess in data.ess.items()]
 
 
-def add_peak(model: ModelInstance, data: ProblemData):
+def peak_rows(model: ModelInstance, data: ProblemData) -> list[Rows]:
     """Peak offtake epigraph over the grid-side import series."""
-    _add_step_rows(model, "peak", data.horizon.n_steps, (
+    return [_step_rows("peak", data.horizon.n_steps, (
         "peak.k", GE, 0.0, [(model.var("P_peak", GRID), 1.0),
-                            (model.columns("P_src_plus", GRID), -1.0)]))
+                            (model.columns("P_src_plus", GRID), -1.0)]))]
 
 
 def design_pins(ess) -> list[str]:
@@ -252,20 +313,19 @@ def apply_fixed_values(model: ModelInstance, data: ProblemData, fixed: dict):
 
 
 def build(data: ProblemData, fixed: dict | None = None) -> ModelInstance:
-    """Assemble the full co-design LP, objective included."""
+    """Assemble the full co-design LP, objective included: the columns in
+    one layout, every row in one block and the objective in one sum."""
     from . import costs
 
     model = ModelInstance()
     register_variables(model, data)
-    add_source_flows(model, data)
-    add_balance(model, data)
-    add_capacity_bounds(model, data)
-    add_ess_dynamics(model, data)
-    add_crate_mccormick(model, data)
-    add_peak(model, data)
+    add_blocks(model, [*source_flow_rows(model, data), *balance_rows(model, data),
+                       *capacity_rows(model, data), *dynamics_rows(model, data),
+                       *crate_rows(model, data), *peak_rows(model, data),
+                       *costs.capex_rows(model, data)])
     if fixed:
         apply_fixed_values(model, data, fixed)
-    costs.objective_capex(model, data)
-    costs.objective_opex(model, data)
-    costs.objective_resale(model, data)
+    cols, coefs, constant = costs.objective(model, data)
+    model.add_objective(cols, coefs)
+    model.objective_constant = constant
     return model

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .builder import GRID, PV, ProblemData, gross_flow_terms
-from .lp import GE, ModelInstance
+from .builder import GRID, PV, ProblemData, Rows, gross_flow_terms, sorted_rows
+from .lp import GE, SENSES, ModelInstance
 
 EUR_PER_KEUR = 1000.0
 AUDIT_REL_TOL = 1e-6     # largest relative gap between audit and solver objective
@@ -35,29 +35,36 @@ def annualization(horizon) -> float:
     return 365.0 / horizon.t_syn
 
 
-def objective_capex(model: ModelInstance, data: ProblemData):
-    """Storage capex epigraphs (max of energy- and power-priced cost) + PV."""
-    caps, names, cols, coefs = [], [], [], []
+def capex_rows(model: ModelInstance, data: ProblemData) -> list[Rows]:
+    """Storage capex epigraphs: capex_epigraph >= the energy- and the
+    power-priced cost of each technology."""
+    names, cols, coefs = [], [], []
     for name, ess in data.ess.items():
         cap = model.var("capex_epigraph", name)
-        caps.append(cap)
         names += [f"capex_energy.{name}", f"capex_power.{name}"]
         cols += [[cap, model.var("E_max", name)],
                  [cap, model.var("P_max_ess", name)]]
         coefs += [[1.0, -ess.cost_energy], [1.0, -ess.cost_power]]
-    model.add_rows("capex", names, cols, coefs, GE, 0.0)
-    model.add_objective(caps, 1.0)
-    model.add_objective(model.var("P_max_src", PV), data.sources.pv.cost_per_mw)
+    return [sorted_rows("capex", names, np.reshape(cols, (-1, 2)), np.reshape(coefs, (-1, 2)),
+                        np.full(len(names), SENSES.index(GE)), np.zeros(len(names)))]
+
+
+def objective_capex(model: ModelInstance, data: ProblemData):
+    """Storage capex (the epigraph columns of ``capex_rows``) + PV, as
+    ``(columns, coefficients)`` terms."""
+    return [([model.var("capex_epigraph", name) for name in data.ess], 1.0),
+            (model.var("P_max_src", PV), data.sources.pv.cost_per_mw)]
 
 
 def objective_opex(model: ModelInstance, data: ProblemData):
-    """NPV-weighted yearly operating cost as linear coefficients.
+    """NPV-weighted yearly operating cost as ``(columns, coefficients)``
+    terms.
 
     Yearly cost = annualized grid energy bill (exports credited at
     f_sell * price) + storage O&M (fixed on installed power, variable on
     the annualized gross flow g_k through the cell, charged on the storage
     powers through ``gross_flow_terms``) + PV O&M + grid connection tariff
-    components.
+    components. The fixed connection charges are ``objective``'s constant.
     """
     h = data.horizon
     grid = data.sources.grid
@@ -65,22 +72,22 @@ def objective_opex(model: ModelInstance, data: ProblemData):
     ann = annualization(h)
 
     price_keur = data.price / EUR_PER_KEUR
-    model.add_objective(model.columns("P_src_plus", GRID),
-                        fac * ann * h.tau_hours * price_keur)
-    model.add_objective(model.columns("P_src_minus", GRID),
-                        -fac * ann * h.tau_hours * grid.f_sell * price_keur)
+    terms = [(model.columns("P_src_plus", GRID), fac * ann * h.tau_hours * price_keur),
+             (model.columns("P_src_minus", GRID),
+              -fac * ann * h.tau_hours * grid.f_sell * price_keur)]
     for name, ess in data.ess.items():
-        model.add_objective(model.var("P_max_ess", name), fac * ess.om_power)
+        terms.append((model.var("P_max_ess", name), fac * ess.om_power))
         for cols, mwh in gross_flow_terms(model, data, name):
-            model.add_objective(cols, fac * ann * ess.om_energy * mwh)
-    model.add_objective(model.var("P_max_src", PV), fac * data.sources.pv.om_per_mw_yr)
-    model.add_objective(model.var("P_max_src", GRID), fac * grid.var_per_mw)
-    model.add_objective(model.var("P_peak", GRID), fac * grid.peak_per_mw)
-    model.objective_constant += fac * (grid.conn_fixed + grid.tran_fixed)
+            terms.append((cols, fac * ann * ess.om_energy * mwh))
+    terms += [(model.var("P_max_src", PV), fac * data.sources.pv.om_per_mw_yr),
+              (model.var("P_max_src", GRID), fac * grid.var_per_mw),
+              (model.var("P_peak", GRID), fac * grid.peak_per_mw)]
+    return terms
 
 
 def objective_resale(model: ModelInstance, data: ProblemData):
-    """Subtract discounted end-of-life value of storage and PV.
+    """Discounted end-of-life value of storage and PV, subtracted, as
+    ``(columns, coefficients)`` terms.
 
     Storage resale scales with remaining cycle life: energy-priced value of
     the installed capacity minus the cycle-weighted value of the gross flow
@@ -89,14 +96,30 @@ def objective_resale(model: ModelInstance, data: ProblemData):
     """
     h = data.horizon
     disc = eol_discount(h.discount_rate, h.years)
+    terms = []
     for name, ess in data.ess.items():
-        model.add_objective(model.var("E_max", name),
-                            -disc * ess.resale_factor * ess.cost_energy)
+        terms.append((model.var("E_max", name), -disc * ess.resale_factor * ess.cost_energy))
         wear = disc * ess.resale_factor * ess.cost_energy / ess.cycle_life
         for cols, mwh in gross_flow_terms(model, data, name):
-            model.add_objective(cols, wear * mwh)
+            terms.append((cols, wear * mwh))
     pv = data.sources.pv
-    model.add_objective(model.var("P_max_src", PV), -disc * pv.resale_factor * pv.cost_per_mw)
+    terms.append((model.var("P_max_src", PV), -disc * pv.resale_factor * pv.cost_per_mw))
+    return terms
+
+
+def objective(model: ModelInstance, data: ProblemData):
+    """The whole objective as ``(columns, coefficients, constant)``: the
+    capex, opex and resale terms in that order, joined into two flat
+    arrays, whose coefficients ``add_objective`` sums per column in that
+    order, and the fixed yearly connection charges' present value."""
+    terms = [*objective_capex(model, data), *objective_opex(model, data),
+             *objective_resale(model, data)]
+    cols = [np.array(c, dtype=np.int64, ndmin=1) for c, _ in terms]
+    coefs = [v if isinstance(v, np.ndarray) else np.full(len(c), v)
+             for c, (_, v) in zip(cols, terms)]
+    h, grid = data.horizon, data.sources.grid
+    constant = npv_factor(h.discount_rate, h.years) * (grid.conn_fixed + grid.tran_fixed)
+    return np.concatenate(cols), np.concatenate(coefs), constant
 
 
 @dataclass

@@ -2,16 +2,20 @@
 
 A model is held as arrays. Columns are registered per ``(kind, entity)``:
 a design variable is one column, a per-step variable is one arithmetic
-range of columns (``add_vars`` interleaves several of them step by step).
-Each column is named ``kind.entity``, or ``kind.entity.k<step>``, when it
-is added; outside the builder, that name is how a column is found.
-Bounds and the minimization objective are dense arrays over the columns.
-Rows arrive in blocks through ``add_rows`` and are stored as COO triplets,
-sorted by column within each row, plus a sense code, a right-hand side and
-a family code per row and a list of row names; ``add_row`` adds one row
-through the same checks. ``row_matrix()`` assembles the CSR once and
-caches it until the next row is added. The solver, ``verify`` and the
-MPS writer all read that one CSR.
+range of columns (several series can be interleaved step by step).
+``add_layout`` registers a whole column layout in one call, and
+``add_var``/``add_vars`` register one piece of one. Each column is named
+``kind.entity``, or ``kind.entity.k<step>``, when it is added; outside the
+builder, that name is how a column is found. Bounds and the minimization
+objective are dense arrays over the columns; ``add_objective`` sums the
+terms of one call per column in order, with one ``bincount``.
+Rows arrive in blocks through ``add_rows``, which takes one family per
+row as it takes one sense per row, so a whole model can arrive in one
+call. They are stored as COO triplets, sorted by column within each row,
+plus a sense code, a right-hand side and a family code per row and a list
+of row names; ``add_row`` adds one row through the same checks.
+``row_matrix()`` assembles the CSR once and caches it until the next row
+is added. The solver, ``verify`` and the MPS writer all read that one CSR.
 
 ``rows`` gives the same rows as ``Row`` objects, made on access; it is
 meant for tests and for inspecting models, not for hot paths.
@@ -19,6 +23,7 @@ meant for tests and for inspecting models, not for hot paths.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -35,6 +40,37 @@ INF = math.inf
 
 class ModelError(ValueError):
     """Ill-formed model: bad coefficient, bounds, or duplicate variable."""
+
+
+@functools.lru_cache(maxsize=8)
+def _step_labels(n: int) -> tuple[str, ...]:
+    return tuple(map(str, range(n)))
+
+
+@functools.lru_cache(maxsize=64)
+def _series_names(prefix: str, n: int) -> tuple[str, ...]:
+    """``prefix + str(k)`` for k in 0..n-1. The tuple is kept, so models of
+    one layout (a sweep's designs) share their names: none is formatted
+    twice."""
+    return tuple([prefix + k for k in _step_labels(n)])
+
+
+def step_names(prefixes, n: int) -> list[str]:
+    """``prefix + str(k)`` for steps k in 0..n-1, step-major: every prefix at
+    step k, in order, then step k+1."""
+    names = [""] * (n * len(prefixes))
+    for i, prefix in enumerate(prefixes):
+        names[i::len(prefixes)] = _series_names(prefix, n)
+    return names
+
+
+def _check_bounds(names, lb: np.ndarray, ub: np.ndarray):
+    """Raise ModelError for the first column no point can take: a NaN bound,
+    lb > ub, a lower bound of +inf or an upper bound of -inf."""
+    bad = np.isnan(lb) | np.isnan(ub) | (lb > ub) | (lb == INF) | (ub == -INF)
+    if bad.any():
+        i = bad.argmax()
+        raise ModelError(f"bad bounds [{lb[i]}, {ub[i]}] for {names[i]}")
 
 
 @dataclass
@@ -98,7 +134,8 @@ class ModelInstance:
     """Sparse LP: bounded columns, sensed rows, dense minimize objective."""
 
     def __init__(self):
-        self._index: dict[tuple, int | range] = {}   # (kind, entity) -> column(s)
+        # (kind, entity) -> a design column, or a read-only array of a series' columns
+        self._index: dict[tuple, int | np.ndarray] = {}
         self._lb = _Blocks(float)
         self._ub = _Blocks(float)
         self._c = _Blocks(float)
@@ -122,62 +159,80 @@ class ModelInstance:
         and `ub` hold one bound per column."""
         lb = np.asarray(lb, dtype=float).ravel()
         ub = np.asarray(ub, dtype=float).ravel()
-        bad = np.isnan(lb) | np.isnan(ub) | (lb > ub) | (lb == INF) | (ub == -INF)
-        if bad.any():
-            i = bad.argmax()
-            raise ModelError(f"bad bounds [{lb[i]}, {ub[i]}] for {names[i]}")
+        _check_bounds(names, lb, ub)
         self._lb.append(lb)
         self._ub.append(ub)
         self._c.append(np.zeros(len(names)))
         self._col_names.extend(names)
 
+    def add_layout(self, segments):
+        """Register a run of columns in one ``add_columns`` call. Each
+        segment is ``(specs, n_steps)`` with specs ``(kind, entity, lb, ub)``:
+        with `n_steps` None, one design column per spec, named
+        ``kind.entity``; otherwise steps 0..n_steps-1 of every spec,
+        step-major (the columns of step k sit together in spec order),
+        named ``kind.entity.k<step>``. A per-step bound is a scalar or one
+        value per step."""
+        names, lower, upper, index = [], [], [], {}
+        first = self.n_vars
+        for specs, n_steps in segments:
+            for kind, entity, _, _ in specs:
+                if (kind, entity) in self._index or (kind, entity) in index:
+                    raise ModelError(f"duplicate variable {(kind, entity)}")
+                index[kind, entity] = None
+            start, width = first + len(names), len(specs)
+            if n_steps is None:
+                for i, (kind, entity, lb, ub) in enumerate(specs):
+                    names.append(f"{kind}.{entity}")
+                    index[kind, entity] = start + i
+                lower.append([lb for _, _, lb, _ in specs])
+                upper.append([ub for _, _, _, ub in specs])
+                continue
+            names += step_names([f"{kind}.{entity}.k" for kind, entity, _, _ in specs],
+                                n_steps)
+            lo, hi = np.empty((n_steps, width)), np.empty((n_steps, width))
+            for i, (kind, entity, lb, ub) in enumerate(specs):
+                lo[:, i], hi[:, i] = lb, ub
+                cols = np.arange(start + i, start + width * n_steps, width)
+                cols.flags.writeable = False
+                index[kind, entity] = cols
+            lower.append(lo.ravel())
+            upper.append(hi.ravel())
+        self.add_columns(names, np.concatenate(lower), np.concatenate(upper))
+        self._index.update(index)
+
     def add_var(self, kind, entity, lb=0.0, ub=INF) -> int:
         """Register one design column and return its index."""
-        if (kind, entity) in self._index:
-            raise ModelError(f"duplicate variable {(kind, entity)}")
-        self.add_columns([f"{kind}.{entity}"], [lb], [ub])
-        self._index[(kind, entity)] = self.n_vars - 1
+        self.add_layout([([(kind, entity, lb, ub)], None)])
         return self.n_vars - 1
 
     def add_vars(self, specs, n_steps: int):
         """Register steps 0..n_steps-1 of every ``(kind, entity, lb, ub)`` in
         `specs`, step-major: the columns of step k sit together in spec
         order. A bound is a scalar or one value per step."""
-        width = len(specs)
-        keys = [(kind, entity) for kind, entity, _, _ in specs]
-        for key in keys:
-            if key in self._index or keys.count(key) > 1:
-                raise ModelError(f"duplicate variable {key}")
-        prefixes = [f"{kind}.{entity}.k" for kind, entity in keys]
-        names = [p + k for k in map(str, range(n_steps)) for p in prefixes]
-        lower, upper = np.empty((n_steps, width)), np.empty((n_steps, width))
-        for i, (_, _, lb, ub) in enumerate(specs):
-            lower[:, i], upper[:, i] = lb, ub
-        self.add_columns(names, lower, upper)
-        first = self.n_vars - width * n_steps
-        for i, key in enumerate(keys):
-            self._index[key] = range(first + i, self.n_vars, width)
+        self.add_layout([(specs, n_steps)])
 
     def var(self, kind, entity, step=None) -> int:
         """Column of a design variable, or of one step of a per-step one."""
         cols = self._index.get((kind, entity))
         if step is None and isinstance(cols, int):
             return cols
-        if step is not None and isinstance(cols, range) and 0 <= step < len(cols):
-            return cols[step]
+        if step is not None and isinstance(cols, np.ndarray) and 0 <= step < len(cols):
+            return int(cols[step])
         raise KeyError((kind, entity, step))
 
     def columns(self, kind, entity) -> np.ndarray:
-        """Column of every step of a per-step variable, in step order."""
+        """Column of every step of a per-step variable, in step order, as
+        a read-only array."""
         steps = self._index.get((kind, entity))
-        if not isinstance(steps, range):
+        if not isinstance(steps, np.ndarray):
             raise KeyError((kind, entity))
-        return np.arange(steps.start, steps.stop, steps.step)
+        return steps
 
     def entities(self, kind) -> list[str]:
         """Entities that have a per-step variable of `kind`."""
         return [e for (k, e), cols in self._index.items()
-                if k == kind and isinstance(cols, range)]
+                if k == kind and isinstance(cols, np.ndarray)]
 
     @property
     def col_names(self) -> list[str]:
@@ -196,8 +251,9 @@ class ModelInstance:
         return self._lb.array.copy(), self._ub.array.copy()
 
     def set_bounds(self, col: int, lb, ub):
-        if math.isnan(lb) or math.isnan(ub) or lb > ub:
-            raise ModelError(f"bad bounds [{lb}, {ub}] for {self._col_names[col]}")
+        """Set one column's bounds, checked as ``add_columns`` checks them."""
+        _check_bounds([self._col_names[col]], np.array([lb], dtype=float),
+                      np.array([ub], dtype=float))
         self._lb.array[col] = lb
         self._ub.array[col] = ub
 
@@ -205,7 +261,7 @@ class ModelInstance:
 
     def _clear_rows(self):
         self._ri = _Blocks(np.int64)     # COO row, column, value
-        self._rj = _Blocks(np.int64)
+        self._rj = _Blocks(np.int32)     # int32 indices, as HiGHS takes them
         self._rv = _Blocks(float)
         self._sense = _Blocks(np.int8)
         self._rhs = _Blocks(float)
@@ -218,28 +274,41 @@ class ModelInstance:
         """Append one block of rows.
 
         Terms come as `cols`/`coefs` of shape (n, width), one row each, or
-        as flat arrays cut into rows by `indptr` (length n+1). `sense` is
-        one sense for the block or a sense code (index into SENSES) per
-        row; `rhs` is a scalar or one value per row. Exact zeros
-        (-0.0 too) are dropped, then repeated columns in a row are summed.
-        A row left without terms, a non-finite coefficient or right-hand
-        side, or an unknown sense or column raises ModelError.
+        as flat arrays cut into rows by `indptr` (length n+1). `family` is
+        one family name for the block, or a pair (family names, a code per
+        row indexing them); families new to the model are registered in
+        the order of their first row. `sense` is one sense for the block or
+        a sense code (index into SENSES) per row; `rhs` is a scalar or one
+        value per row. Exact zeros (-0.0 too) are dropped, then repeated
+        columns in a row are summed. Terms already sorted by column within
+        each row are taken in one pass; others are sorted. A row left
+        without terms, a non-finite coefficient or right-hand side, or an
+        unknown family code, sense or column raises ModelError.
         """
         names = list(names)
         n = len(names)
         if n == 0:
             return
+        if isinstance(family, str):
+            family_names, family_of = [family], np.zeros(n, dtype=np.int32)
+        else:
+            family_names, family_of = list(family[0]), np.asarray(family[1], dtype=np.int32)
+        label = "/".join(family_names)
+        if family_of.shape != (n,) or not 0 <= family_of.min() <= family_of.max() < len(
+                family_names):
+            raise ModelError(f"block {label}: unknown family code")
         cols = np.asarray(cols, dtype=np.int64)
         coefs = np.asarray(coefs, dtype=float)
         if indptr is None:
             if cols.ndim != 2 or len(cols) != n or coefs.shape != cols.shape:
-                raise ModelError(f"block {family}: terms do not match {n} rows")
+                raise ModelError(f"block {label}: terms do not match {n} rows")
             row_of = np.repeat(np.arange(n), cols.shape[1])
             cols, coefs = cols.ravel(), coefs.ravel()
         else:
-            counts = np.diff(np.asarray(indptr, dtype=np.int64))
+            indptr = np.asarray(indptr, dtype=np.int64)
+            counts = indptr[1:] - indptr[:-1]
             if len(counts) != n or cols.shape != coefs.shape or len(cols) != counts.sum():
-                raise ModelError(f"block {family}: terms do not match {n} rows")
+                raise ModelError(f"block {label}: terms do not match {n} rows")
             row_of = np.repeat(np.arange(n), counts)
 
         if isinstance(sense, str):
@@ -248,46 +317,51 @@ class ModelInstance:
             codes = np.full(n, _SENSE_CODE[sense], dtype=np.int8)
         else:
             codes = np.asarray(sense, dtype=np.int8)
-            if codes.shape != (n,) or ((codes < 0) | (codes >= len(SENSES))).any():
-                raise ModelError(f"block {family}: unknown sense code")
-        bad = ~np.isfinite(coefs)
-        if bad.any():
-            raise ModelError(f"non-finite coefficient in row {names[row_of[bad.argmax()]]}")
-        bad = (cols < 0) | (cols >= self.n_vars)
-        if bad.any():
-            raise ModelError(f"unknown column in row {names[row_of[bad.argmax()]]}")
+            if codes.shape != (n,) or not 0 <= codes.min() <= codes.max() < len(SENSES):
+                raise ModelError(f"block {label}: unknown sense code")
+        if not np.isfinite(coefs).all():
+            bad = np.isfinite(coefs).argmin()
+            raise ModelError(f"non-finite coefficient in row {names[row_of[bad]]}")
+        if len(cols) and not 0 <= cols.min() <= cols.max() < self.n_vars:
+            bad = ((cols < 0) | (cols >= self.n_vars)).argmax()
+            raise ModelError(f"unknown column in row {names[row_of[bad]]}")
         keep = coefs != 0.0
         row_of, cols, coefs = row_of[keep], cols[keep], coefs[keep]
-        empty = np.bincount(row_of, minlength=n) == 0
-        if empty.any():
-            raise ModelError(f"empty row {names[empty.argmax()]}")
+        terms = np.bincount(row_of, minlength=n)
+        if terms.min() == 0:
+            raise ModelError(f"empty row {names[terms.argmin()]}")
         rhs = np.full(n, rhs, dtype=float) if np.ndim(rhs) == 0 else np.asarray(rhs, float)
         if rhs.shape != (n,):
-            raise ModelError(f"block {family}: {rhs.size} right-hand sides for {n} rows")
-        bad = ~np.isfinite(rhs)
-        if bad.any():
-            raise ModelError(f"non-finite rhs in row {names[bad.argmax()]}")
+            raise ModelError(f"block {label}: {rhs.size} right-hand sides for {n} rows")
+        if not np.isfinite(rhs).all():
+            raise ModelError(f"non-finite rhs in row {names[np.isfinite(rhs).argmin()]}")
 
         # canonical order: by row, then by column; repeated columns summed
         key = row_of * self.n_vars + cols
-        step = np.diff(key)
-        if (step < 0).any():
+        step = key[1:] - key[:-1]
+        if len(step) and step.min() < 0:
             order = np.argsort(key, kind="stable")
             row_of, cols, coefs, key = row_of[order], cols[order], coefs[order], key[order]
-            step = np.diff(key)
-        if (step == 0).any():
+            step = key[1:] - key[:-1]
+        if len(step) and step.min() == 0:
             starts = np.flatnonzero(np.concatenate(([True], step != 0)))
             coefs = np.add.reduceat(coefs, starts)
             row_of, cols = row_of[starts], cols[starts]
 
-        if family not in self.families:
-            self.families.append(family)
+        # the family of each run of rows, so families come in order of first row
+        run_start = np.ones(n, dtype=bool)
+        np.not_equal(family_of[1:], family_of[:-1], out=run_start[1:])
+        table = np.zeros(len(family_names), dtype=np.int32)
+        for f in dict.fromkeys(family_of[run_start].tolist()):
+            if family_names[f] not in self.families:
+                self.families.append(family_names[f])
+            table[f] = self.families.index(family_names[f])
         self._ri.append(row_of + self.n_rows)
         self._rj.append(cols)
         self._rv.append(coefs)
         self._sense.append(codes)
         self._rhs.append(rhs)
-        self._family.append(np.full(n, self.families.index(family)))
+        self._family.append(table[family_of])
         self.row_names.extend(names)
         self._csr = self._rows = None
 
@@ -301,15 +375,19 @@ class ModelInstance:
     # -- objective ---------------------------------------------------------
 
     def add_objective(self, cols, coefs):
-        """Add coefficients to the objective, in order, column by column;
-        `cols` is one column or several."""
+        """Add coefficients to the objective; `cols` is one column or
+        several. The terms of one call are summed per column in order, from
+        0.0, and each column's sum is then added to its coefficient."""
         cols = np.atleast_1d(np.asarray(cols, dtype=np.int64))
         coefs = np.full(cols.shape, coefs) if np.ndim(coefs) == 0 else np.asarray(coefs, float)
         bad = ~np.isfinite(coefs)
         if bad.any():
             raise ModelError("non-finite objective coefficient for "
                              f"{self._col_names[cols[bad.argmax()]]}")
-        np.add.at(self._c.array, cols, coefs)
+        bad = (cols < 0) | (cols >= self.n_vars)
+        if bad.any():
+            raise ModelError(f"unknown objective column {cols[bad.argmax()]}")
+        self._c.array[:] += np.bincount(cols, weights=coefs, minlength=self.n_vars)
 
     @property
     def objective(self) -> dict[int, float]:
@@ -327,8 +405,8 @@ class ModelInstance:
         """All rows stacked in declaration order, regardless of sense; terms
         sorted by column. Built once, until the next row is added."""
         if self._csr is None:
-            counts = np.bincount(self._ri.array, minlength=self.n_rows)
-            indptr = np.concatenate(([0], np.cumsum(counts)))
+            indptr = np.zeros(self.n_rows + 1, dtype=np.int32)
+            np.cumsum(np.bincount(self._ri.array, minlength=self.n_rows), out=indptr[1:])
             self._csr = sp.csr_matrix((self._rv.array, self._rj.array, indptr),
                                       shape=(self.n_rows, self.n_vars))
         return self._csr

@@ -385,15 +385,31 @@ def write_summary(results: list[DesignResult], catalog_order: list[str], path):
             w.writerow([r.exp_id, *map(_cell, values), r.status])
 
 
+def _csv_field(text: str) -> str:
+    """`text` as a field of ``csv.writer``'s default dialect: quoted, with
+    its quotes doubled, when it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def emit_traces(result: DesignResult, path):
-    """Long-format CSV (step, series, value) for external plotting."""
-    cells = {s: list(map(_cell, v.tolist())) for s, v in result.traces.items()}
-    n = max(map(len, cells.values()), default=0)
+    """Long-format CSV (step, series, value) for external plotting, in
+    ``csv.writer``'s default dialect (``\r\n`` line ends), made in memory
+    and written at once. A value is its ``_cell``: -0.0 as 0, NaN and
+    infinities as an empty cell, anything else as ``%.10g``."""
+    names = [f",{_csv_field(name)}," for name in result.traces]
+    values = np.atleast_2d(np.array(list(result.traces.values()), dtype=float))
+    n = values.shape[1]
+    values = values.T.ravel() + 0.0    # step-major: every series at step 0, then step 1
+    cells = list(map("%.10g".__mod__, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        cells[i] = ""
+    steps = [step for step in map(str, range(n)) for _ in names]
+    lines = [step + name + cell for step, name, cell in zip(steps, names * n, cells)]
+    header = ",".join(map(_csv_field, TRACE_HEADER))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TRACE_HEADER)
-        w.writerows((step, series, column[step])
-                    for step in range(n) for series, column in cells.items())
+        fh.write("\r\n".join([header, *lines]) + "\r\n")
 
 
 def write_results_json(results: list[DesignResult], path):

@@ -3,12 +3,15 @@ independently of the solver.
 
 A model reaches HiGHS through SciPy's bundled bindings
 (``scipy.optimize._highspy._core``, the module behind SciPy's own
-``method="highs"`` LP function): one ``HighsLp`` holds the CSR row matrix with
-each row as a bound pair, and a fresh ``Highs`` per solve takes it with the
-options that function sets. Rows go in that function's order, all ``<=`` then
-``>=`` then ``==``, because HiGHS's pivots, and so its optimum and iteration
-count, follow the row order. SciPy's LP function stays only as an independent
-reference in the tests and the benchmark's checks.
+``method="highs"`` LP function): a fresh ``Highs`` per solve, with the
+options that function sets, takes the model through the pointer overload of
+``passModel``, which reads the NumPy buffers (the CSR row matrix with int32
+indices, each row as a bound pair) without a Python-level copy. Rows go in
+that function's order, all ``<=`` then ``>=`` then ``==``, because HiGHS's
+pivots, and so its optimum and iteration count, follow the row order; the
+permuted CSR is gathered with NumPy from the model's one cached CSR. SciPy's
+LP function stays only as an independent reference in the tests and the
+benchmark's checks.
 
 The dense embedded simplex stays as a reference engine that tests compare
 HiGHS against (``SolveOptions(engine="simplex")``); nothing selects it by
@@ -43,7 +46,7 @@ _HIGHS_STATUS = {highs.HighsModelStatus.kOptimal: OPTIMAL,
                  highs.HighsModelStatus.kInfeasible: INFEASIBLE,
                  highs.HighsModelStatus.kUnbounded: UNBOUNDED,
                  highs.HighsModelStatus.kIterationLimit: ITERATION_LIMIT}
-_HIGHS_ROW_RANK = np.array([{LE: 0, GE: 1, EQ: 2}[s] for s in SENSES])
+_HIGHS_ROW_RANK = np.array([{LE: 0, GE: 1, EQ: 2}[s] for s in SENSES], dtype=np.int8)
 
 
 @dataclass(frozen=True)
@@ -113,26 +116,25 @@ def _solve_highs(model):
     # SciPy's LP row order (all <=, then >=, then ==) keeps HiGHS's pivots, and so
     # every optimum and iteration count, as they were through that function
     order = np.argsort(_HIGHS_ROW_RANK[codes], kind="stable")
-    a = model.row_matrix()[order]
+    a = model.row_matrix()
+    counts = (a.indptr[1:] - a.indptr[:-1])[order]
+    start = np.zeros(model.n_rows + 1, dtype=np.int32)
+    np.cumsum(counts, out=start[1:])
+    take = np.repeat(a.indptr[order] - start[:-1], counts) + np.arange(a.nnz)
     rhs = model.rhs_vector()[order]
     codes = codes[order]
     lower, upper = model.bounds_arrays()
-    lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = model.n_vars
-    lp.num_row_ = lp.a_matrix_.num_row_ = model.n_rows
-    lp.col_cost_ = model.objective_vector()
-    lp.col_lower_ = lower
-    lp.col_upper_ = upper
-    lp.row_lower_ = np.where(codes == SENSES.index(LE), -np.inf, rhs)
-    lp.row_upper_ = np.where(codes == SENSES.index(GE), np.inf, rhs)
-    lp.a_matrix_.format_ = highs.MatrixFormat.kRowwise
-    lp.a_matrix_.start_ = a.indptr
-    lp.a_matrix_.index_ = a.indices
-    lp.a_matrix_.value_ = a.data
     h = highs._Highs()    # one per solve: threads under --jobs never share one
     for name, value in _HIGHS_OPTIONS.items():
         h.setOptionValue(name, value)
-    if h.passModel(lp) == highs.HighsStatus.kError:    # run() would solve an empty model
+    passed = h.passModel(
+        model.n_vars, model.n_rows, a.nnz, int(highs.MatrixFormat.kRowwise),
+        int(highs.ObjSense.kMinimize), 0.0, model.objective_vector(), lower, upper,
+        np.where(codes == SENSES.index(LE), -np.inf, rhs),
+        np.where(codes == SENSES.index(GE), np.inf, rhs),
+        start, a.indices[take].astype(np.int32, copy=False), a.data[take],
+        np.zeros(model.n_vars, dtype=np.int32))    # every column continuous
+    if passed == highs.HighsStatus.kError:    # run() would solve an empty model
         model_status = highs.HighsModelStatus.kModelError
     else:
         h.run()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from hessmg.builder import (GRID, PV, BuildError, ProblemData, build)
 from hessmg.costs import eol_discount, npv_factor
 from hessmg.data import EssSpec, Horizon, SourceSpec, make_demo_dataset
-from hessmg.lp import GE, LE, Row
+from hessmg.lp import GE, LE, ModelError, Row
 from hessmg.scenario import build_scenario
 from hessmg.solve import SolveOptions, max_primal_residual, solve
 from test_wear import _gross
@@ -65,6 +67,17 @@ class TestStructure:
         families = {r.family for r in model.rows}
         assert families == {"bounds", "balance", "dynamics", "mccormick",
                             "peak", "capex"}
+
+    @pytest.mark.parametrize("series, message", [
+        ("pv_cf", "non-finite coefficient in row pv_avail.k5"),
+        ("price", "non-finite objective coefficient for P_src_plus.G.k5"),
+        ("demand_ch", "non-finite rhs in row balance.k5")])
+    def test_build_error_names_the_row(self, series, message):
+        # the whole model arrives in one block, and a fault still names its row
+        data = _data(cf=0.3, ess={"battery": BATTERY})
+        getattr(data, series)[5] = np.nan
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            build(data)
 
     def test_mismatched_series_length(self):
         with pytest.raises(BuildError, match="steps"):

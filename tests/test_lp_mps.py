@@ -72,6 +72,16 @@ class TestModelInstance:
         with pytest.raises(ModelError, match="bad bounds"):
             m.add_var("a", "w", lb=-INF, ub=-INF)
 
+    def test_set_bounds_checks_as_add_columns(self):
+        m = ModelInstance()
+        x = m.add_var("a", "x", ub=3.0)
+        for lb, ub in ((INF, INF), (-INF, -INF), (2.0, 1.0), (math.nan, 1.0)):
+            with pytest.raises(ModelError, match="bad bounds .* for a.x"):
+                m.set_bounds(x, lb, ub)
+        assert (m.lower, m.upper) == ([0.0], [3.0])
+        m.set_bounds(x, -INF, INF)
+        assert (m.lower, m.upper) == ([-INF], [INF])
+
     def test_row_merges_duplicate_columns(self):
         m = ModelInstance()
         x = m.add_var("a", "x")
@@ -105,6 +115,8 @@ class TestModelInstance:
         m.add_objective(m.var("p", "x"), 1.0)
         c = m.objective_vector()
         assert c[m.var("p", "x")] == 3.0
+        with pytest.raises(ModelError, match="unknown objective column 2"):
+            m.add_objective([0, 2], 1.0)
 
     def test_dense_views(self):
         m = _tiny_model()
@@ -236,7 +248,24 @@ GOLDEN_HASHES = {
 }
 
 
+# Each golden instance's row families (MPS does not carry them) and the
+# sha256 of its per-row family codes as little-endian int32, recorded before
+# the builder added every row in one block.
+GOLDEN_FAMILIES = {
+    "day_bsf": "9fa5c69762bcaaba289c6900b60b824c87b6520c1ba8f36b9f480c7adb825141",
+    "15min_battery": "9061807b96954761946b36509361a2dfc30c487d9138ec78c987dd1f53e59dfe",
+    "pinned": "683f000279490f56aa178ed61c2b8701bd78ec7e6f6bdce9af7de5fc0450ea6b",
+}
+
+
 class TestMps:
+    def test_golden_row_families(self):
+        for name, model in _golden_instances():
+            assert model.families == ["bounds", "balance", "dynamics", "mccormick", "peak",
+                                      "capex"], name
+            codes = np.asarray(model.family_codes(), dtype="<i4").tobytes()
+            assert hashlib.sha256(codes).hexdigest() == GOLDEN_FAMILIES[name], name
+
     def test_golden_model_hashes(self, tmp_path):
         for name, model in _golden_instances():
             path = tmp_path / f"{name}.mps"

@@ -451,6 +451,29 @@ class TestOutputs:
         assert len(rows) == 1 + ctx.horizon.n_steps * len(res.traces)
         assert not any(row[2] == "-0" for row in rows[1:])
 
+    def test_traces_csv_matches_csv_writer(self, tmp_path):
+        # the one formatted write gives the bytes csv.writer gives, cell by cell
+        res = run_module.DesignResult.failed("x", "optimal", None)
+        res.traces = {
+            "plain": np.array([-0.0, np.nan, np.inf, -np.inf, 1.0 / 3.0, 2.0]),
+            "a,b": np.array([1e-300, -2.5e17, 0.0, 123456.789012345, -1e16, 5e-5]),
+            'say "hi"': np.array([7.0, -0.0, np.nan, 1e100, 0.1 + 0.2, -3.0]),
+            "two\nlines": np.arange(6.0) - 2.5,
+        }
+        path = tmp_path / "traces.csv"
+        emit_traces(res, path)
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["step", "series", "value"])
+            for step in range(6):
+                for series, values in res.traces.items():
+                    w.writerow([step, series, run_module._cell(float(values[step]))])
+        assert path.read_bytes() == reference.read_bytes()
+        text = path.read_bytes().decode()
+        assert text.startswith('step,series,value\r\n0,plain,0\r\n0,"a,b",1e-300\r\n')
+        assert "\r\n1,plain,\r\n" in text and "\r\n2,plain,\r\n" in text
+
 
 class TestScenarioCache:
     def test_key_depends_on_data_and_params(self):

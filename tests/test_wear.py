@@ -34,31 +34,30 @@ def _swing_build(data):
     builder.register_variables(model, data)
     for name in data.ess:
         model.add_vars([("q_aux", name, 0.0, INF)], k_steps)
-    builder.add_source_flows(model, data)
-    builder.add_balance(model, data)
-    builder.add_capacity_bounds(model, data)
-    builder.add_ess_dynamics(model, data)
+    blocks = [*builder.source_flow_rows(model, data), *builder.balance_rows(model, data),
+              *builder.capacity_rows(model, data), *builder.dynamics_rows(model, data)]
     for name, ess in data.ess.items():
         q = model.columns("q_aux", name)
         soe = model.columns("E_soe", name)
         nxt, cur = soe[1:], soe[:-1]
-        builder._add_step_rows(
-            model, "mccormick", k_steps,
+        blocks.append(builder._step_rows(
+            "mccormick", k_steps,
             (f"q_epi_up.{name}.k", GE, 0.0, [(q, 1.0), (nxt, -1.0), (cur, 1.0)]),
             (f"q_epi_dn.{name}.k", GE, 0.0, [(q, 1.0), (nxt, 1.0), (cur, -1.0)]),
             (f"q_crate.{name}.k", LE, 0.0,
-             [(q, 1.0), (model.var("E_max", name), -ess.crate_max)]))
+             [(q, 1.0), (model.var("E_max", name), -ess.crate_max)])))
         model.add_objective(q, om_scale * ess.om_energy
                             + disc * ess.resale_factor * ess.cost_energy / ess.cycle_life)
         model.add_objective(model.var("E_max", name),
                             -disc * ess.resale_factor * ess.cost_energy)
-    builder.add_peak(model, data)
+    blocks += builder.peak_rows(model, data)
     wear_free = dataclasses.replace(data, ess={
         name: dataclasses.replace(ess, om_energy=0.0, resale_factor=0.0)
         for name, ess in data.ess.items()})
-    costs.objective_capex(model, wear_free)
-    costs.objective_opex(model, wear_free)
-    costs.objective_resale(model, wear_free)
+    blocks += costs.capex_rows(model, wear_free)
+    builder.add_blocks(model, blocks)
+    cols, coefs, model.objective_constant = costs.objective(model, wear_free)
+    model.add_objective(cols, coefs)
     return model
 
 
