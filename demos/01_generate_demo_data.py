@@ -10,8 +10,6 @@ dispatch) runs on these three CSVs.
 
 import pathlib
 
-import numpy as np
-
 from hessmg import make_demo_dataset
 from hessmg.data import write_demo_files
 

@@ -19,22 +19,21 @@ and discharge in the same step, so losses burnt by paired flows pay wear.
 ``add_layout``, every row in one ``add_rows`` and the whole objective in one
 ``add_objective``. The stage functions (``source_flow_rows``,
 ``balance_rows``, ``capacity_rows``, ``dynamics_rows``, ``crate_rows``,
-``peak_rows`` and ``costs.capex_rows``) each return their rows as ``Rows``
-blocks with the terms of each row sorted by column, which ``add_blocks``
-joins in declaration order; ``costs.objective`` returns every cost term in
-the order its coefficients are summed.
+``peak_rows`` and ``costs.capex_rows``) each return their rows as
+``lp.Rows`` blocks, each row with exactly its own terms in any order;
+``add_rows`` takes them in declaration order and sorts the terms.
+``costs.objective`` returns every cost term in the order its coefficients
+are summed.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .data import SERIES, EssSpec, Horizon, SourceSpec
-from .lp import EQ, GE, INF, LE, SENSES, ModelInstance, step_names
+from .lp import EQ, GE, INF, LE, SENSES, ModelInstance, Rows, step_names
 from .scenario import ScenarioModel
 
 GRID = "G"
@@ -77,74 +76,27 @@ class ProblemData:
                       for name in SERIES})
 
 
-class Rows(NamedTuple):
-    """A block of rows of one family, each row's terms sorted by column;
-    zero coefficients pad the shorter rows, and ``add_rows`` drops them."""
-
-    family: str
-    names: list[str]
-    cols: np.ndarray     # (n, width)
-    coefs: np.ndarray    # (n, width)
-    sense: np.ndarray    # per-row index into SENSES
-    rhs: np.ndarray
-
-
-def sorted_rows(family: str, names, cols, coefs, sense, rhs) -> Rows:
-    """A ``Rows`` block from (n, width) terms in any order: a stable sort
-    within each row puts them by column, so repeated columns keep their
-    order."""
-    cols = np.asarray(cols, dtype=np.int64)
-    n, width = cols.shape
-    order = np.argsort(cols, axis=1, kind="stable")
-    order += np.arange(0, n * width, width)[:, None]    # flat index of each term
-    return Rows(family, names, cols.ravel()[order],
-                np.asarray(coefs, dtype=float).ravel()[order],
-                np.asarray(sense, dtype=np.int8), np.asarray(rhs, dtype=float))
-
-
-def _first_column(term) -> int:
-    col = term[0]
-    return col if isinstance(col, int) else col[0]
-
-
 def _step_rows(family: str, n: int, *groups) -> Rows:
     """Rows for steps 0..n-1, step-major: row k of every group in group
     order, then step k+1. A group is ``(name prefix, sense, rhs, terms)``;
     a term is ``(columns, coefficient)``, each a scalar or one value per
-    step. A group's terms go in the order of their step-0 columns, which
-    sorts every step's row: each series of columns is an arithmetic range
-    inside one segment of the column layout, so two terms keep their order
-    from step to step (``add_rows`` sorts any row that would not). A row of
-    a group with fewer terms is padded with its last column at zero."""
-    width = max(len(g[3]) for g in groups)
-    cols = np.empty((n, len(groups), width), dtype=np.int64)
-    coefs = np.zeros((n, len(groups), width))
+    step. Each row holds its group's terms in the order given."""
+    widths = [len(g[3]) for g in groups]
+    cols = np.empty((n, sum(widths)), dtype=np.int64)
+    coefs = np.empty((n, sum(widths)))
+    sense = np.empty((n, len(groups)), dtype=np.int8)
     rhs = np.empty((n, len(groups)))
-    for g, (_, _, r, terms) in enumerate(groups):
-        rhs[:, g] = r
-        for t, (col, coef) in enumerate(sorted(terms, key=_first_column)):
-            cols[:, g, t] = col
-            coefs[:, g, t] = coef
-        if len(terms) < width:
-            cols[:, g, len(terms):] = cols[:, g, len(terms) - 1, None]
-    codes = np.array([SENSES.index(g[1]) for g in groups] * n, dtype=np.int8)
-    return Rows(family, step_names([g[0] for g in groups], n), cols.reshape(-1, width),
-                coefs.reshape(-1, width), codes, rhs.ravel())
-
-
-def add_blocks(model: ModelInstance, blocks):
-    """Add every row of `blocks`, in order, in one ``add_rows`` call."""
-    families = list(dict.fromkeys(b.family for b in blocks))
-    counts = [len(b.names) for b in blocks]
-    widths = np.repeat([b.cols.shape[1] for b in blocks], counts)
-    model.add_rows(
-        (families, np.repeat([families.index(b.family) for b in blocks], counts)),
-        itertools.chain.from_iterable(b.names for b in blocks),
-        np.concatenate([b.cols.ravel() for b in blocks]),
-        np.concatenate([b.coefs.ravel() for b in blocks]),
-        np.concatenate([b.sense for b in blocks]),
-        np.concatenate([b.rhs for b in blocks]),
-        indptr=np.concatenate(([0], np.cumsum(widths))))
+    t = 0
+    for g, (_, s, r, terms) in enumerate(groups):
+        sense[:, g], rhs[:, g] = SENSES.index(s), r
+        for col, coef in terms:
+            cols[:, t], coefs[:, t] = col, coef
+            t += 1
+    # row (k, g) ends after the terms of groups 0..g of step k
+    ends = np.arange(0, cols.size, cols.shape[1])[:, None] + np.cumsum(widths)
+    return Rows(family, step_names([g[0] for g in groups], n),
+                np.concatenate(([0], ends.ravel())), cols.ravel(), coefs.ravel(),
+                sense.ravel(), rhs.ravel())
 
 
 def register_variables(model: ModelInstance, data: ProblemData):
@@ -254,9 +206,8 @@ def dynamics_rows(model: ModelInstance, data: ProblemData) -> list[Rows]:
             f"soe_dyn.{name}.k", EQ, 0.0,
             [(soe[1:], 1.0), (soe[:-1], -1.0),
              (plus, discharge_coef), (minus, -charge_coef)])))
-        blocks.append(sorted_rows("dynamics", [f"soe_periodic.{name}"],
-                                  [[soe[k_steps], soe[0]]], [[1.0, -1.0]],
-                                  [SENSES.index(GE)], [0.0]))
+        blocks.append(Rows("dynamics", [f"soe_periodic.{name}"], [0, 2],
+                           [soe[k_steps], soe[0]], [1.0, -1.0], [SENSES.index(GE)], [0.0]))
     return blocks
 
 
@@ -319,10 +270,10 @@ def build(data: ProblemData, fixed: dict | None = None) -> ModelInstance:
 
     model = ModelInstance()
     register_variables(model, data)
-    add_blocks(model, [*source_flow_rows(model, data), *balance_rows(model, data),
-                       *capacity_rows(model, data), *dynamics_rows(model, data),
-                       *crate_rows(model, data), *peak_rows(model, data),
-                       *costs.capex_rows(model, data)])
+    model.add_rows([*source_flow_rows(model, data), *balance_rows(model, data),
+                    *capacity_rows(model, data), *dynamics_rows(model, data),
+                    *crate_rows(model, data), *peak_rows(model, data),
+                    *costs.capex_rows(model, data)])
     if fixed:
         apply_fixed_values(model, data, fixed)
     cols, coefs, constant = costs.objective(model, data)

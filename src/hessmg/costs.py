@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .builder import GRID, PV, ProblemData, Rows, gross_flow_terms, sorted_rows
-from .lp import GE, SENSES, ModelInstance
+from .builder import GRID, PV, ProblemData, gross_flow_terms
+from .lp import GE, SENSES, ModelInstance, Rows
 
 EUR_PER_KEUR = 1000.0
 AUDIT_REL_TOL = 1e-6     # largest relative gap between audit and solver objective
@@ -42,11 +42,11 @@ def capex_rows(model: ModelInstance, data: ProblemData) -> list[Rows]:
     for name, ess in data.ess.items():
         cap = model.var("capex_epigraph", name)
         names += [f"capex_energy.{name}", f"capex_power.{name}"]
-        cols += [[cap, model.var("E_max", name)],
-                 [cap, model.var("P_max_ess", name)]]
-        coefs += [[1.0, -ess.cost_energy], [1.0, -ess.cost_power]]
-    return [sorted_rows("capex", names, np.reshape(cols, (-1, 2)), np.reshape(coefs, (-1, 2)),
-                        np.full(len(names), SENSES.index(GE)), np.zeros(len(names)))]
+        cols += [cap, model.var("E_max", name), cap, model.var("P_max_ess", name)]
+        coefs += [1.0, -ess.cost_energy, 1.0, -ess.cost_power]
+    n = len(names)
+    return [Rows("capex", names, np.arange(0, 2 * n + 1, 2), cols, coefs,
+                 [SENSES.index(GE)] * n, np.zeros(n))]
 
 
 def objective_capex(model: ModelInstance, data: ProblemData):

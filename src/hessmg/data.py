@@ -81,6 +81,11 @@ class CatalogError(ValueError):
     """Missing or invalid technology catalog entry."""
 
 
+def not_utf8(path, exc: UnicodeDecodeError) -> str:
+    """The one-line fault of an input file that is not UTF-8 text."""
+    return f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
+
+
 class IncompleteDayWarning(UserWarning):
     """A partial day at the edge of a dataset was dropped."""
 
@@ -291,7 +296,7 @@ def _read_signal_file(path, header, n_values):
     """Parse a `timestamp,value...` CSV line by line into (stamps in
     microseconds, one value array per column), one entry per row."""
     stamps, values = [], []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             got = next(reader, None)
@@ -321,6 +326,8 @@ def _read_signal_file(path, header, n_values):
                 values.extend(vals)
         except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
             raise DataFormatError(f"{path}:{reader.line_num}: malformed row ({exc})") from None
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(not_utf8(path, exc)) from None
     return (np.array(stamps, dtype=np.int64),
             list(np.array(values, dtype=float).reshape(-1, n_values).T))
 
@@ -356,7 +363,7 @@ def _read_bulk(path, header, n_values):
     (stamps in microseconds, one value array per column), one entry per
     row; None for any other file."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError:
         return None
@@ -518,11 +525,13 @@ def load_catalog(catalog_path) -> dict[str, EssSpec]:
     read as written (no `%` interpolation)."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        if not parser.read(catalog_path):
+        if not parser.read(catalog_path, encoding="utf-8"):
             raise CatalogError(f"cannot read catalog {catalog_path}")
         raw = {name: dict(parser[name]) for name in parser.sections()}
     except configparser.Error as exc:
         raise _catalog_syntax_fault(catalog_path, exc) from None
+    except UnicodeDecodeError as exc:
+        raise CatalogError(not_utf8(catalog_path, exc)) from None
     # a value is checked as written: every scale is positive, so its interval holds
     intervals = {f.name: f.metadata.get("interval") for f in fields(EssSpec)}
     catalog = {}

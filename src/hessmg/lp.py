@@ -9,13 +9,16 @@ range of columns (several series can be interleaved step by step).
 builder, that name is how a column is found. Bounds and the minimization
 objective are dense arrays over the columns; ``add_objective`` sums the
 terms of one call per column in order, with one ``bincount``.
-Rows arrive in blocks through ``add_rows``, which takes one family per
-row as it takes one sense per row, so a whole model can arrive in one
-call. They are stored as COO triplets, sorted by column within each row,
-plus a sense code, a right-hand side and a family code per row and a list
-of row names; ``add_row`` adds one row through the same checks.
-``row_matrix()`` assembles the CSR once and caches it until the next row
-is added. The solver, ``verify`` and the MPS writer all read that one CSR.
+Rows arrive through ``add_rows`` as ``Rows`` blocks, each the rows of one
+family in CSR form with their terms in any order, so a whole model can
+arrive in one call; ``add_row`` wraps one row in one block. ``add_rows`` is
+the only code that orders terms: it drops exact zeros, sorts each row's
+terms stably by column and sums repeated columns. The container keeps the
+rows as CSR pieces: the columns and values of the terms, and a term count,
+a sense code, a right-hand side and a family code per row, plus a list of
+row names. ``row_matrix()`` assembles the CSR once, from a cumulative sum
+of the counts, and caches it until the next row is added. The solver,
+``verify`` and the MPS writer all read that one CSR.
 
 ``rows`` gives the same rows as ``Row`` objects, made on access; it is
 meant for tests and for inspecting models, not for hot paths.
@@ -27,6 +30,7 @@ import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -81,6 +85,20 @@ class Row:
     rhs: float
     name: str
     family: str
+
+
+class Rows(NamedTuple):
+    """A block of rows of one family in CSR form: the terms of row i are
+    ``cols[indptr[i]:indptr[i+1]]`` with ``coefs`` alike, in any order.
+    Each field may be a list or an array."""
+
+    family: str
+    names: list[str]
+    indptr: np.ndarray   # length n + 1, from 0
+    cols: np.ndarray
+    coefs: np.ndarray
+    sense: np.ndarray    # per-row index into SENSES
+    rhs: np.ndarray      # per row
 
 
 class RowView(Sequence):
@@ -260,7 +278,7 @@ class ModelInstance:
     # -- rows --------------------------------------------------------------
 
     def _clear_rows(self):
-        self._ri = _Blocks(np.int64)     # COO row, column, value
+        self._count = _Blocks(np.int32)  # CSR pieces: terms per row, column, value
         self._rj = _Blocks(np.int32)     # int32 indices, as HiGHS takes them
         self._rv = _Blocks(float)
         self._sense = _Blocks(np.int8)
@@ -270,55 +288,49 @@ class ModelInstance:
         self.families: list[str] = []    # family code -> family name
         self._csr = self._rows = None
 
-    def add_rows(self, family, names, cols, coefs, sense, rhs, indptr=None):
-        """Append one block of rows.
+    def add_rows(self, blocks):
+        """Append every row of `blocks`, a sequence of ``Rows``, in order.
 
-        Terms come as `cols`/`coefs` of shape (n, width), one row each, or
-        as flat arrays cut into rows by `indptr` (length n+1). `family` is
-        one family name for the block, or a pair (family names, a code per
-        row indexing them); families new to the model are registered in
-        the order of their first row. `sense` is one sense for the block or
-        a sense code (index into SENSES) per row; `rhs` is a scalar or one
-        value per row. Exact zeros (-0.0 too) are dropped, then repeated
-        columns in a row are summed. Terms already sorted by column within
-        each row are taken in one pass; others are sorted. A row left
+        Families new to the model are registered in the order of their
+        first row. Exact zeros (-0.0 too) are dropped, the terms of each row
+        are sorted stably by column and repeated columns are summed in the
+        order given. Pointers that do not match the terms, a row left
         without terms, a non-finite coefficient or right-hand side, or an
-        unknown family code, sense or column raises ModelError.
+        unknown sense code or column raises ModelError, and no row is added.
         """
-        names = list(names)
-        n = len(names)
-        if n == 0:
+        blocks = [b for b in blocks if len(b.names)]
+        if not blocks:
             return
-        if isinstance(family, str):
-            family_names, family_of = [family], np.zeros(n, dtype=np.int32)
-        else:
-            family_names, family_of = list(family[0]), np.asarray(family[1], dtype=np.int32)
-        label = "/".join(family_names)
-        if family_of.shape != (n,) or not 0 <= family_of.min() <= family_of.max() < len(
-                family_names):
-            raise ModelError(f"block {label}: unknown family code")
-        cols = np.asarray(cols, dtype=np.int64)
-        coefs = np.asarray(coefs, dtype=float)
-        if indptr is None:
-            if cols.ndim != 2 or len(cols) != n or coefs.shape != cols.shape:
-                raise ModelError(f"block {label}: terms do not match {n} rows")
-            row_of = np.repeat(np.arange(n), cols.shape[1])
-            cols, coefs = cols.ravel(), coefs.ravel()
-        else:
-            indptr = np.asarray(indptr, dtype=np.int64)
-            counts = indptr[1:] - indptr[:-1]
-            if len(counts) != n or cols.shape != coefs.shape or len(cols) != counts.sum():
-                raise ModelError(f"block {label}: terms do not match {n} rows")
-            row_of = np.repeat(np.arange(n), counts)
-
-        if isinstance(sense, str):
-            if sense not in _SENSE_CODE:
-                raise ModelError(f"unknown sense {sense!r}")
-            codes = np.full(n, _SENSE_CODE[sense], dtype=np.int8)
-        else:
-            codes = np.asarray(sense, dtype=np.int8)
-            if codes.shape != (n,) or not 0 <= codes.min() <= codes.max() < len(SENSES):
-                raise ModelError(f"block {label}: unknown sense code")
+        names, sizes = [], []
+        for b in blocks:
+            n = len(b.names)
+            if (len(b.indptr) != n + 1 or b.indptr[0] != 0 or b.indptr[-1] != len(b.cols)
+                    or len(b.coefs) != len(b.cols)):
+                raise ModelError(f"block {b.family}: terms do not match {n} rows")
+            if len(b.sense) != n:
+                raise ModelError(f"block {b.family}: unknown sense code")
+            if len(b.rhs) != n:
+                raise ModelError(f"block {b.family}: {len(b.rhs)} right-hand sides for {n} rows")
+            names += b.names
+            sizes.append(n)
+        n = len(names)
+        block_end = np.cumsum(sizes)
+        # the joined pointers fall back to 0 where a block starts: drop those steps
+        counts = np.delete(np.diff(np.concatenate([b.indptr for b in blocks])),
+                           block_end[:-1] + np.arange(len(blocks) - 1))
+        cols = np.concatenate([b.cols for b in blocks]).astype(np.int64, copy=False)
+        coefs = np.concatenate([b.coefs for b in blocks], dtype=float)
+        if counts.min() < 0 or cols.ndim != 1 or coefs.ndim != 1:
+            b = blocks[np.searchsorted(block_end, counts.argmin(), side="right")]
+            raise ModelError(f"block {b.family}: terms do not match {len(b.names)} rows")
+        codes = np.concatenate([b.sense for b in blocks])    # checked before the int8 cast
+        bad = (codes < 0) | (codes >= len(SENSES))
+        if bad.any():
+            b = blocks[np.searchsorted(block_end, bad.argmax(), side="right")]
+            raise ModelError(f"block {b.family}: unknown sense code")
+        codes = codes.astype(np.int8)
+        rhs = np.concatenate([b.rhs for b in blocks], dtype=float)
+        row_of = np.repeat(np.arange(n), counts)
         if not np.isfinite(coefs).all():
             bad = np.isfinite(coefs).argmin()
             raise ModelError(f"non-finite coefficient in row {names[row_of[bad]]}")
@@ -330,47 +342,40 @@ class ModelInstance:
         terms = np.bincount(row_of, minlength=n)
         if terms.min() == 0:
             raise ModelError(f"empty row {names[terms.argmin()]}")
-        rhs = np.full(n, rhs, dtype=float) if np.ndim(rhs) == 0 else np.asarray(rhs, float)
-        if rhs.shape != (n,):
-            raise ModelError(f"block {label}: {rhs.size} right-hand sides for {n} rows")
         if not np.isfinite(rhs).all():
             raise ModelError(f"non-finite rhs in row {names[np.isfinite(rhs).argmin()]}")
 
         # canonical order: by row, then by column; repeated columns summed
         key = row_of * self.n_vars + cols
-        step = key[1:] - key[:-1]
-        if len(step) and step.min() < 0:
-            order = np.argsort(key, kind="stable")
-            row_of, cols, coefs, key = row_of[order], cols[order], coefs[order], key[order]
-            step = key[1:] - key[:-1]
-        if len(step) and step.min() == 0:
-            starts = np.flatnonzero(np.concatenate(([True], step != 0)))
+        order = np.argsort(key, kind="stable")
+        key, cols, coefs = key[order], cols[order], coefs[order]
+        repeated = key[1:] == key[:-1]
+        if repeated.any():
+            starts = np.flatnonzero(np.concatenate(([True], ~repeated)))
             coefs = np.add.reduceat(coefs, starts)
-            row_of, cols = row_of[starts], cols[starts]
+            cols = cols[starts]
+            terms = np.bincount(row_of[order[starts]], minlength=n)
 
-        # the family of each run of rows, so families come in order of first row
-        run_start = np.ones(n, dtype=bool)
-        np.not_equal(family_of[1:], family_of[:-1], out=run_start[1:])
-        table = np.zeros(len(family_names), dtype=np.int32)
-        for f in dict.fromkeys(family_of[run_start].tolist()):
-            if family_names[f] not in self.families:
-                self.families.append(family_names[f])
-            table[f] = self.families.index(family_names[f])
-        self._ri.append(row_of + self.n_rows)
+        for b in blocks:
+            if b.family not in self.families:
+                self.families.append(b.family)
+        self._count.append(terms)
         self._rj.append(cols)
         self._rv.append(coefs)
         self._sense.append(codes)
         self._rhs.append(rhs)
-        self._family.append(table[family_of])
+        self._family.append(np.repeat([self.families.index(b.family) for b in blocks],
+                                      [len(b.names) for b in blocks]))
         self.row_names.extend(names)
         self._csr = self._rows = None
 
     def add_row(self, terms, sense, rhs, name, family):
         """terms: iterable of (column, coefficient)."""
+        if sense not in _SENSE_CODE:
+            raise ModelError(f"unknown sense {sense!r}")
         terms = list(terms)
-        cols = np.array([col for col, _ in terms], dtype=np.int64)
-        coefs = np.array([coef for _, coef in terms], dtype=float)
-        self.add_rows(family, [name], cols[None, :], coefs[None, :], sense, rhs)
+        self.add_rows([Rows(family, [name], [0, len(terms)], [col for col, _ in terms],
+                            [coef for _, coef in terms], [_SENSE_CODE[sense]], [rhs])])
 
     # -- objective ---------------------------------------------------------
 
@@ -406,7 +411,7 @@ class ModelInstance:
         sorted by column. Built once, until the next row is added."""
         if self._csr is None:
             indptr = np.zeros(self.n_rows + 1, dtype=np.int32)
-            np.cumsum(np.bincount(self._ri.array, minlength=self.n_rows), out=indptr[1:])
+            np.cumsum(self._count.array, out=indptr[1:])
             self._csr = sp.csr_matrix((self._rv.array, self._rj.array, indptr),
                                       shape=(self.n_rows, self.n_vars))
         return self._csr

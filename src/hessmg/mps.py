@@ -25,7 +25,7 @@ import re
 import numpy as np
 import scipy.sparse as sp
 
-from .lp import EQ, GE, INF, LE, SENSES, ModelInstance
+from .lp import EQ, GE, INF, LE, SENSES, ModelInstance, Rows
 
 OBJ_ROW = "COST"
 _SENSE_TO_TYPE = {LE: "L", GE: "G", EQ: "E"}
@@ -318,7 +318,7 @@ class _Reader:
         objective = rows == _OBJECTIVE
         rhs = np.zeros(m)
         rhs[rows[~objective]] = values[~objective]
-        model.add_rows("mps", self.row_names, a.indices, a.data, self.row_codes, rhs,
-                       indptr=a.indptr)
+        model.add_rows([Rows("mps", self.row_names, a.indptr, a.indices, a.data,
+                             self.row_codes, rhs)])
         model.objective_constant = -float(values[objective][-1]) if objective.any() else 0.0
         return model

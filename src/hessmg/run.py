@@ -20,7 +20,7 @@ from .builder import GRID, PV, ProblemData, build, design_pins
 from .costs import AUDIT_REL_TOL, CostBreakdown, audit
 from .data import (INTEGER, NUMBER, OBJECT, SERIES, STRING, EssSpec, GridSpec, Horizon,
                    HistoricalDay, JsonType, PvSpec, SourceSpec, check_object,
-                   list_of, load_catalog, load_dataset)
+                   list_of, load_catalog, load_dataset, not_utf8)
 from .scenario import ScenarioModel, build_scenario
 from .solve import OPTIMAL, VerifyReport, solve as solve_model, verify
 
@@ -156,8 +156,7 @@ def cached_scenario(days, w, t_syn, seed, cache_dir=None) -> ScenarioModel:
     path = os.path.join(cache_dir,
                         f"scenario-{scenario_cache_key(days, w, t_syn, seed)}.json")
     if os.path.exists(path):
-        with open(path) as fh:
-            return ScenarioModel.from_json(fh.read())
+        return _read_json(path, ScenarioModel.from_json)
     model = build_scenario(days, w, t_syn, seed)
     write_whole(path, model.to_json())
     return model
@@ -460,10 +459,21 @@ RUN_DEFAULTS = {
 }
 
 
+def _read_json(path, parse=json.loads):
+    """`parse` applied to the text of the JSON file at `path`; a file that
+    is not UTF-8 text or not JSON raises ValueError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ValueError(not_utf8(path, exc)) from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not JSON ({exc})") from None
+
+
 def load_run_config(path) -> dict:
     """Read the run configuration JSON and pass it through ``run_config``."""
-    with open(path) as fh:
-        return run_config(json.load(fh), path)
+    return run_config(_read_json(path), path)
 
 
 def run_config(raw: dict, path) -> dict:
@@ -506,8 +516,7 @@ def context_from_config(cfg: dict, cache_dir=None) -> RunContext:
                             "pv": PvSpec(**raw.get("pv", {}))})
     catalog = load_catalog(cfg["catalog"])
     if "scenario" in cfg:
-        with open(cfg["scenario"]) as fh:
-            scenario = ScenarioModel.from_json(fh.read())
+        scenario = _read_json(cfg["scenario"], ScenarioModel.from_json)
         horizon = Horizon(**{"t_syn": len(scenario.sequence),
                              "tau_minutes": 1440 // len(scenario.representatives[0].price),
                              **cfg["horizon"]})

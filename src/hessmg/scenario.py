@@ -93,11 +93,14 @@ def kmeans(features: np.ndarray, w: int, seed: int):
     """Cluster standardized feature rows into w groups.
 
     Best of KMEANS_RESTARTS seeded k-means++/Lloyd runs; deterministic for a
-    fixed seed. Returns (centroids, labels).
+    fixed seed. Returns (centroids, labels). More clusters than distinct
+    rows would leave one empty, so `w` may not exceed their number.
     """
     x = np.asarray(features, dtype=float)
-    if w < 1 or w > len(x):
-        raise ValueError(f"need 1 <= clusters <= {len(x)}, got {w}")
+    distinct = len(np.unique(x, axis=0))
+    if not 1 <= w <= distinct:
+        why = f": the {len(x)} rows hold {distinct} distinct ones" if distinct < len(x) else ""
+        raise ValueError(f"need 1 <= clusters <= {distinct}, got {w}{why}")
     best = None
     for restart in range(KMEANS_RESTARTS):
         rng = np.random.default_rng((seed, restart))

@@ -8,11 +8,10 @@ import pytest
 
 from hessmg.builder import ProblemData, build
 from hessmg.data import Horizon, PvSpec, SourceSpec, load_catalog, make_demo_dataset
-from hessmg.lp import EQ, GE, INF, LE, SENSES, ModelError, ModelInstance
+from hessmg.lp import EQ, GE, INF, LE, SENSES, ModelError, ModelInstance, Rows
 from hessmg import mps
 from hessmg.mps import MpsFormatError, read_mps, write_mps
 from hessmg.scenario import build_scenario
-from hessmg.solve import solve
 
 
 def _tiny_model():
@@ -147,8 +146,9 @@ class TestModelInstance:
         cols = np.array([[1, 0, 1], [3, 2, 3], [5, 4, 4]])
         coefs = np.array([[2.0, -0.0, 0.5], [1.0, 1.0, 1.0], [0.0, 4.0, 2.0]])
         block, rows = model(), model()
-        block.add_rows("fam", ["r0", "r1", "r2"], cols, coefs,
-                       np.array([0, 1, 2], dtype=np.int8), [1.0, 2.0, 3.0])
+        block.add_rows([Rows("fam", ["r0", "r1", "r2"], [0, 3, 6, 9], cols.ravel(),
+                             coefs.ravel(), np.array([0, 1, 2], dtype=np.int8),
+                             [1.0, 2.0, 3.0])])
         for i, sense in enumerate((LE, EQ, GE)):
             rows.add_row(zip(cols[i], coefs[i]), sense, i + 1.0, f"r{i}", "fam")
         assert block.signature() == rows.signature()
@@ -158,18 +158,45 @@ class TestModelInstance:
         assert block.col_names[:3] == ["p.a.k0", "p.b.k0", "p.a.k1"]
         assert block.var("p", "b", 2) == 5
 
+    def test_blocks_join_in_order(self):
+        m = ModelInstance()
+        m.add_vars([("p", "a", 0.0, 1.0)], 3)
+        m.add_rows([Rows("f", ["a"], [0, 2], [2, 0], [1.0, 3.0], [0], [1.0]),
+                    Rows("g", [], [0], [], [], [], []),
+                    Rows("g", ["b", "c"], [0, 1, 3], [1, 2, 2], [1.0, 0.5, 0.25], [1, 2],
+                         [2.0, 3.0]),
+                    Rows("f", ["d"], [0, 1], [1], [4.0], [0], [0.0])])
+        assert m.families == ["f", "g"]
+        assert [(r.name, r.family, r.cols, r.coefs, r.sense, r.rhs) for r in m.rows] == [
+            ("a", "f", [0, 2], [3.0, 1.0], LE, 1.0), ("b", "g", [1], [1.0], EQ, 2.0),
+            ("c", "g", [2], [0.75], GE, 3.0), ("d", "f", [1], [4.0], LE, 0.0)]
+        m.add_rows([])
+        assert m.n_rows == 4
+
     def test_block_checks_every_row(self):
         m = ModelInstance()
         m.add_vars([("p", "a", 0.0, 1.0)], 2)
-        ok = dict(cols=[[0], [1]], coefs=[[1.0], [1.0]], sense=LE, rhs=0.0)
-        for bad, match in ((dict(coefs=[[1.0], [math.nan]]), "non-finite coefficient in row b"),
-                           (dict(coefs=[[1.0], [-0.0]]), "empty row b"),
+        ok = dict(family="t", names=["a", "b"], indptr=[0, 1, 2], cols=[0, 1],
+                  coefs=[1.0, 1.0], sense=[0, 0], rhs=[0.0, 0.0])
+        for bad, match in ((dict(coefs=[1.0, math.nan]), "non-finite coefficient in row b"),
+                           (dict(coefs=[1.0, -0.0]), "empty row b"),
+                           (dict(indptr=[0, 1, 1], cols=[0], coefs=[1.0]), "empty row b"),
                            (dict(rhs=[0.0, math.inf]), "non-finite rhs in row b"),
-                           (dict(cols=[[0], [2]]), "unknown column in row b"),
-                           (dict(sense=np.array([0, 3])), "sense")):
+                           (dict(rhs=[0.0]), "block t: 1 right-hand sides for 2 rows"),
+                           (dict(cols=[0, 2]), "unknown column in row b"),
+                           (dict(sense=np.array([0, 3])), "block t: unknown sense code"),
+                           (dict(sense=np.array([0, 256])), "block t: unknown sense code"),
+                           (dict(sense=[0]), "block t: unknown sense code"),
+                           (dict(indptr=[0, 2, 1]), "block t: terms do not match 2 rows"),
+                           (dict(indptr=[0, 3, 2]), "block t: terms do not match 2 rows"),
+                           (dict(indptr=[0, 2]), "block t: terms do not match 2 rows"),
+                           (dict(coefs=[1.0]), "block t: terms do not match 2 rows")):
             with pytest.raises(ModelError, match=match):
-                m.add_rows("t", ["a", "b"], **{**ok, **bad})
-        assert m.n_rows == 0
+                m.add_rows([Rows(**{**ok, **bad})])
+            # nothing of a faulty call is kept, not even its good blocks
+            with pytest.raises(ModelError, match=match.replace("block t", "block u")):
+                m.add_rows([Rows(**ok), Rows(**{**ok, **bad, "family": "u"})])
+        assert m.n_rows == 0 and m.families == []
 
     def test_structure_is_hashable_and_discriminates(self):
         a, b = _tiny_model(), _tiny_model()
@@ -273,6 +300,33 @@ class TestMps:
             data = path.read_bytes()
             assert (hashlib.sha256(data).hexdigest(), len(data)) == GOLDEN_HASHES[name]
             assert read_mps(path).signature() == model.signature()
+
+    def test_term_order_within_a_row_does_not_matter(self, tmp_path, monkeypatch):
+        add_rows = ModelInstance.add_rows
+        reversed_terms = []
+
+        def add_reversed(model, blocks):
+            """The stage blocks with every row's terms in reverse order."""
+            flipped = []
+            for b in blocks:
+                indptr = np.asarray(b.indptr)
+                counts = np.diff(indptr)
+                at = (np.repeat(indptr[:-1] + indptr[1:] - 1, counts)
+                      - np.arange(indptr[-1]))
+                flipped.append(b._replace(cols=np.asarray(b.cols)[at],
+                                          coefs=np.asarray(b.coefs)[at]))
+                reversed_terms.append(counts.max(initial=0) > 1)
+            add_rows(model, flipped)
+
+        built = {name: model for name, model in _golden_instances()}
+        monkeypatch.setattr(ModelInstance, "add_rows", add_reversed)
+        for name, model in _golden_instances():
+            assert model.signature() == built[name].signature(), name
+            write_mps(model, tmp_path / "reversed.mps")
+            write_mps(built[name], tmp_path / "built.mps")
+            assert ((tmp_path / "reversed.mps").read_bytes()
+                    == (tmp_path / "built.mps").read_bytes()), name
+        assert any(reversed_terms)
 
     def test_golden_file_byte_exact(self, tmp_path):
         path = tmp_path / "tiny.mps"

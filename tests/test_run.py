@@ -742,6 +742,13 @@ class TestCli:
          "no_section.ini:1: key before any [section]: eta_c = 0.9"),
         ("export-mps", ["--catalog", "{tmp}/spaced_name.ini", "--out", "{tmp}/m.mps"], {},
          "technology name 'fly wheel' is empty or holds whitespace"),
+        ("experiments", ["--config", "{tmp}/broken.json"], {},
+         "broken.json: not JSON (Expecting property name enclosed in double quotes"),
+        ("optimize", ["--scenario", "{tmp}/not_json.json"], {}, "not_json.json: not JSON ("),
+        ("export-mps", ["--catalog", "{tmp}/latin1.ini", "--out", "{tmp}/m.mps"], {},
+         "latin1.ini: not UTF-8 text (byte 0xe9: "),
+        ("experiments", ["--prices", "{tmp}/latin1.csv"], {},
+         "latin1.csv: not UTF-8 text (byte 0xe9: "),
     ], ids=["incomplete scenario", "missing scenario", "unknown technology",
             "string clusters", "unknown horizon field", "unknown grid field",
             "unknown pin", "undotted pin", "epigraph pin", "path in experiment id",
@@ -750,7 +757,9 @@ class TestCli:
             "scenario steps not dividing a day", "nan tariff", "nan catalog field",
             "negative catalog field", "negative seed", "zero jobs", "empty scenario path",
             "scenario label outside the clusters", "catalog duplicate key",
-            "catalog key before any section", "technology name with a space"])
+            "catalog key before any section", "technology name with a space",
+            "config not JSON", "scenario not JSON", "catalog not UTF-8",
+            "signal file not UTF-8"])
     def test_input_faults_print_one_line(self, workspace, tmp_path, capsys,
                                          command, extra, config, message):
         root, cfg_path = workspace
@@ -773,6 +782,12 @@ class TestCli:
             "[flywheel]\n", "[flywheel]\neta_c = 0.9\n"))
         (tmp_path / "no_section.ini").write_text("eta_c = 0.9\n" + catalog)
         (tmp_path / "spaced_name.ini").write_text(catalog.replace("[flywheel]", "[fly wheel]"))
+        (tmp_path / "broken.json").write_text('{"clusters": 3,\n')
+        (tmp_path / "not_json.json").write_text("labels: [0]\n")
+        (tmp_path / "latin1.ini").write_bytes(
+            catalog.replace("[flywheel]", "[flywheel]\n# caf\xe9").encode("latin-1"))
+        prices = (root / "data" / "prices.csv").read_bytes().splitlines(keepends=True)
+        (tmp_path / "latin1.csv").write_bytes(b"".join(prices[:3] + [b"caf\xe9\n"] + prices[3:]))
         if config:
             cfg = {**json.loads(cfg_path.read_text()), **config}
             cfg_path = tmp_path / "config.json"

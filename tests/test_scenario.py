@@ -95,6 +95,17 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans(x, 5, seed=0)
 
+    def test_w_above_the_distinct_rows(self):
+        x = np.repeat(np.random.default_rng(4).normal(size=(2, 12)), 5, axis=0)
+        assert len(kmeans(x, 2, seed=0)[0]) == 2
+        with pytest.raises(ValueError, match="clusters <= 2, got 3: the 10 rows hold 2 "):
+            kmeans(x, 3, seed=0)
+        day = make_demo_dataset(seed=0, n_days=1)[0]
+        days = [_day(day.price, day.demand_ch, day.pv_cf, day.date + dt.timedelta(days=i))
+                for i in range(10)]
+        with pytest.raises(ValueError, match="clusters <= 1, got 3: the 10 rows hold 1 "):
+            build_scenario(days, w=3, t_syn=2, seed=0)
+
 
 class TestRepresentatives:
     def test_singleton_cluster(self):

@@ -55,7 +55,7 @@ def _swing_build(data):
         name: dataclasses.replace(ess, om_energy=0.0, resale_factor=0.0)
         for name, ess in data.ess.items()})
     blocks += costs.capex_rows(model, wear_free)
-    builder.add_blocks(model, blocks)
+    model.add_rows(blocks)
     cols, coefs, model.objective_constant = costs.objective(model, wear_free)
     model.add_objective(cols, coefs)
     return model
