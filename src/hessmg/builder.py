@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SERIES, EssSpec, Horizon, SourceSpec
-from .lp import EQ, GE, INF, LE, SENSES, ModelInstance, Rows, step_names
+from .lp import EQ, GE, INF, LE, ModelInstance, Rows, step_names
 from .scenario import ScenarioModel
 
 GRID = "G"
@@ -88,7 +88,7 @@ def _step_rows(family: str, n: int, *groups) -> Rows:
     rhs = np.empty((n, len(groups)))
     t = 0
     for g, (_, s, r, terms) in enumerate(groups):
-        sense[:, g], rhs[:, g] = SENSES.index(s), r
+        sense[:, g], rhs[:, g] = s, r
         for col, coef in terms:
             cols[:, t], coefs[:, t] = col, coef
             t += 1
@@ -207,7 +207,7 @@ def dynamics_rows(model: ModelInstance, data: ProblemData) -> list[Rows]:
             [(soe[1:], 1.0), (soe[:-1], -1.0),
              (plus, discharge_coef), (minus, -charge_coef)])))
         blocks.append(Rows("dynamics", [f"soe_periodic.{name}"], [0, 2],
-                           [soe[k_steps], soe[0]], [1.0, -1.0], [SENSES.index(GE)], [0.0]))
+                           [soe[k_steps], soe[0]], [1.0, -1.0], [GE], [0.0]))
     return blocks
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .builder import GRID, PV, ProblemData, gross_flow_terms
-from .lp import GE, SENSES, ModelInstance, Rows
+from .lp import GE, ModelInstance, Rows
 
 EUR_PER_KEUR = 1000.0
 AUDIT_REL_TOL = 1e-6     # largest relative gap between audit and solver objective
@@ -46,7 +46,7 @@ def capex_rows(model: ModelInstance, data: ProblemData) -> list[Rows]:
         coefs += [1.0, -ess.cost_energy, 1.0, -ess.cost_power]
     n = len(names)
     return [Rows("capex", names, np.arange(0, 2 * n + 1, 2), cols, coefs,
-                 [SENSES.index(GE)] * n, np.zeros(n))]
+                 [GE] * n, np.zeros(n))]
 
 
 def objective_capex(model: ModelInstance, data: ProblemData):

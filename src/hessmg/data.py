@@ -8,22 +8,24 @@ k EUR/MWh and k EUR/MW, so only capacity fields need rescaling. Spot
 prices are kept in EUR/MWh as they appear in market exports; the cost
 model converts them to k EUR when assembling objective coefficients.
 
-``load_dataset`` reads each signal CSV of ``SIGNAL_FILES`` along one of
-two paths. A file in the regular layout (the exact header line, ``\n`` or
-``\r\n`` line ends, no blank lines, no quotes, the same number of cells on
-every line, every timestamp a canonical ``YYYY-MM-DDTHH:MM:SS`` stamp of a
-real date and time, every value a finite number) is read in bulk: one
-split of the whole text into cells, the stamps checked and turned into
-integers with NumPy, the values parsed by ``float`` one column at a time.
-Any other file is read line by line with ``csv`` and
-``datetime.fromisoformat``, which accept more (quotes, blank lines, a
-space separator, stamps without seconds or with fractions of a second; a
-stamp with a UTC offset is an error) and report every malformed row with
-its ``path:line``. Both paths
-give the same thing, each row's stamp in integer microseconds and its
-values, and one grouping step turns that into days: it keeps the last row
-of a repeated stamp, keeps the days that hold exactly the step grid, drops
-a partial first or last day with a warning and rejects any other day.
+``load_dataset`` reads each signal CSV of ``SIGNAL_FILES`` as UTF-8 text (a
+leading byte-order mark is dropped, as from every input text file), along
+one of two paths. A file in the regular layout (the exact header line,
+``\n`` or ``\r\n`` line ends, no blank lines, no quotes, the same number of
+cells on every line, every timestamp a canonical ``YYYY-MM-DDTHH:MM:SS``
+stamp of a real date and time, every value a finite number) is read in
+bulk: one split of the whole text into cells, the stamps checked and turned
+into integers with NumPy, the values parsed by ``float`` one column at a
+time. Any other file is read line by line with ``csv`` and
+``datetime.fromisoformat``, which accept more (quotes, blank lines, a space
+separator, stamps without seconds or with fractions of a second; a stamp
+with a UTC offset is an error) and report every malformed row with its
+``path:line``. Both paths give the same thing, each row's stamp in integer
+microseconds and its values, and one grouping step turns that into days: it
+keeps the last row of a repeated stamp, keeps the days that hold exactly
+the step grid, drops a partial first or last day with a warning and rejects
+any other day, including a calendar day with no rows between a file's first
+and last.
 """
 
 from __future__ import annotations
@@ -296,7 +298,7 @@ def _read_signal_file(path, header, n_values):
     """Parse a `timestamp,value...` CSV line by line into (stamps in
     microseconds, one value array per column), one entry per row."""
     stamps, values = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             got = next(reader, None)
@@ -363,7 +365,7 @@ def _read_bulk(path, header, n_values):
     (stamps in microseconds, one value array per column), one entry per
     row; None for any other file."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError:
         return None
@@ -413,7 +415,8 @@ def _complete_days(stamps, columns, horizon, label):
     file, from its rows in any order (stamps in microseconds). A repeated
     stamp keeps its last row. A day must hold exactly the stamps of the step
     grid; the first or last day may hold only part of them and is then
-    dropped with a warning. Any other day is an error."""
+    dropped with a warning. Any other day is an error, a calendar day
+    without rows between the first and the last too."""
     # the first of a stamp in reversed row order is its last row
     n_rows = len(stamps)
     stamps, first = np.unique(stamps[::-1], return_index=True)
@@ -421,6 +424,11 @@ def _complete_days(stamps, columns, horizon, label):
     spd = horizon.steps_per_day
     day_of = stamps // _DAY_US
     days, start, count = np.unique(day_of, return_index=True, return_counts=True)
+    # a calendar day without rows between the first and the last holds 0 steps
+    if len(days) and days[-1] - days[0] >= len(days):
+        held = np.zeros((2, days[-1] - days[0] + 1), dtype=np.int64)
+        held[:, days - days[0]] = start, count
+        days, (start, count) = np.arange(days[0], days[-1] + 1), held
     off_grid = stamps % (60_000_000 * horizon.tau_minutes) != 0
     on_grid = ~np.isin(days, day_of[off_grid])
     complete = on_grid & (count == spd)
@@ -525,7 +533,7 @@ def load_catalog(catalog_path) -> dict[str, EssSpec]:
     read as written (no `%` interpolation)."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        if not parser.read(catalog_path, encoding="utf-8"):
+        if not parser.read(catalog_path, encoding="utf-8-sig"):
             raise CatalogError(f"cannot read catalog {catalog_path}")
         raw = {name: dict(parser[name]) for name in parser.sections()}
     except configparser.Error as exc:

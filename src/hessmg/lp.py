@@ -13,15 +13,17 @@ Rows arrive through ``add_rows`` as ``Rows`` blocks, each the rows of one
 family in CSR form with their terms in any order, so a whole model can
 arrive in one call; ``add_row`` wraps one row in one block. ``add_rows`` is
 the only code that orders terms: it drops exact zeros, sorts each row's
-terms stably by column and sums repeated columns. The container keeps the
-rows as CSR pieces: the columns and values of the terms, and a term count,
-a sense code, a right-hand side and a family code per row, plus a list of
-row names. ``row_matrix()`` assembles the CSR once, from a cumulative sum
-of the counts, and caches it until the next row is added. The solver,
-``verify`` and the MPS writer all read that one CSR.
+terms stably by column and sums repeated columns. A row's sense is a code,
+``LE``, ``EQ`` or ``GE``, and ``row_bounds()`` is the one translation of
+senses into bound pairs. The container keeps the rows as plain arrays: the
+columns and values of the terms, and a term count, a sense code, a
+right-hand side and a family code per row, plus a list of row names.
+``row_matrix()`` assembles the CSR once, from a cumulative sum of the
+counts, and caches it until the next row is added. The solver, ``verify``
+and the MPS writer all read that one CSR.
 
-``rows`` gives the same rows as ``Row`` objects, made on access; it is
-meant for tests and for inspecting models, not for hot paths.
+``rows`` gives the same rows as ``Row`` objects, made on access, with the
+sense as text (``SENSES``); it is meant for tests and for inspecting models.
 """
 
 from __future__ import annotations
@@ -35,9 +37,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-LE, EQ, GE = "<=", "==", ">="
-SENSES = (LE, EQ, GE)   # a row's sense code indexes this tuple
-_SENSE_CODE = {s: i for i, s in enumerate(SENSES)}
+LE, EQ, GE = 0, 1, 2            # a row's sense code
+SENSES = ("<=", "==", ">=")     # the text of each sense code, indexed by it
 
 INF = math.inf
 
@@ -81,7 +82,7 @@ def _check_bounds(names, lb: np.ndarray, ub: np.ndarray):
 class Row:
     cols: list[int]
     coefs: list[float]
-    sense: str
+    sense: str           # one of SENSES
     rhs: float
     name: str
     family: str
@@ -97,7 +98,7 @@ class Rows(NamedTuple):
     indptr: np.ndarray   # length n + 1, from 0
     cols: np.ndarray
     coefs: np.ndarray
-    sense: np.ndarray    # per-row index into SENSES
+    sense: np.ndarray    # per-row sense code: LE, EQ or GE
     rhs: np.ndarray      # per row
 
 
@@ -130,33 +131,13 @@ class RowView(Sequence):
             yield Row(cols[lo:hi], coefs[lo:hi], SENSES[s], rhs, name, family)
 
 
-class _Blocks:
-    """A 1-D array grown by appending blocks, joined on first read."""
-
-    def __init__(self, dtype):
-        self._dtype = dtype
-        self._parts: list[np.ndarray] = []
-
-    def append(self, values):
-        self._parts.append(np.array(values, dtype=self._dtype).ravel())
-
-    @property
-    def array(self) -> np.ndarray:
-        if len(self._parts) != 1:
-            self._parts = [np.concatenate(self._parts) if self._parts
-                           else np.empty(0, self._dtype)]
-        return self._parts[0]
-
-
 class ModelInstance:
     """Sparse LP: bounded columns, sensed rows, dense minimize objective."""
 
     def __init__(self):
         # (kind, entity) -> a design column, or a read-only array of a series' columns
         self._index: dict[tuple, int | np.ndarray] = {}
-        self._lb = _Blocks(float)
-        self._ub = _Blocks(float)
-        self._c = _Blocks(float)
+        self._lb, self._ub, self._c = np.empty(0), np.empty(0), np.empty(0)
         self._col_names: list[str] = []
         self.objective_constant: float = 0.0
 
@@ -178,9 +159,9 @@ class ModelInstance:
         lb = np.asarray(lb, dtype=float).ravel()
         ub = np.asarray(ub, dtype=float).ravel()
         _check_bounds(names, lb, ub)
-        self._lb.append(lb)
-        self._ub.append(ub)
-        self._c.append(np.zeros(len(names)))
+        self._lb = np.concatenate([self._lb, lb])
+        self._ub = np.concatenate([self._ub, ub])
+        self._c = np.concatenate([self._c, np.zeros(len(names))])
         self._col_names.extend(names)
 
     def add_layout(self, segments):
@@ -259,31 +240,30 @@ class ModelInstance:
 
     @property
     def lower(self) -> list[float]:
-        return self._lb.array.tolist()
+        return self._lb.tolist()
 
     @property
     def upper(self) -> list[float]:
-        return self._ub.array.tolist()
+        return self._ub.tolist()
 
     def bounds_arrays(self):
-        return self._lb.array.copy(), self._ub.array.copy()
+        return self._lb.copy(), self._ub.copy()
 
     def set_bounds(self, col: int, lb, ub):
         """Set one column's bounds, checked as ``add_columns`` checks them."""
         _check_bounds([self._col_names[col]], np.array([lb], dtype=float),
                       np.array([ub], dtype=float))
-        self._lb.array[col] = lb
-        self._ub.array[col] = ub
+        self._lb[col] = lb
+        self._ub[col] = ub
 
     # -- rows --------------------------------------------------------------
 
     def _clear_rows(self):
-        self._count = _Blocks(np.int32)  # CSR pieces: terms per row, column, value
-        self._rj = _Blocks(np.int32)     # int32 indices, as HiGHS takes them
-        self._rv = _Blocks(float)
-        self._sense = _Blocks(np.int8)
-        self._rhs = _Blocks(float)
-        self._family = _Blocks(np.int32)
+        # CSR pieces: terms per row, column, value; int32 indices, as HiGHS takes them
+        self._count, self._rj = np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32)
+        self._rv, self._rhs = np.empty(0), np.empty(0)
+        self._sense = np.empty(0, dtype=np.int8)
+        self._family = np.empty(0, dtype=np.int32)
         self.row_names: list[str] = []
         self.families: list[str] = []    # family code -> family name
         self._csr = self._rows = None
@@ -295,20 +275,24 @@ class ModelInstance:
         first row. Exact zeros (-0.0 too) are dropped, the terms of each row
         are sorted stably by column and repeated columns are summed in the
         order given. Pointers that do not match the terms, a row left
-        without terms, a non-finite coefficient or right-hand side, or an
-        unknown sense code or column raises ModelError, and no row is added.
+        without terms, a non-finite coefficient or right-hand side, an
+        unknown column, or a sense that is not an integer code LE, EQ or GE
+        raises ModelError, and no row is added.
         """
         blocks = [b for b in blocks if len(b.names)]
         if not blocks:
             return
-        names, sizes = [], []
+        names, sizes, senses = [], [], []
         for b in blocks:
             n = len(b.names)
             if (len(b.indptr) != n + 1 or b.indptr[0] != 0 or b.indptr[-1] != len(b.cols)
                     or len(b.coefs) != len(b.cols)):
                 raise ModelError(f"block {b.family}: terms do not match {n} rows")
-            if len(b.sense) != n:
+            sense = np.asarray(b.sense)
+            if (sense.shape != (n,) or sense.dtype.kind not in "iu"
+                    or not ((sense >= 0) & (sense < len(SENSES))).all()):
                 raise ModelError(f"block {b.family}: unknown sense code")
+            senses.append(sense)
             if len(b.rhs) != n:
                 raise ModelError(f"block {b.family}: {len(b.rhs)} right-hand sides for {n} rows")
             names += b.names
@@ -323,12 +307,7 @@ class ModelInstance:
         if counts.min() < 0 or cols.ndim != 1 or coefs.ndim != 1:
             b = blocks[np.searchsorted(block_end, counts.argmin(), side="right")]
             raise ModelError(f"block {b.family}: terms do not match {len(b.names)} rows")
-        codes = np.concatenate([b.sense for b in blocks])    # checked before the int8 cast
-        bad = (codes < 0) | (codes >= len(SENSES))
-        if bad.any():
-            b = blocks[np.searchsorted(block_end, bad.argmax(), side="right")]
-            raise ModelError(f"block {b.family}: unknown sense code")
-        codes = codes.astype(np.int8)
+        codes = np.concatenate(senses, dtype=np.int8)
         rhs = np.concatenate([b.rhs for b in blocks], dtype=float)
         row_of = np.repeat(np.arange(n), counts)
         if not np.isfinite(coefs).all():
@@ -359,23 +338,21 @@ class ModelInstance:
         for b in blocks:
             if b.family not in self.families:
                 self.families.append(b.family)
-        self._count.append(terms)
-        self._rj.append(cols)
-        self._rv.append(coefs)
-        self._sense.append(codes)
-        self._rhs.append(rhs)
-        self._family.append(np.repeat([self.families.index(b.family) for b in blocks],
-                                      [len(b.names) for b in blocks]))
+        family = np.repeat([self.families.index(b.family) for b in blocks], sizes)
+        self._count = np.concatenate([self._count, terms], dtype=np.int32)
+        self._rj = np.concatenate([self._rj, cols], dtype=np.int32)
+        self._rv = np.concatenate([self._rv, coefs])
+        self._sense = np.concatenate([self._sense, codes])
+        self._rhs = np.concatenate([self._rhs, rhs])
+        self._family = np.concatenate([self._family, family], dtype=np.int32)
         self.row_names.extend(names)
         self._csr = self._rows = None
 
     def add_row(self, terms, sense, rhs, name, family):
-        """terms: iterable of (column, coefficient)."""
-        if sense not in _SENSE_CODE:
-            raise ModelError(f"unknown sense {sense!r}")
+        """terms: iterable of (column, coefficient); sense: LE, EQ or GE."""
         terms = list(terms)
         self.add_rows([Rows(family, [name], [0, len(terms)], [col for col, _ in terms],
-                            [coef for _, coef in terms], [_SENSE_CODE[sense]], [rhs])])
+                            [coef for _, coef in terms], [sense], [rhs])])
 
     # -- objective ---------------------------------------------------------
 
@@ -392,17 +369,16 @@ class ModelInstance:
         bad = (cols < 0) | (cols >= self.n_vars)
         if bad.any():
             raise ModelError(f"unknown objective column {cols[bad.argmax()]}")
-        self._c.array[:] += np.bincount(cols, weights=coefs, minlength=self.n_vars)
+        self._c += np.bincount(cols, weights=coefs, minlength=self.n_vars)
 
     @property
     def objective(self) -> dict[int, float]:
         """Nonzero objective coefficients, {column: coefficient}."""
-        c = self._c.array
-        nz = np.flatnonzero(c)
-        return dict(zip(nz.tolist(), c[nz].tolist()))
+        nz = np.flatnonzero(self._c)
+        return dict(zip(nz.tolist(), self._c[nz].tolist()))
 
     def objective_vector(self) -> np.ndarray:
-        return self._c.array.copy()
+        return self._c.copy()
 
     # -- array views -------------------------------------------------------
 
@@ -411,21 +387,29 @@ class ModelInstance:
         sorted by column. Built once, until the next row is added."""
         if self._csr is None:
             indptr = np.zeros(self.n_rows + 1, dtype=np.int32)
-            np.cumsum(self._count.array, out=indptr[1:])
-            self._csr = sp.csr_matrix((self._rv.array, self._rj.array, indptr),
+            np.cumsum(self._count, out=indptr[1:])
+            self._csr = sp.csr_matrix((self._rv, self._rj, indptr),
                                       shape=(self.n_rows, self.n_vars))
         return self._csr
 
     def sense_codes(self) -> np.ndarray:
-        """Per-row index into SENSES."""
-        return self._sense.array
+        """Per-row sense code: LE, EQ or GE."""
+        return self._sense
 
     def family_codes(self) -> np.ndarray:
         """Per-row index into `families`."""
-        return self._family.array
+        return self._family
 
     def rhs_vector(self) -> np.ndarray:
-        return self._rhs.array.copy()
+        return self._rhs.copy()
+
+    def row_bounds(self):
+        """``(lower, upper)``, each row as the bound pair ``lower <= a x <=
+        upper``: (-inf, rhs) for LE, (rhs, inf) for GE and (rhs, rhs) for EQ."""
+        lower, upper = self._rhs.copy(), self._rhs.copy()
+        lower[self._sense == LE] = -INF
+        upper[self._sense == GE] = INF
+        return lower, upper
 
     @property
     def rows(self) -> "RowView":
@@ -437,10 +421,11 @@ class ModelInstance:
     @rows.setter
     def rows(self, rows):
         """Replace every row by `rows` (Row objects)."""
-        rows = list(rows)
+        code = {text: i for i, text in enumerate(SENSES)}
+        blocks = [Rows(r.family, [r.name], [0, len(r.cols)], r.cols, r.coefs,
+                       [code.get(r.sense, -1)], [r.rhs]) for r in rows]
         self._clear_rows()
-        for r in rows:
-            self.add_row(zip(r.cols, r.coefs), r.sense, r.rhs, r.name, r.family)
+        self.add_rows(blocks)
 
     def signature(self):
         """Canonical, hashable form of the model, for equality and
@@ -449,13 +434,12 @@ class ModelInstance:
         does not carry them)."""
         a = self.row_matrix()
         lb, ub = self.bounds_arrays()
-        c = self._c.array
-        nz = np.flatnonzero(c)
+        nz = np.flatnonzero(self._c)
         return (
             tuple(self._col_names), tuple(lb.tolist()), tuple(ub.tolist()),
-            tuple(self.row_names), tuple(self._sense.array.tolist()),
-            tuple(self._rhs.array.tolist()),
+            tuple(self.row_names), tuple(self._sense.tolist()),
+            tuple(self._rhs.tolist()),
             tuple(a.indptr.tolist()), tuple(a.indices.tolist()), tuple(a.data.tolist()),
-            tuple(zip(nz.tolist(), c[nz].tolist())),
+            tuple(zip(nz.tolist(), self._c[nz].tolist())),
             self.objective_constant,
         )

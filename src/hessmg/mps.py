@@ -28,8 +28,7 @@ import scipy.sparse as sp
 from .lp import EQ, GE, INF, LE, SENSES, ModelInstance, Rows
 
 OBJ_ROW = "COST"
-_SENSE_TO_TYPE = {LE: "L", GE: "G", EQ: "E"}
-_TYPE_TO_CODE = {_SENSE_TO_TYPE[s]: i for i, s in enumerate(SENSES)}
+_ROW_TYPE = {LE: "L", EQ: "E", GE: "G"}    # sense code -> MPS row type, and back
 _CHUNK = 1 << 14    # lines per write
 
 
@@ -83,7 +82,7 @@ def write_mps(model: ModelInstance, path, name: str = "HESSMG"):
     """Write the model in free MPS format (minimization objective)."""
     row_names = np.array([OBJ_ROW] + model.row_names, dtype=object)
     col_names = np.array(model.col_names, dtype=object)
-    types = np.array([_SENSE_TO_TYPE[s] for s in SENSES], dtype=object)
+    types = np.array([_ROW_TYPE[code] for code in range(len(SENSES))], dtype=object)
     rhs = model.rhs_vector()
     lower, upper = model.bounds_arrays()
     # the objective is row 0, so it leads every column; a column in no row
@@ -118,8 +117,8 @@ def write_mps(model: ModelInstance, path, name: str = "HESSMG"):
 _LAYOUT = {"NAME": (), "ROWS": (2,), "COLUMNS": (3,), "RHS": (3,), "BOUNDS": (3, 4),
            "ENDATA": ()}
 _PIECE = 1 << 20    # a section body is parsed this many characters at a time
-_ROW_TYPE = {"N": -1, **_TYPE_TO_CODE}
 _OBJECTIVE = -1     # the row index of the N row, which ROWS holds first and once
+_ROW_CODE = {"N": _OBJECTIVE, **{t: code for code, t in _ROW_TYPE.items()}}
 _BOUND_CODE = {t: i for i, t in enumerate(("UP", "LO", "FX", "FR", "MI"))}
 _VALUED = 3         # bound codes below this carry a value
 _SETS_LOWER = np.array([False, True, True, True, True])    # by bound code
@@ -239,7 +238,7 @@ class _Reader:
 
     def rows(self, tokens, fields):
         names = tokens[1::2]
-        codes = self.lookup("ROWS", "row type", _ROW_TYPE, tokens[0::2])
+        codes = self.lookup("ROWS", "row type", _ROW_CODE, tokens[0::2])
         first = int(not self.row_index)     # 1 in the piece that opens ROWS
         n_rows = np.flatnonzero(codes < 0).tolist()
         if first and n_rows[:1] != [0]:

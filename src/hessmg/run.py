@@ -463,7 +463,7 @@ def _read_json(path, parse=json.loads):
     """`parse` applied to the text of the JSON file at `path`; a file that
     is not UTF-8 text or not JSON raises ValueError naming it."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return parse(fh.read())
     except UnicodeDecodeError as exc:
         raise ValueError(not_utf8(path, exc)) from None

@@ -24,20 +24,24 @@ STATIONARY_MAX_ITER = 10_000
 STATIONARY_TOL = 1e-14   # L1 change of the power iterate that ends it
 
 
-def extract_features(day: HistoricalDay) -> np.ndarray:
-    """Per-day feature vector: mean/std/max/min of price, demand, and PV.
+def extract_features(days: list[HistoricalDay]) -> np.ndarray:
+    """One row of features per day: mean/std/max/min of price, demand, and
+    PV, each reduced over the steps of a (days x steps) array.
 
     Standard deviations are population statistics. Demand is the sum of
-    charger and warehouse load.
+    charger and warehouse load. Every day holds the same number of steps.
     """
-    out = []
-    demand = day.demand_ch + day.demand_wh
-    for signal in (day.price, demand, day.pv_cf):
-        out.extend([signal.mean(), signal.std(), signal.max(), signal.min()])
-    vec = np.array(out)
-    if not np.all(np.isfinite(vec)):
-        raise ValueError(f"{day.date}: non-finite feature")
-    return vec
+    if not days:
+        raise ValueError("no historical days to summarize")
+    signals = (np.array([d.price for d in days]),
+               np.array([d.demand_ch + d.demand_wh for d in days]),
+               np.array([d.pv_cf for d in days]))
+    features = np.column_stack([reduce(signal, axis=1) for signal in signals
+                                for reduce in (np.mean, np.std, np.max, np.min)])
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{days[finite.argmin()].date}: non-finite feature")
+    return features
 
 
 def standardize(features: np.ndarray) -> np.ndarray:
@@ -112,14 +116,13 @@ def kmeans(features: np.ndarray, w: int, seed: int):
 
 def select_representatives(features, centroids, labels) -> np.ndarray:
     """Index of the day closest to each centroid; ties go to the lowest index."""
-    reps = np.empty(len(centroids), dtype=int)
-    for j in range(len(centroids)):
-        members = np.flatnonzero(labels == j)
-        if not len(members):
-            raise ValueError(f"cluster {j} is empty")
-        d2 = np.sum((features[members] - centroids[j]) ** 2, axis=1)
-        reps[j] = members[np.argmin(d2)]  # argmin returns the first minimum
-    return reps
+    d2 = np.sum((features - centroids[labels]) ** 2, axis=1)
+    order = np.lexsort((d2, labels))    # by label, then distance, then index
+    clusters, first = np.unique(labels[order], return_index=True)
+    empty = np.setdiff1d(np.arange(len(centroids)), clusters)
+    if len(empty):
+        raise ValueError(f"cluster {empty[0]} is empty")
+    return order[first]
 
 
 def cluster_weights(labels) -> np.ndarray:
@@ -134,8 +137,7 @@ def fit_transition(labels) -> np.ndarray:
     """
     w = int(np.max(labels)) + 1
     counts = np.zeros((w, w))
-    for a, b in zip(labels[:-1], labels[1:]):
-        counts[a, b] += 1
+    np.add.at(counts, (labels[:-1], labels[1:]), 1.0)
     rows = counts.sum(axis=1, keepdims=True)
     out = np.where(rows > 0, counts / np.where(rows > 0, rows, 1.0), 1.0 / w)
     return out
@@ -274,7 +276,7 @@ class ScenarioModel:
 
 def build_scenario(days: list[HistoricalDay], w: int, t_syn: int, seed: int) -> ScenarioModel:
     """Full pipeline: features -> k-means -> representatives -> chain -> sample."""
-    features = standardize(np.array([extract_features(d) for d in days]))
+    features = standardize(extract_features(days))
     centroids, labels = kmeans(features, w, seed)
     reps = select_representatives(features, centroids, labels)
     sequence = sample_sequence(fit_transition(labels), cluster_weights(labels), t_syn, seed)

@@ -6,12 +6,12 @@ A model reaches HiGHS through SciPy's bundled bindings
 ``method="highs"`` LP function): a fresh ``Highs`` per solve, with the
 options that function sets, takes the model through the pointer overload of
 ``passModel``, which reads the NumPy buffers (the CSR row matrix with int32
-indices, each row as a bound pair) without a Python-level copy. Rows go in
-that function's order, all ``<=`` then ``>=`` then ``==``, because HiGHS's
-pivots, and so its optimum and iteration count, follow the row order; the
-permuted CSR is gathered with NumPy from the model's one cached CSR. SciPy's
-LP function stays only as an independent reference in the tests and the
-benchmark's checks.
+indices, each row as its ``row_bounds`` pair) without a Python-level copy.
+Rows go in that function's order, all ``<=`` then ``>=`` then ``==``,
+because HiGHS's pivots, and so its optimum and iteration count, follow the
+row order; the permuted CSR is gathered with NumPy from the model's one
+cached CSR. SciPy's LP function stays only as an independent reference in
+the tests and the benchmark's checks.
 
 The dense embedded simplex stays as a reference engine that tests compare
 HiGHS against (``SolveOptions(engine="simplex")``); nothing selects it by
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize._highspy import _core as highs
 
-from .lp import EQ, GE, LE, SENSES, ModelInstance
+from .lp import EQ, GE, LE, ModelInstance
 
 
 # Solution.status; HiGHS may also end with a message of its own
@@ -46,7 +46,7 @@ _HIGHS_STATUS = {highs.HighsModelStatus.kOptimal: OPTIMAL,
                  highs.HighsModelStatus.kInfeasible: INFEASIBLE,
                  highs.HighsModelStatus.kUnbounded: UNBOUNDED,
                  highs.HighsModelStatus.kIterationLimit: ITERATION_LIMIT}
-_HIGHS_ROW_RANK = np.array([{LE: 0, GE: 1, EQ: 2}[s] for s in SENSES], dtype=np.int8)
+_HIGHS_ROW_RANK = np.argsort([LE, GE, EQ])    # sense code -> place in SciPy's LP row order
 
 
 @dataclass(frozen=True)
@@ -72,18 +72,17 @@ class Solution:
 
 
 def to_equality_form(model: ModelInstance):
-    """Append one slack column per row: Ax = b with sense-encoded slack bounds."""
+    """Append one slack column per row: Ax + s = b, s in [b - upper, b - lower]."""
     m, n = model.n_rows, model.n_vars
     a = model.row_matrix().toarray()
     a_std = np.hstack([a, np.eye(m)])
     lower, upper = model.bounds_arrays()
-    codes = model.sense_codes()
-    slack_lo = np.where(codes == SENSES.index(GE), -np.inf, 0.0)
-    slack_hi = np.where(codes == SENSES.index(LE), np.inf, 0.0)
+    rhs = model.rhs_vector()
+    row_lower, row_upper = model.row_bounds()
     c = np.concatenate([model.objective_vector(), np.zeros(m)])
-    return (a_std, model.rhs_vector(),
-            np.concatenate([lower, slack_lo]),
-            np.concatenate([upper, slack_hi]), c, n)
+    return (a_std, rhs,
+            np.concatenate([lower, rhs - row_upper]),
+            np.concatenate([upper, rhs - row_lower]), c, n)
 
 
 def _solve_simplex(model):
@@ -96,13 +95,10 @@ def _solve_simplex(model):
 
 
 def _row_violations(model: ModelInstance, x) -> np.ndarray:
-    """Per-row violation of a point: how far each row misses its sense."""
-    gap = model.row_matrix() @ x - model.rhs_vector()
-    codes = model.sense_codes()
-    gap[codes == SENSES.index(GE)] *= -1.0
-    eq = codes == SENSES.index(EQ)
-    gap[eq] = np.abs(gap[eq])
-    return gap
+    """Per-row violation of a point: how far Ax lies outside the row bounds."""
+    activity = model.row_matrix() @ x
+    lower, upper = model.row_bounds()
+    return np.maximum(lower - activity, activity - upper)
 
 
 def _bound_violation(model: ModelInstance, x) -> float:
@@ -112,17 +108,15 @@ def _bound_violation(model: ModelInstance, x) -> float:
 
 
 def _solve_highs(model):
-    codes = model.sense_codes()
     # SciPy's LP row order (all <=, then >=, then ==) keeps HiGHS's pivots, and so
     # every optimum and iteration count, as they were through that function
-    order = np.argsort(_HIGHS_ROW_RANK[codes], kind="stable")
+    order = np.argsort(_HIGHS_ROW_RANK[model.sense_codes()], kind="stable")
     a = model.row_matrix()
     counts = (a.indptr[1:] - a.indptr[:-1])[order]
     start = np.zeros(model.n_rows + 1, dtype=np.int32)
     np.cumsum(counts, out=start[1:])
     take = np.repeat(a.indptr[order] - start[:-1], counts) + np.arange(a.nnz)
-    rhs = model.rhs_vector()[order]
-    codes = codes[order]
+    row_lower, row_upper = model.row_bounds()
     lower, upper = model.bounds_arrays()
     h = highs._Highs()    # one per solve: threads under --jobs never share one
     for name, value in _HIGHS_OPTIONS.items():
@@ -130,8 +124,7 @@ def _solve_highs(model):
     passed = h.passModel(
         model.n_vars, model.n_rows, a.nnz, int(highs.MatrixFormat.kRowwise),
         int(highs.ObjSense.kMinimize), 0.0, model.objective_vector(), lower, upper,
-        np.where(codes == SENSES.index(LE), -np.inf, rhs),
-        np.where(codes == SENSES.index(GE), np.inf, rhs),
+        row_lower[order], row_upper[order],
         start, a.indices[take].astype(np.int32, copy=False), a.data[take],
         np.zeros(model.n_vars, dtype=np.int32))    # every column continuous
     if passed == highs.HighsStatus.kError:    # run() would solve an empty model

@@ -255,7 +255,7 @@ def test_6_scenario_invariants():
         blob_days.append(HistoricalDay(
             date=make_demo_dataset(seed=0, n_days=20)[i].date,
             price=price, demand_ch=demand, demand_wh=np.zeros(24), pv_cf=pv))
-    feats = standardize(np.array([extract_features(d) for d in blob_days]))
+    feats = standardize(extract_features(blob_days))
     _, labels = kmeans(feats, 2, seed=0)
     truth = np.array([0] * 8 + [1] * 8)
     blob_ok = bool(np.all(labels == truth) or np.all(labels == 1 - truth))

@@ -418,6 +418,35 @@ def test_hourly_files_under_a_15_minute_step_say_how_many_steps_a_day_holds(tmp_
         DataFormatError, "prices: gap inside day 2021-01-02 (24/96 steps)")
 
 
+@pytest.mark.parametrize("files, label", [((0,), "prices"), ((1,), "demand"),
+                                          ((0, 1, 2), "prices")],
+                         ids=["prices", "demand", "all three files"])
+@pytest.mark.parametrize("line", [False, True], ids=["bulk", "line"])
+def test_a_day_without_rows_inside_a_file_is_a_gap(tmp_path, files, label, line):
+    """A calendar day missing between a file's first and last day is a gap
+    of 0 steps, also when every file leaves it out: the days on each side of
+    it are no day-to-day transition."""
+    paths = (tmp_path / "p.csv", tmp_path / "d.csv", tmp_path / "pv.csv")
+    save_dataset(make_demo_dataset(seed=5, n_days=5), *paths)
+    for i in files:
+        lines = paths[i].read_text().splitlines()
+        paths[i].write_text("\n".join(r for r in lines if not r.startswith("2021-01-03")) + "\n")
+    assert _outcome(paths, Horizon(t_syn=1), line=line) == (
+        DataFormatError, f"{label}: gap inside day 2021-01-03 (0/24 steps)")
+
+
+@pytest.mark.parametrize("file", [0, 1, 2], ids=["prices", "demand", "pv"])
+@pytest.mark.parametrize("line", [False, True], ids=["bulk", "line"])
+def test_byte_order_mark_is_dropped_from_a_signal_file(tmp_path, file, line):
+    paths = (tmp_path / "p.csv", tmp_path / "d.csv", tmp_path / "pv.csv")
+    save_dataset(make_demo_dataset(seed=5, n_days=3), *paths)
+    plain = _outcome(paths, Horizon(t_syn=1), line=line)
+    paths[file].write_bytes(b"\xef\xbb\xbf" + paths[file].read_bytes())
+    assert _bulk_reads(paths)[file] is True
+    assert _outcome(paths, Horizon(t_syn=1), line=line) == plain
+    assert isinstance(plain[0], list) and len(plain[0]) == 3
+
+
 @pytest.mark.parametrize("file, cell, expected", [
     (1, "-0.5", "2021-01-02T05:00:00: negative demand (wh_mw = -0.5)"),
     (2, "1.2", "2021-01-02T05:00:00: capacity factor out of range (pv_cf = 1.2)"),
@@ -534,6 +563,12 @@ class TestCatalog:
     def test_zero_efficiency_rejected(self, tmp_path, case_catalog):
         with pytest.raises(CatalogError, match="eta_c"):
             dataclasses.replace(case_catalog["battery"], eta_c=0.0)
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        text = (RESOURCES / "catalog_case_study.ini").read_text()
+        p = tmp_path / "cat.ini"
+        p.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert load_catalog(p) == load_catalog(RESOURCES / "catalog_case_study.ini")
 
     def test_unreadable_path(self, tmp_path):
         with pytest.raises(CatalogError):

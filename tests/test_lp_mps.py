@@ -106,8 +106,11 @@ class TestModelInstance:
             m.add_row([(x, math.inf)], LE, 1.0, "r", "t")
         with pytest.raises(ModelError, match="non-finite"):
             m.add_row([(x, 1.0)], LE, math.nan, "r", "t")
-        with pytest.raises(ModelError, match="sense"):
-            m.add_row([(x, 1.0)], "<", 1.0, "r", "t")
+        # a sense is a code, LE, EQ or GE: its text is no sense
+        for sense in ("<", "<="):
+            with pytest.raises(ModelError, match="block t: unknown sense code"):
+                m.add_row([(x, 1.0)], sense, 1.0, "r", "t")
+        assert m.n_rows == 0
 
     def test_objective_terms_accumulate(self):
         m = _tiny_model()
@@ -121,11 +124,32 @@ class TestModelInstance:
         m = _tiny_model()
         a = m.row_matrix().toarray()
         np.testing.assert_array_equal(a, [[1, 1], [1, -1]])
-        assert [SENSES[s] for s in m.sense_codes()] == [GE, EQ]
+        assert m.sense_codes().tolist() == [GE, EQ]
+        assert [r.sense for r in m.rows] == [SENSES[GE], SENSES[EQ]] == [">=", "=="]
         np.testing.assert_array_equal(m.rhs_vector(), [1.0, 0.5])
         np.testing.assert_array_equal(m.row_matrix() @ [1.0, 2.0], [3.0, -1.0])
         lo, hi = m.bounds_arrays()
         assert lo.tolist() == [0.0, -INF] and hi.tolist() == [4.0, INF]
+
+    def test_row_bounds_by_sense(self):
+        m = ModelInstance()
+        x = m.add_var("a", "x")
+        for i, sense in enumerate((LE, GE, EQ, LE)):
+            m.add_row([(x, 1.0)], sense, i - 1.5, f"r{i}", "t")
+        lower, upper = m.row_bounds()
+        assert lower.tolist() == [-INF, -0.5, 0.5, -INF]
+        assert upper.tolist() == [-1.5, INF, 0.5, 1.5]
+        assert m.rhs_vector().tolist() == [-1.5, -0.5, 0.5, 1.5]    # left as it was
+        assert ModelInstance().row_bounds()[0].shape == (0,)
+
+    def test_rows_setter_takes_the_text_of_each_sense(self):
+        m = _tiny_model()
+        rows = list(m.rows)
+        m.rows = rows
+        assert m.signature() == _tiny_model().signature()
+        rows[0].sense = "=<"
+        with pytest.raises(ModelError, match="block demo: unknown sense code"):
+            m.rows = rows
 
     def test_row_matrix_is_cached_until_a_row_is_added(self):
         m = _tiny_model()
@@ -168,8 +192,9 @@ class TestModelInstance:
                     Rows("f", ["d"], [0, 1], [1], [4.0], [0], [0.0])])
         assert m.families == ["f", "g"]
         assert [(r.name, r.family, r.cols, r.coefs, r.sense, r.rhs) for r in m.rows] == [
-            ("a", "f", [0, 2], [3.0, 1.0], LE, 1.0), ("b", "g", [1], [1.0], EQ, 2.0),
-            ("c", "g", [2], [0.75], GE, 3.0), ("d", "f", [1], [4.0], LE, 0.0)]
+            ("a", "f", [0, 2], [3.0, 1.0], "<=", 1.0), ("b", "g", [1], [1.0], "==", 2.0),
+            ("c", "g", [2], [0.75], ">=", 3.0), ("d", "f", [1], [4.0], "<=", 0.0)]
+        assert m.sense_codes().tolist() == [LE, EQ, GE, LE]
         m.add_rows([])
         assert m.n_rows == 4
 
@@ -187,6 +212,10 @@ class TestModelInstance:
                            (dict(sense=np.array([0, 3])), "block t: unknown sense code"),
                            (dict(sense=np.array([0, 256])), "block t: unknown sense code"),
                            (dict(sense=[0]), "block t: unknown sense code"),
+                           (dict(sense=[0, -1]), "block t: unknown sense code"),
+                           (dict(sense=["<=", "<="]), "block t: unknown sense code"),
+                           (dict(sense=np.array([0.0, 1.0])), "block t: unknown sense code"),
+                           (dict(sense=np.array(["0", "1"])), "block t: unknown sense code"),
                            (dict(indptr=[0, 2, 1]), "block t: terms do not match 2 rows"),
                            (dict(indptr=[0, 3, 2]), "block t: terms do not match 2 rows"),
                            (dict(indptr=[0, 2]), "block t: terms do not match 2 rows"),

@@ -539,6 +539,17 @@ def workspace(tmp_path_factory):
     return root, cfg_path
 
 
+def test_byte_order_mark_is_dropped_from_json_files(workspace, tmp_path):
+    _, cfg_path = workspace
+    bom = tmp_path / "config.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + cfg_path.read_bytes())
+    assert run_module.load_run_config(bom) == run_module.load_run_config(cfg_path)
+    scenario = build_scenario(make_demo_dataset(seed=0, n_days=4), 2, 2, 0)
+    path = tmp_path / "scenario.json"
+    path.write_bytes(b"\xef\xbb\xbf" + scenario.to_json().encode())
+    assert run_module._read_json(path, ScenarioModel.from_json) == scenario
+
+
 class TestCli:
     def test_demo_data(self, tmp_path, capsys):
         assert main(["demo-data", "--seed", "1", "--days", "3",

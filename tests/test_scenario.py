@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import datetime as dt
 import json
 import re
@@ -22,28 +23,56 @@ def _day(price, demand, pv, date=dt.date(2021, 6, 1)):
                          np.asarray(pv, float))
 
 
+def _day_features(day):
+    """The twelve features of one day, reduced one signal at a time."""
+    demand = day.demand_ch + day.demand_wh
+    return [float(f(signal)) for signal in (day.price, demand, day.pv_cf)
+            for f in (np.mean, np.std, np.max, np.min)]
+
+
 class TestFeatures:
     def test_constant_day(self):
         day = _day([50.0] * 24, [2.0] * 24, [0.0] * 24)
-        f = extract_features(day)
-        assert f.tolist() == [50, 0, 50, 50, 2, 0, 2, 2, 0, 0, 0, 0]
+        f = extract_features([day])
+        assert f.tolist() == [[50, 0, 50, 50, 2, 0, 2, 2, 0, 0, 0, 0]]
 
     def test_ramp_population_std(self):
         day = _day(list(range(24)), [0.0] * 24, [0.0] * 24)
-        f = extract_features(day)
+        (f,) = extract_features([day])
         assert f[0] == pytest.approx(11.5)
         # frozen oracle: sqrt(sum((x-mean)^2)/n) for x = 0..23
         assert f[1] == pytest.approx(6.922186552431729, abs=1e-12)
 
     def test_signal_blocks_are_price_demand_pv(self):
         day = _day([10.0] * 24, [3.0] * 24, [0.5] * 24)
-        f = extract_features(day)
+        (f,) = extract_features([day])
         assert f[0] == 10.0 and f[4] == 3.0 and f[8] == 0.5
 
     def test_demand_block_sums_both_loads(self):
         day = HistoricalDay(dt.date(2021, 1, 1), np.zeros(24),
                             np.full(24, 1.5), np.full(24, 0.5), np.zeros(24))
-        assert extract_features(day)[4] == 2.0
+        assert extract_features([day])[0, 4] == 2.0
+
+    @pytest.mark.parametrize("steps", [24, 96])
+    def test_each_row_is_its_day_reduced_alone(self, steps):
+        days = make_demo_dataset(seed=2, n_days=40, steps_per_day=steps)
+        f = extract_features(days)
+        assert f.shape == (40, 12)
+        assert f.tolist() == [_day_features(d) for d in days]    # bit for bit
+
+    def test_no_days_is_an_error(self):
+        with pytest.raises(ValueError, match="no historical days"):
+            extract_features([])
+        with pytest.raises(ValueError, match="no historical days"):
+            build_scenario([], w=1, t_syn=1, seed=0)
+
+    def test_non_finite_feature_names_its_day(self):
+        days = make_demo_dataset(seed=2, n_days=3)
+        big = dataclasses.replace(days[1], price=np.full(24, 1e308))
+        # the price sum overflows to inf
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match=f"^{big.date}: non-finite feature$"):
+            extract_features([days[0], big, days[2]])
 
     def test_standardize(self):
         rng = np.random.default_rng(0)
@@ -120,6 +149,12 @@ class TestRepresentatives:
         labels = np.array([0, 0, 1])
         reps = select_representatives(x, c, labels)
         assert reps[0] == 0  # both members at distance 1
+
+    def test_empty_cluster_is_named(self):
+        x = np.array([[0.0], [1.0], [5.0]])
+        c = np.array([[0.0], [9.0], [5.0]])
+        with pytest.raises(ValueError, match="^cluster 1 is empty$"):
+            select_representatives(x, c, np.array([0, 0, 2]))
 
     def test_blob_medoid_matches_brute_force(self):
         x, _ = _blobs(seed=4)

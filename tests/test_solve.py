@@ -11,7 +11,7 @@ from scipy.optimize._highspy import _core as highs
 
 from hessmg.builder import GRID, ProblemData, build
 from hessmg.data import EssSpec, Horizon, SourceSpec
-from hessmg.lp import EQ, GE, LE, SENSES, ModelInstance
+from hessmg.lp import EQ, GE, LE, ModelInstance
 from hessmg.solve import (_HIGHS_OPTIONS, FEAS_TOL, INFEASIBLE, ITERATION_LIMIT,
                           OPT_TOL, OPTIMAL, UNBOUNDED, SolveOptions,
                           max_primal_residual, solve, to_equality_form, verify)
@@ -96,7 +96,7 @@ class TestEngines:
         # (at t_syn=4, rows in model order take 175 iterations instead of 178)
         _, model = _model(t_syn=t_syn)
         a, rhs, codes = model.row_matrix(), model.rhs_vector(), model.sense_codes()
-        le, ge, eq = (np.flatnonzero(codes == SENSES.index(s)) for s in (LE, GE, EQ))
+        le, ge, eq = (np.flatnonzero(codes == s) for s in (LE, GE, EQ))
         lower, upper = model.bounds_arrays()
         ref = scipy.optimize.linprog(
             model.objective_vector(), A_ub=sp.vstack([a[le], -a[ge]]),
