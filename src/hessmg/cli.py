@@ -7,6 +7,7 @@ config file carries paths and parameters; flags override its entries.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import run as runner
@@ -68,16 +69,18 @@ def cmd_synth(args):
     return 0
 
 
-def _one_design(args, exp_id, cache_dir=None):
+def _one_design(args, exp_id):
     """The context and the one experiment (--ess, or all the catalog) of a model."""
-    ctx = runner.context_from_config(_merged_config(args, builds=True), cache_dir)
+    ctx = runner.context_from_config(_merged_config(args, builds=True))
     ess = args.ess.split(",") if args.ess is not None else list(ctx.catalog)
     return ctx, runner.ExperimentConfig(id=exp_id, ess_subset=tuple(ess))
 
 
 def _solve(ctx, experiments, out_dir, jobs=1):
-    """Solve, write the outputs to `out_dir` and report each design; 1 unless
+    """Solve, write the outputs to `out_dir` (made first, so that one that
+    cannot be made fails before any solve) and report each design; 1 unless
     every design is optimal and passes its checks."""
+    os.makedirs(out_dir, exist_ok=True)
     results = runner.run_experiments(ctx, experiments, jobs)
     runner.write_outputs(results, list(ctx.catalog), out_dir)
     for r in results:  # a failed design has no total, as in the output files
@@ -90,7 +93,7 @@ def _solve(ctx, experiments, out_dir, jobs=1):
 
 
 def cmd_optimize(args):
-    ctx, exp = _one_design(args, "design", cache_dir=args.out_dir)
+    ctx, exp = _one_design(args, "design")
     return _solve(ctx, [exp], args.out_dir)
 
 
@@ -99,7 +102,7 @@ def cmd_experiments(args):
     experiments = runner.experiments_from_config(cfg)
     if not experiments:
         raise ValueError("missing input: config defines no experiments")
-    ctx = runner.context_from_config(cfg, cache_dir=args.out_dir)
+    ctx = runner.context_from_config(cfg)
     return _solve(ctx, experiments, args.out_dir, args.jobs)
 
 

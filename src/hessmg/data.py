@@ -25,7 +25,8 @@ microseconds and its values, and one grouping step turns that into days: it
 keeps the last row of a repeated stamp, keeps the days that hold exactly
 the step grid, drops a partial first or last day with a warning and rejects
 any other day, including a calendar day with no rows between a file's first
-and last.
+and last. Only the dates complete in every file are kept; a file that lacks
+dates another file holds warns about them.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 # The series of one day, in HistoricalDay's field order. Every reader and
-# writer of a day (signal files, scenario files, the cache key, the LP
-# inputs) goes through this tuple.
+# writer of a day (signal files, scenario files, the LP inputs) goes
+# through this tuple.
 SERIES = ("price", "demand_ch", "demand_wh", "pv_cf")
 
 
@@ -89,7 +90,8 @@ def not_utf8(path, exc: UnicodeDecodeError) -> str:
 
 
 class IncompleteDayWarning(UserWarning):
-    """A partial day at the edge of a dataset was dropped."""
+    """A partial day at the edge of a dataset, or a day that only some of
+    its files hold, was dropped."""
 
 
 def within(interval: str, default=MISSING):
@@ -453,9 +455,11 @@ def load_dataset(price_path, demand_path, pv_path, horizon: Horizon) -> list[His
     """Load the three signal CSVs into validated, date-sorted HistoricalDays.
 
     Incomplete days at either end of any file are dropped with a warning;
-    only dates complete in all three files are returned. A repeated
-    timestamp keeps its last row; a non-finite value is an error, and so is
-    a value outside its series' range, named with its file, stamp and column.
+    only dates complete in all three files are returned, and a file without
+    rows on dates another file holds complete warns once, naming how many
+    and the first and last of them. A repeated timestamp keeps its last
+    row; a non-finite value is an error, and so is a value outside its
+    series' range, named with its file, stamp and column.
     """
     paths = (price_path, demand_path, pv_path)
     parsed = [_read_bulk(path, f.header, len(f.series))
@@ -465,7 +469,20 @@ def load_dataset(price_path, demand_path, pv_path, horizon: Horizon) -> list[His
     per_file = []
     for (stamps, columns), f in zip(parsed, SIGNAL_FILES):
         per_file.append(_complete_days(stamps, columns, horizon, f.label))
-    dates = sorted(set(per_file[0]).intersection(*per_file[1:]))
+    held = set().union(*per_file)
+    for (stamps, _), f in zip(parsed, SIGNAL_FILES):
+        # every day from the file's first row to its last has rows (else it
+        # raised above), and one of them that is not complete was warned already
+        with_rows = (range(int(stamps.min()) // _DAY_US, int(stamps.max()) // _DAY_US + 1)
+                     if len(stamps) else range(0))
+        lacking = sorted(day for day in held if day.toordinal() not in with_rows)
+        if lacking:
+            count, span = ((f"{len(lacking)} days", f"{lacking[0]} to {lacking[-1]}")
+                           if len(lacking) > 1 else ("1 day", f"{lacking[0]}"))
+            warnings.warn(f"{f.label}: lacks {count} that another file holds complete "
+                          f"({span}), left out of the dataset", IncompleteDayWarning,
+                          stacklevel=2)
+    dates = sorted(held.intersection(*per_file))
     try:
         return [HistoricalDay(date=day, **{name: column
                                            for f, days in zip(SIGNAL_FILES, per_file)

@@ -8,7 +8,6 @@ import concurrent.futures
 import contextlib
 import copy
 import csv
-import hashlib
 import json
 import math
 import os
@@ -18,9 +17,9 @@ import numpy as np
 
 from .builder import GRID, PV, ProblemData, build, design_pins
 from .costs import AUDIT_REL_TOL, CostBreakdown, audit
-from .data import (INTEGER, NUMBER, OBJECT, SERIES, STRING, EssSpec, GridSpec, Horizon,
-                   HistoricalDay, JsonType, PvSpec, SourceSpec, check_object,
-                   list_of, load_catalog, load_dataset, not_utf8)
+from .data import (INTEGER, NUMBER, OBJECT, STRING, EssSpec, GridSpec, Horizon, JsonType,
+                   PvSpec, SourceSpec, check_object, list_of, load_catalog, load_dataset,
+                   not_utf8)
 from .scenario import ScenarioModel, build_scenario
 from .solve import OPTIMAL, VerifyReport, solve as solve_model, verify
 
@@ -121,18 +120,6 @@ class RunContext:
     scenario: ScenarioModel
 
 
-def scenario_cache_key(days: list[HistoricalDay], w: int, t_syn: int, seed: int) -> str:
-    """Digest of the scenario file layout (a tag: a cache file of an older
-    layout is rebuilt), the historical data and the synthesis parameters."""
-    h = hashlib.sha256()
-    h.update(f"scenario-v2;w={w};t={t_syn};seed={seed};".encode())
-    for day in days:
-        h.update(day.date.isoformat().encode())
-        for name in SERIES:
-            h.update(np.ascontiguousarray(getattr(day, name)).tobytes())
-    return h.hexdigest()[:16]
-
-
 def write_whole(path, text: str):
     """Write `text` to `path` whole or not at all: into a temporary file
     beside it, renamed onto it."""
@@ -147,19 +134,10 @@ def write_whole(path, text: str):
         raise
 
 
-def cached_scenario(days, w, t_syn, seed, cache_dir=None) -> ScenarioModel:
-    """Build (or reload) the scenario; cache keyed by data hash + parameters,
-    each file ``write_whole``."""
-    if cache_dir is None:
-        return build_scenario(days, w, t_syn, seed)
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir,
-                        f"scenario-{scenario_cache_key(days, w, t_syn, seed)}.json")
-    if os.path.exists(path):
-        return _read_json(path, ScenarioModel.from_json)
-    model = build_scenario(days, w, t_syn, seed)
-    write_whole(path, model.to_json())
-    return model
+# build_scenario under an older name that nothing in the package calls:
+# bench/spans.py:71 wraps it by name, and the benchmark refresh of ROADMAP
+# item 1 removes both
+cached_scenario = build_scenario
 
 
 def extract_traces(x, model, data: ProblemData) -> dict[str, np.ndarray]:
@@ -497,20 +475,21 @@ def run_config(raw: dict, path) -> dict:
     return {**copy.deepcopy(RUN_DEFAULTS), **raw}
 
 
-def synthesize(cfg: dict, cache_dir=None) -> tuple[Horizon, ScenarioModel]:
+def synthesize(cfg: dict) -> tuple[Horizon, ScenarioModel]:
     """The config's horizon and the scenario synthesized from its
-    historical data, cached under `cache_dir` if given."""
+    historical data, built afresh on every call; ``synth --out`` writes it
+    to a file that ``--scenario`` reads back."""
     horizon = Horizon(**cfg["horizon"])
     days = load_dataset(cfg["prices"], cfg["demand"], cfg["pv"], horizon)
-    return horizon, cached_scenario(days, cfg["clusters"], horizon.t_syn, cfg["seed"], cache_dir)
+    return horizon, build_scenario(days, cfg["clusters"], horizon.t_syn, cfg["seed"])
 
 
-def context_from_config(cfg: dict, cache_dir=None) -> RunContext:
+def context_from_config(cfg: dict) -> RunContext:
     """Load the catalog named in a config dict and the scenario: read from
     the JSON file under ``scenario`` if given, else ``synthesize``d from the
-    historical data. With a scenario file, a horizon field the config leaves
-    unset comes from the scenario: ``t_syn`` is its sequence length and
-    ``tau_minutes`` follows from its steps per day."""
+    historical data, writing no file. With a scenario file, a horizon field
+    the config leaves unset comes from the scenario: ``t_syn`` is its
+    sequence length and ``tau_minutes`` follows from its steps per day."""
     raw = cfg["sources"]
     sources = SourceSpec(**{**raw, "grid": GridSpec(**raw.get("grid", {})),
                             "pv": PvSpec(**raw.get("pv", {}))})
@@ -521,7 +500,7 @@ def context_from_config(cfg: dict, cache_dir=None) -> RunContext:
                              "tau_minutes": 1440 // len(scenario.representatives[0].price),
                              **cfg["horizon"]})
     else:
-        horizon, scenario = synthesize(cfg, cache_dir)
+        horizon, scenario = synthesize(cfg)
     return RunContext(horizon=horizon, sources=sources, catalog=catalog, scenario=scenario)
 
 

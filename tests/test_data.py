@@ -153,8 +153,35 @@ class TestLoadDataset:
             got = load_dataset(*paths, Horizon(t_syn=1))
         assert len(got) == 3
         assert got == days[:3]
-        # attributed to the caller of load_dataset
+        # one warning, attributed to the caller of load_dataset: the dropped day
+        # is not named again as a day the other files hold
         assert [w.filename for w in caught] == [__file__]
+
+    def test_file_cut_short_warns_once(self, tmp_path):
+        # demand and pv hold 40 days, prices only the first 20
+        days = make_demo_dataset(seed=0, n_days=40)
+        paths = self._write(tmp_path, days)
+        save_dataset(days[:20], paths[0], tmp_path / "d20.csv", tmp_path / "pv20.csv")
+        with pytest.warns(IncompleteDayWarning) as caught:
+            got = load_dataset(*paths, Horizon(t_syn=1))
+        assert got == days[:20]
+        assert [(str(w.message), w.filename) for w in caught] == [
+            ("prices: lacks 20 days that another file holds complete "
+             "(2021-01-21 to 2021-02-09), left out of the dataset", __file__)]
+
+    def test_each_file_names_the_days_it_lacks(self, tmp_path):
+        # prices starts a day late and demand ends a day early; pv holds every day
+        days = make_demo_dataset(seed=0, n_days=4)
+        paths = self._write(tmp_path, days)
+        save_dataset(days[1:], paths[0], tmp_path / "d.tmp", tmp_path / "pv.tmp")
+        save_dataset(days[:-1], tmp_path / "p.tmp", paths[1], tmp_path / "pv.tmp")
+        days_, caught = _outcome(paths, Horizon(t_syn=1))
+        assert days_ == days[1:-1]
+        assert [str(w[1]) for w in caught] == [
+            "prices: lacks 1 day that another file holds complete (2021-01-01), "
+            "left out of the dataset",
+            "demand: lacks 1 day that another file holds complete (2021-01-04), "
+            "left out of the dataset"]
 
     def test_gap_inside_day_is_an_error(self, tmp_path):
         days = make_demo_dataset(seed=5, n_days=3)
@@ -398,11 +425,13 @@ def test_edited_price_file_matches_line_path(tmp_path, edit, crlf, bulk, expecte
                                                 "is off the 60-minute step grid")),
     (_extra_fraction_on_last_day, (DataFormatError, "prices: stamp 2021-01-03T21:00:00.250000 "
                                                     "is off the 60-minute step grid")),
-    (_header_only, ([], [])),
+    (_header_only, ([], [(IncompleteDayWarning,
+                          "prices: lacks 3 days that another file holds complete "
+                          "(2021-01-01 to 2021-01-03), left out of the dataset", __file__)])),
 ], ids=["fraction in middle day", "extra fraction on last day", "header only"])
 def test_fractional_stamps_and_empty_files(tmp_path, edit, expected):
     """A stamp a fraction of a second off the grid is not truncated onto
-    it, and a file with no rows gives no days and no warning."""
+    it, and a file with no rows gives no days and says which it lacks."""
     paths = (tmp_path / "p.csv", tmp_path / "d.csv", tmp_path / "pv.csv")
     save_dataset(make_demo_dataset(seed=5, n_days=3), *paths)
     paths[0].write_text("\n".join(edit(paths[0].read_text().splitlines())) + "\n")

@@ -14,10 +14,9 @@ from hessmg.builder import BuildError, build
 from hessmg.cli import main
 from hessmg.data import (SERIES, GridSpec, Horizon, SourceSpec, make_demo_dataset,
                          write_demo_files)
-from hessmg.run import (VIOLATION_TOL, ExperimentConfig, RunContext, cached_scenario,
+from hessmg.run import (VIOLATION_TOL, ExperimentConfig, RunContext,
                         context_from_config, paired_flow_warnings, problem_data,
                         run_experiments, run_one,
-                        scenario_cache_key,
                         emit_traces, write_outputs, write_results_json,
                         write_summary, summary_columns)
 from hessmg.scenario import ScenarioModel, build_scenario
@@ -475,49 +474,6 @@ class TestOutputs:
         assert "\r\n1,plain,\r\n" in text and "\r\n2,plain,\r\n" in text
 
 
-class TestScenarioCache:
-    def test_key_depends_on_data_and_params(self):
-        days_a = make_demo_dataset(seed=1, n_days=8)
-        days_b = make_demo_dataset(seed=2, n_days=8)
-        k = scenario_cache_key(days_a, 2, 4, 0)
-        assert k != scenario_cache_key(days_b, 2, 4, 0)
-        assert k != scenario_cache_key(days_a, 3, 4, 0)
-        assert k == scenario_cache_key(days_a, 2, 4, 0)
-
-    def test_cache_round_trip_and_reuse(self, tmp_path):
-        days = make_demo_dataset(seed=1, n_days=8)
-        first = cached_scenario(days, 2, 4, 0, cache_dir=tmp_path)
-        files = list(tmp_path.glob("scenario-*.json"))
-        assert len(files) == 1
-        # poison the cache payload marker-free: reload must hit the file
-        second = cached_scenario(days, 2, 4, 0, cache_dir=tmp_path)
-        assert second == first
-        assert list(tmp_path.glob("scenario-*.json")) == files
-
-    @pytest.mark.parametrize("failing", [(ScenarioModel, "to_json"), (os, "replace")],
-                             ids=["serializing", "renaming"])
-    def test_failed_write_leaves_no_cache(self, tmp_path, failing):
-        # a cache file is written whole or not at all: a failed write leaves
-        # nothing behind, and the next call builds the scenario again
-        days = make_demo_dataset(seed=1, n_days=8)
-        with mock.patch.object(*failing, side_effect=OSError("disk full")):
-            with pytest.raises(OSError, match="disk full"):
-                cached_scenario(days, 2, 4, 0, cache_dir=tmp_path)
-        assert os.listdir(tmp_path) == []
-        assert cached_scenario(days, 2, 4, 0, cache_dir=tmp_path) == build_scenario(days, 2, 4, 0)
-        assert [f.name for f in tmp_path.iterdir()] == [
-            f"scenario-{scenario_cache_key(days, 2, 4, 0)}.json"]
-
-    def test_older_layout_cache_is_rebuilt(self, tmp_path):
-        # the name of these inputs' cache file before the key hashed the layout
-        days = make_demo_dataset(seed=0, n_days=20)
-        older = tmp_path / "scenario-65fb028a458d6a87.json"
-        older.write_text('{"n_clusters": 2}')
-        assert cached_scenario(days, 2, 4, 0, cache_dir=tmp_path) == build_scenario(days, 2, 4, 0)
-        assert older.read_text() == '{"n_clusters": 2}'
-        assert len(list(tmp_path.glob("scenario-*.json"))) == 2
-
-
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -577,13 +533,17 @@ class TestCli:
                      "--out", str(tmp_path / "config.json")]) == 0
         assert (tmp_path / "flags.json").read_bytes() == (tmp_path / "config.json").read_bytes()
 
-    @pytest.mark.parametrize("before", [None, b"an older scenario"], ids=["new", "existing"])
-    def test_failed_synth_leaves_out_as_it_was(self, workspace, tmp_path, before):
-        # --out is written whole or not at all
+    @pytest.mark.parametrize("before, failing", [
+        (None, (ScenarioModel, "to_json")), (b"an older scenario", (ScenarioModel, "to_json")),
+        (None, (os, "replace")), (b"an older scenario", (os, "replace")),
+    ], ids=["new", "existing", "new-renaming", "existing-renaming"])
+    def test_failed_synth_leaves_out_as_it_was(self, workspace, tmp_path, before, failing):
+        # --out is written whole or not at all: a failure before the file is
+        # written, or while it is renamed into place, leaves no partial file
         out = tmp_path / "scenario.json"
         if before is not None:
             out.write_bytes(before)
-        with mock.patch.object(ScenarioModel, "to_json", side_effect=ValueError("no JSON")):
+        with mock.patch.object(*failing, side_effect=OSError("disk full")):
             assert main(["synth", "--config", str(workspace[1]), "--out", str(out)]) == 2
         assert os.listdir(tmp_path) == ([] if before is None else ["scenario.json"])
         assert before is None or out.read_bytes() == before
@@ -616,12 +576,9 @@ class TestCli:
         out = tmp_path / "run"
         assert main(["optimize", "--config", str(cfg_path),
                      "--out-dir", str(out)]) == 0
-        # the files `experiments` writes, for the one experiment "design",
-        # besides the scenario cache
-        files = set(os.listdir(out))
-        caches = {f for f in files if f.startswith("scenario-") and f.endswith(".json")}
-        assert len(caches) == 1
-        assert files - caches == {"summary.csv", "results.json", "traces_design.csv"}
+        # the files `experiments` writes, for the one experiment "design", and
+        # nothing else
+        assert set(os.listdir(out)) == {"summary.csv", "results.json", "traces_design.csv"}
         assert "exp design: status=optimal" in capsys.readouterr().out
 
     def test_experiments(self, workspace, tmp_path, capsys):
@@ -643,13 +600,47 @@ class TestCli:
         assert (out / "traces_a.csv").exists()
         assert (out / "traces_b.csv").exists()
 
+    def test_experiments_twice_into_one_out_dir(self, workspace, tmp_path):
+        # a second run from the same CSVs synthesizes the same scenario again and
+        # overwrites the same files with the same bytes; nothing else is kept
+        out = tmp_path / "exp"
+        args = ["experiments", "--config", str(workspace[1]), "--out-dir", str(out)]
+        assert main(args) == 0
+        first = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert set(first) == {"summary.csv", "results.json", "traces_a.csv", "traces_b.csv"}
+        assert main(args) == 0
+        second = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert set(second) == set(first)
+        for name in ("summary.csv", "traces_a.csv", "traces_b.csv"):
+            assert second[name] == first[name], name
+
+    @pytest.mark.parametrize("command", ["optimize", "experiments"])
+    @pytest.mark.parametrize("source", ["csv", "scenario"])
+    def test_unusable_out_dir_fails_before_any_design(self, workspace, tmp_path, capsys,
+                                                      command, source):
+        # --out-dir is made before the first design, whatever the scenario's source
+        args = [command, "--config", str(workspace[1])]
+        if source == "scenario":
+            scenario = tmp_path / "scenario.json"
+            assert main(["synth", "--config", str(workspace[1]), "--out", str(scenario)]) == 0
+            args += ["--scenario", str(scenario)]
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        capsys.readouterr()
+        with mock.patch("hessmg.run.run_one", wraps=run_one) as spy:
+            assert main(args + ["--out-dir", str(blocker / "out")]) == 2
+        assert spy.call_count == 0
+        err = capsys.readouterr().err
+        assert err.startswith("hessmg: error: ") and str(blocker / "out") in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_export_mps(self, workspace, tmp_path, monkeypatch):
         root, cfg_path = workspace
         monkeypatch.chdir(tmp_path)
         assert main(["export-mps", "--config", str(cfg_path), "--out", "model.mps"]) == 0
         text = (tmp_path / "model.mps").read_text()
         assert text.startswith("NAME") and text.rstrip().endswith("ENDATA")
-        # the MPS file is all it writes: no scenario cache in the working directory
+        # the MPS file is all it writes: no scenario file in the working directory
         assert os.listdir(tmp_path) == ["model.mps"]
 
     def test_optimize_reuses_scenario_json(self, workspace, tmp_path, capsys):
@@ -662,8 +653,8 @@ class TestCli:
                      str(scenario), "--out-dir", str(out)]) == 0
         result = json.loads((out / "results.json").read_text())[0]
         assert result["status"] == "optimal"
-        # a run given a scenario file clusters nothing, so it leaves no scenario cache
-        assert not list(out.glob("scenario-*.json"))
+        # a run given a scenario file writes its outputs and no scenario file
+        assert set(os.listdir(out)) == {"summary.csv", "results.json", "traces_design.csv"}
 
     def test_optimize_with_scenario_needs_no_data_files(self, workspace, tmp_path):
         root, cfg_path = workspace
