@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 from . import run as runner
 from .builder import build
@@ -148,16 +149,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """``warnings.showwarning`` for the command line: the message alone, in
+    the form of the ``hessmg: error:`` line."""
+    print(f"hessmg: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     """Run one subcommand. A fault in the inputs (a malformed file, field
     or flag, a missing input, or a path that cannot be read) prints one
-    line and gives 2; a design that is not optimal gives 1."""
+    line and gives 2; a design that is not optimal gives 1. A warning that
+    the filters show prints as one line too; one they turn into an error
+    is raised."""
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"hessmg: error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():    # restores the display on the way out
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except (ValueError, OSError) as exc:
+            print(f"hessmg: error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -501,7 +501,7 @@ def load_dataset(price_path, demand_path, pv_path, horizon: Horizon) -> list[His
 def save_dataset(days, price_path, demand_path, pv_path):
     """Write days back out in the load_dataset CSV layout (exact round-trip)."""
     for path, f in zip((price_path, demand_path, pv_path), SIGNAL_FILES):
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(f.header)
             for day in days:

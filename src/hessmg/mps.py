@@ -15,11 +15,19 @@ parses each section body in bulk, in pieces of whole lines. Anything else
 raises MpsFormatError naming the file and the section: a comment or blank
 line, another section (OBJSENSE, RANGES), an integer MARKER or bound, a PL
 bound, a second N row, a repeated row name, an unknown name, a token that
-is not a number or a line with the wrong number of fields.
+is not a number, a line with the wrong number of fields, or text that is
+not UTF-8.
+
+Both sides use UTF-8, whatever the locale. The reader reads the file's
+bytes once and works on them: it finds the section headers there, cuts
+each body into pieces of whole lines, and counts each piece's fields on
+its bytes, splitting at the ASCII whitespace of str.split (the codes 9-13
+and 28-32). Only then is the piece decoded, for one str.split.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 
 import numpy as np
@@ -94,7 +102,7 @@ def write_mps(model: ModelInstance, path, name: str = "HESSMG"):
                          shape=(1, len(c)))
     csc = sp.vstack([cost, a], format="csr").tocsc()
 
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"NAME {name}\nROWS\n N {OBJ_ROW}\n")
         _write_lines(fh, " %s %s\n", types[model.sense_codes()], row_names[1:])
         fh.write("COLUMNS\n")
@@ -116,15 +124,28 @@ def write_mps(model: ModelInstance, path, name: str = "HESSMG"):
 # their bodies; NAME and ENDATA have none
 _LAYOUT = {"NAME": (), "ROWS": (2,), "COLUMNS": (3,), "RHS": (3,), "BOUNDS": (3, 4),
            "ENDATA": ()}
-_PIECE = 1 << 20    # a section body is parsed this many characters at a time
+_PIECE = 1 << 20    # a section body is parsed this many bytes at a time
 _OBJECTIVE = -1     # the row index of the N row, which ROWS holds first and once
 _ROW_CODE = {"N": _OBJECTIVE, **{t: code for code, t in _ROW_TYPE.items()}}
 _BOUND_CODE = {t: i for i, t in enumerate(("UP", "LO", "FX", "FR", "MI"))}
 _VALUED = 3         # bound codes below this carry a value
 _SETS_LOWER = np.array([False, True, True, True, True])    # by bound code
 _SETS_UPPER = np.array([True, False, True, True, False])
-_WHITESPACE = np.zeros(256, dtype=bool)    # the ASCII whitespace of str.split
-_WHITESPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+# a line break followed by a byte that is not ASCII whitespace
+_COLUMN_ZERO = re.compile(rb"\n[^\t-\r\x1c- ]")
+
+
+def _starts_with_space(data: bytes, at: int) -> bool:
+    """Whether the character at byte `at` is whitespace to str.isspace,
+    which also takes some non-ASCII characters (U+00A0, U+2003)."""
+    return data[at:at + 4].decode(errors="replace")[:1].isspace()
+
+
+def _header_starts(data: bytes):
+    """The byte offset of each line after the first that starts in column 0."""
+    for m in _COLUMN_ZERO.finditer(data):
+        if not _starts_with_space(data, m.start() + 1):
+            yield m.start() + 1
 
 
 def read_mps(path) -> ModelInstance:
@@ -132,37 +153,42 @@ def read_mps(path) -> ModelInstance:
 
     Any other layout raises MpsFormatError naming the file and the section.
     """
-    with open(path) as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
     reader = _Reader(path)
-    if not text[:1] or text[:1].isspace():
+    if not data[:1] or _starts_with_space(data, 0):
         raise reader.error("NAME", "not the first line")
     # lines that start in column 0 are section headers; NAME's holds a name
-    starts = [0] + [m.start() + 1 for m in re.finditer(r"\n\S", text)]
+    starts = [0, *itertools.islice(_header_starts(data), len(_LAYOUT))]
     found, bodies = [], []
-    for a, b in zip(starts[:len(_LAYOUT) + 1], starts[1:] + [len(text)]):
-        end = text.find("\n", a, b)
+    for a, b in zip(starts, starts[1:] + [len(data)]):
+        end = data.find(b"\n", a, b)
         end = b if end < 0 else end
-        head = text[a:end].split()
+        head = data[a:end].decode(errors="replace").split()
         found.append(" ".join(head[:1] if head[0] == "NAME" else head))
         bodies.append((end + 1, b))
     if found != list(_LAYOUT):
         raise MpsFormatError(f"{path}: sections {' '.join(found)}; "
                              f"write_mps writes {' '.join(_LAYOUT)}")
+    reader.text("NAME", data[:bodies[0][0]], 0)    # its name: the one header not compared
     for section, (start, stop) in zip(_LAYOUT, bodies):
-        reader.body(section, text, start, stop)
-    del text    # lowers peak memory while the model is assembled
+        reader.body(section, data, start, stop)
+    del data    # lowers peak memory while the model is assembled
     return reader.model()
 
 
-def _fields_per_line(text: str) -> np.ndarray:
-    """The number of whitespace-separated fields on each line of `text`."""
-    b = np.frombuffer(text.encode(), dtype=np.uint8)
-    space = np.append(True, _WHITESPACE[b])    # as if a space came first
-    # a field starts where whitespace is followed by non-whitespace
-    first = np.flatnonzero(space[:-1] > space[1:])
+def _fields_per_line(piece: bytes) -> np.ndarray:
+    """The number of whitespace-separated fields on each line of `piece`,
+    split at the ASCII whitespace of str.split: the codes 9-13 and 28-32."""
+    b = np.frombuffer(piece, dtype=np.uint8)
+    # uint8 subtraction wraps, so each range is one subtraction and one compare
+    space = (b - np.uint8(9) < 5) | (b - np.uint8(28) < 5)
+    # a field starts at non-whitespace that opens the piece or follows whitespace
+    first = ~space
+    first[1:] &= space[:-1]
+    first = np.flatnonzero(first)
     line_end = np.flatnonzero(b == 10)
-    if not text.endswith("\n"):
+    if not piece.endswith(b"\n"):
         line_end = np.append(line_end, len(b))
     return np.diff(np.searchsorted(first, line_end), prepend=0)
 
@@ -197,24 +223,32 @@ class _Reader:
     def error(self, section, message):
         return MpsFormatError(f"{self.path}: {section}: {message}")
 
-    def body(self, section, text, start, stop):
-        """Parse text[start:stop], the body of `section`, in pieces of whole
+    def text(self, section, raw, offset) -> str:
+        """`raw`, the part of `section` at byte `offset`, decoded as UTF-8."""
+        try:
+            return raw.decode()
+        except UnicodeDecodeError as e:
+            raise self.error(section, f"not UTF-8 text (byte 0x{e.object[e.start]:02x} "
+                             f"at offset {offset + e.start}: {e.reason})") from None
+
+    def body(self, section, data, start, stop):
+        """Parse data[start:stop], the body of `section`, in pieces of whole
         lines, so that no piece's tokens take much memory."""
         while start < stop:
             cut = stop
             if stop - start > _PIECE:
-                cut = text.find("\n", start + _PIECE, stop) + 1 or stop
-            self.piece(section, text[start:cut])
+                cut = data.find(b"\n", start + _PIECE, stop) + 1 or stop
+            self.piece(section, data[start:cut], start)
             start = cut
 
-    def piece(self, section, text):
+    def piece(self, section, raw, offset):
         widths = _LAYOUT[section]
-        fields = _fields_per_line(text)
+        fields = _fields_per_line(raw)
         wrong = ~np.isin(fields, widths)
         if wrong.any():
             raise self.error(section, f"a line of {fields[wrong.argmax()]} fields; "
                              f"write_mps writes {' or '.join(map(str, widths)) or 'none'}")
-        tokens = text.split()
+        tokens = self.text(section, raw, offset).split()
         if len(tokens) != fields.sum():
             raise self.error(section, "whitespace that is not ASCII")
         getattr(self, section.lower())(tokens, fields)    # rows, columns, rhs, bounds

@@ -125,7 +125,7 @@ def write_whole(path, text: str):
     beside it, renamed onto it."""
     partial = f"{path}.{os.getpid()}.partial"
     try:
-        with open(partial, "w") as fh:
+        with open(partial, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(partial, path)
     except BaseException:
@@ -349,7 +349,7 @@ def summary_columns(catalog_order: list[str]) -> list[str]:
 
 def write_summary(results: list[DesignResult], catalog_order: list[str], path):
     """Stable-order CSV mirroring the result-table columns."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         columns = summary_columns(catalog_order)
         w.writerow(columns)
@@ -385,12 +385,12 @@ def emit_traces(result: DesignResult, path):
     steps = [step for step in map(str, range(n)) for _ in names]
     lines = [step + name + cell for step, name, cell in zip(steps, names * n, cells)]
     header = ",".join(map(_csv_field, TRACE_HEADER))
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\r\n".join([header, *lines]) + "\r\n")
 
 
 def write_results_json(results: list[DesignResult], path):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump([r.record() for r in results], fh, indent=2, allow_nan=False)
 
 

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hessmg.builder import ProblemData, build
 from hessmg.data import Horizon, PvSpec, SourceSpec, load_catalog, make_demo_dataset
@@ -314,6 +316,16 @@ GOLDEN_FAMILIES = {
 }
 
 
+# the bytes of the pieces drawn for _fields_per_line: every ASCII control
+# and whitespace code, a letter, and the UTF-8 of é, U+00A0 and U+2003 (the
+# last two whitespace to str.split, but not ASCII)
+_PIECE_BYTES = [bytes([c]) for c in (*range(33), 127)] + [
+    b"a", *(c.encode() for c in "\u00e9\u00a0\u2003")]
+# the ASCII whitespace of str.split, each code mapped to a blank
+_ASCII_SPACE = bytes(c for c in range(128) if chr(c).isspace())
+_ASCII_SPACE_TO_BLANK = bytes.maketrans(_ASCII_SPACE, b" " * len(_ASCII_SPACE))
+
+
 class TestMps:
     def test_golden_row_families(self):
         for name, model in _golden_instances():
@@ -523,6 +535,44 @@ class TestMps:
         with pytest.raises(MpsFormatError,
                            match=f"^{re.escape(str(path))}: ROWS: repeated row name {name}$"):
             read_mps(path)
+
+    @pytest.mark.parametrize("old, new, message", [
+        (" p.x COST 2", " p.x\u00a0COST cover 2", "COLUMNS: whitespace that is not ASCII"),
+        (" p.x cover 1", "\u00a0p.x\u00a0cover 1", "COLUMNS: a line of 2 fields"),
+    ], ids=["between fields", "opening a line"])
+    def test_non_ascii_whitespace_is_no_separator(self, tmp_path, old, new, message):
+        # U+00A0 is whitespace to str.split but not to the writer, which
+        # separates fields by spaces; a line that opens with it is no header
+        path = tmp_path / "nbsp.mps"
+        path.write_bytes(GOLDEN_MPS.replace(old, new).encode())
+        with pytest.raises(MpsFormatError, match=f"^{re.escape(f'{path}: {message}')}"):
+            read_mps(path)
+
+    @pytest.mark.parametrize("old, new, section", [
+        (b" p.y cover 1", b" p.\xffy cover 1", "COLUMNS"),
+        (b"NAME TINY", b"NAME T\xffNY", "NAME"),
+        (b" FR BND p.y", b" FR BND p.\xe9", "BOUNDS"),
+    ], ids=["column name", "model name", "cut character"])
+    def test_text_that_is_not_utf8_names_its_section(self, tmp_path, old, new, section):
+        data = GOLDEN_MPS.encode().replace(old, new)
+        path = tmp_path / "latin1.mps"
+        path.write_bytes(data)
+        at = data.index(new) + next(i for i, c in enumerate(new) if c > 127)
+        with pytest.raises(MpsFormatError, match=(
+                f"^{re.escape(str(path))}: {section}: not UTF-8 text "
+                f"\\(byte 0x{data[at]:02x} at offset {at}: ")):
+            read_mps(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(_PIECE_BYTES)).map(b"".join), st.booleans())
+    def test_fields_per_line_counts_runs_between_ascii_whitespace(self, body, newline):
+        piece = body + b"\n" if newline else body
+        lines = piece.split(b"\n")
+        if piece.endswith(b"\n"):
+            lines.pop()
+        spaced = [line.translate(_ASCII_SPACE_TO_BLANK).split(b" ") for line in lines]
+        assert mps._fields_per_line(piece).tolist() == [
+            sum(1 for field in line if field) for line in spaced]
 
     def test_isolated_columns_round_trip(self, tmp_path):
         # a column in no row and without cost is written with a zero cost

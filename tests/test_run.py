@@ -3,7 +3,9 @@ import dataclasses
 import importlib
 import json
 import os
+import subprocess
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -12,8 +14,8 @@ import pytest
 import hessmg.run as run_module
 from hessmg.builder import BuildError, build
 from hessmg.cli import main
-from hessmg.data import (SERIES, GridSpec, Horizon, SourceSpec, make_demo_dataset,
-                         write_demo_files)
+from hessmg.data import (SERIES, SIGNAL_FILES, GridSpec, Horizon, IncompleteDayWarning,
+                         SourceSpec, make_demo_dataset, write_demo_files)
 from hessmg.run import (VIOLATION_TOL, ExperimentConfig, RunContext,
                         context_from_config, paired_flow_warnings, problem_data,
                         run_experiments, run_one,
@@ -642,6 +644,63 @@ class TestCli:
         assert text.startswith("NAME") and text.rstrip().endswith("ENDATA")
         # the MPS file is all it writes: no scenario file in the working directory
         assert os.listdir(tmp_path) == ["model.mps"]
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_warning_prints_one_line(self, tmp_path, capsys, action):
+        # a warning that the filters show is one line on standard error, like
+        # an input fault; one that they turn into an error is raised
+        paths = write_demo_files(make_demo_dataset(seed=0, n_days=40), tmp_path)
+        prices = pathlib.Path(paths[0]).read_text().splitlines(keepends=True)
+        pathlib.Path(paths[0]).write_text("".join(prices[:1 + 20 * 24]))
+        args = ["synth", *(f"--{f.label}={p}" for f, p in zip(SIGNAL_FILES, paths)),
+                "--clusters", "2", "--days", "2", "--out", str(tmp_path / "scenario.json")]
+        show = warnings.showwarning
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, IncompleteDayWarning)
+            if action == "error":
+                with pytest.raises(IncompleteDayWarning, match="^prices: lacks 20 days"):
+                    main(args)
+            else:
+                assert main(args) == 0
+            assert warnings.showwarning is show
+        if action == "default":
+            assert capsys.readouterr().err == (
+                "hessmg: warning: prices: lacks 20 days that another file holds complete "
+                "(2021-01-21 to 2021-02-09), left out of the dataset\n")
+
+    def test_outputs_are_utf8_whatever_the_locale(self, workspace, tmp_path):
+        # a technology name outside ASCII reaches every output as UTF-8 under
+        # an ASCII locale, and the MPS export reads back into the same bytes
+        name = "flywhéel"
+        catalog = tmp_path / "catalog.ini"
+        catalog.write_bytes((RESOURCES / "catalog_case_study.ini").read_bytes().replace(
+            b"[flywheel]", f"[{name}]".encode()))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({
+            **json.loads(workspace[1].read_text()), "catalog": str(catalog),
+            "experiments": [{"id": "a", "ess": ["battery", name]}]}))
+        out = tmp_path / "out"
+        script = (
+            "import codecs, locale, sys\n"
+            "from hessmg.cli import main\n"
+            "from hessmg.mps import read_mps, write_mps\n"
+            "assert codecs.lookup(locale.getpreferredencoding(False)).name == 'ascii'\n"
+            "config, out = sys.argv[1:]\n"
+            "assert main(['experiments', '--config', config, '--out-dir', out]) == 0\n"
+            "assert main(['export-mps', '--config', config, '--out', out + '/model.mps']) == 0\n"
+            "write_mps(read_mps(out + '/model.mps'), out + '/again.mps')\n")
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONPATH":
+               os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONUTF8", None)
+        subprocess.run([sys.executable, "-X", "utf8=0", "-W", "error", "-c", script,
+                        str(cfg_path), str(out)], env=env, check=True, capture_output=True)
+        outputs = {f.name: f.read_bytes().decode("utf-8") for f in out.iterdir()}
+        assert set(outputs) == {"summary.csv", "results.json", "traces_a.csv",
+                                "model.mps", "again.mps"}
+        assert f"e_max_mwh_{name}" in outputs["summary.csv"]
+        assert f" E_max.{name} COST " in outputs["model.mps"]
+        assert (out / "again.mps").read_bytes() == (out / "model.mps").read_bytes()
 
     def test_optimize_reuses_scenario_json(self, workspace, tmp_path, capsys):
         root, cfg_path = workspace
