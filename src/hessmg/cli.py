@@ -162,6 +162,8 @@ def main(argv=None) -> int:
     the filters show prints as one line too; one they turn into an error
     is raised."""
     args = build_parser().parse_args(argv)
+    if argv is None and getattr(args, "ess", None):  # sys.argv, in the locale's codec
+        args.ess = os.fsencode(args.ess).decode("utf-8", "surrogateescape")  # as the catalog
     with warnings.catch_warnings():    # restores the display on the way out
         warnings.showwarning = _show_warning
         try:

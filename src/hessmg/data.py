@@ -8,15 +8,15 @@ k EUR/MWh and k EUR/MW, so only capacity fields need rescaling. Spot
 prices are kept in EUR/MWh as they appear in market exports; the cost
 model converts them to k EUR when assembling objective coefficients.
 
-``load_dataset`` reads each signal CSV of ``SIGNAL_FILES`` as UTF-8 text (a
-leading byte-order mark is dropped, as from every input text file), along
-one of two paths. A file in the regular layout (the exact header line,
-``\n`` or ``\r\n`` line ends, no blank lines, no quotes, the same number of
-cells on every line, every timestamp a canonical ``YYYY-MM-DDTHH:MM:SS``
-stamp of a real date and time, every value a finite number) is read in
-bulk: one split of the whole text into cells, the stamps checked and turned
-into integers with NumPy, the values parsed by ``float`` one column at a
-time. Any other file is read line by line with ``csv`` and
+Every input text file (signal CSVs, catalog, run configs, scenario files)
+is read once, by ``read_text``. ``load_dataset`` reads each signal CSV of
+``SIGNAL_FILES`` along one of two paths. A file in the regular layout (the
+exact header line, ``\n`` or ``\r\n`` line ends, no blank lines, no quotes,
+the same number of cells on every line, every timestamp a canonical
+``YYYY-MM-DDTHH:MM:SS`` stamp of a real date and time, every value a finite
+number) is read in bulk: one split of the whole text into cells, the stamps
+checked and turned into integers with NumPy, the values parsed by ``float``
+one column at a time. Any other text is read line by line with ``csv`` and
 ``datetime.fromisoformat``, which accept more (quotes, blank lines, a space
 separator, stamps without seconds or with fractions of a second; a stamp
 with a UTC offset is an error) and report every malformed row with its
@@ -34,6 +34,7 @@ from __future__ import annotations
 import configparser
 import csv
 import datetime as dt
+import io
 import math
 import operator
 import os
@@ -84,9 +85,16 @@ class CatalogError(ValueError):
     """Missing or invalid technology catalog entry."""
 
 
-def not_utf8(path, exc: UnicodeDecodeError) -> str:
-    """The one-line fault of an input file that is not UTF-8 text."""
-    return f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
+def read_text(path) -> str:
+    """The text of the input file at `path`: UTF-8, a leading byte-order mark
+    dropped, line ends as written. A file that ``open`` fails on raises its
+    OSError; one that is not UTF-8 a one-line DataFormatError naming it."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text "
+                              f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None
 
 
 class IncompleteDayWarning(UserWarning):
@@ -297,41 +305,42 @@ def check_object(raw, fields: dict[str, JsonType], what, prefix="", required=())
 
 
 def _read_signal_file(path, header, n_values):
-    """Parse a `timestamp,value...` CSV line by line into (stamps in
-    microseconds, one value array per column), one entry per row."""
+    """Parse a `timestamp,value...` CSV into (stamps in microseconds, one
+    value array per column), one entry per row: in bulk when its text is in
+    the regular layout, else line by line."""
+    text = read_text(path)
+    if (bulk := _read_bulk(text, header, n_values)) is not None:
+        return bulk
     stamps, values = [], []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            got = next(reader, None)
-            if got is None:
-                raise DataFormatError(f"{path}: empty file")
-            if tuple(h.strip() for h in got) != header:
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        got = next(reader, None)
+        if got is None:
+            raise DataFormatError(f"{path}: empty file")
+        if tuple(h.strip() for h in got) != header:
+            raise DataFormatError(
+                f"{path}: header mismatch, expected {','.join(header)}, got {','.join(got)}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 1 + n_values:
+                raise DataFormatError(f"{path}:{lineno}: expected {1 + n_values} columns")
+            try:
+                ts = dt.datetime.fromisoformat(row[0])
+                vals = tuple(float(v) for v in row[1:])
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{lineno}: malformed row ({exc})") from None
+            if ts.tzinfo is not None:
                 raise DataFormatError(
-                    f"{path}: header mismatch, expected {','.join(header)}, got {','.join(got)}")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 1 + n_values:
-                    raise DataFormatError(f"{path}:{lineno}: expected {1 + n_values} columns")
-                try:
-                    ts = dt.datetime.fromisoformat(row[0])
-                    vals = tuple(float(v) for v in row[1:])
-                except ValueError as exc:
-                    raise DataFormatError(f"{path}:{lineno}: malformed row ({exc})") from None
-                if ts.tzinfo is not None:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: timestamp {row[0]} carries a UTC offset; "
-                        "stamps are local wall-clock times without one")
-                if not all(map(math.isfinite, vals)):
-                    raise DataFormatError(f"{path}:{lineno}: non-finite value")
-                stamps.append(ts.toordinal() * _DAY_US + ts.microsecond
-                              + (ts.hour * 3600 + ts.minute * 60 + ts.second) * 1_000_000)
-                values.extend(vals)
-        except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
-            raise DataFormatError(f"{path}:{reader.line_num}: malformed row ({exc})") from None
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(not_utf8(path, exc)) from None
+                    f"{path}:{lineno}: timestamp {row[0]} carries a UTC offset; "
+                    "stamps are local wall-clock times without one")
+            if not all(map(math.isfinite, vals)):
+                raise DataFormatError(f"{path}:{lineno}: non-finite value")
+            stamps.append(ts.toordinal() * _DAY_US + ts.microsecond
+                          + (ts.hour * 3600 + ts.minute * 60 + ts.second) * 1_000_000)
+            values.extend(vals)
+    except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
+        raise DataFormatError(f"{path}:{reader.line_num}: malformed row ({exc})") from None
     return (np.array(stamps, dtype=np.int64),
             list(np.array(values, dtype=float).reshape(-1, n_values).T))
 
@@ -362,15 +371,10 @@ def _stamp_seconds(codes):
     return stamps.ravel().astype(np.int64) + _EPOCH_SECONDS
 
 
-def _read_bulk(path, header, n_values):
-    """A signal file in the regular layout (see the module docstring) as
-    (stamps in microseconds, one value array per column), one entry per
-    row; None for any other file."""
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        return None
+def _read_bulk(text, header, n_values):
+    """The text of a signal file in the regular layout (see the module
+    docstring) as (stamps in microseconds, one value array per column), one
+    entry per row; None for any other text."""
     head, _, body = text.replace("\r\n", "\n").partition("\n")
     body = body[:-1] if body.endswith("\n") else body
     if (head != ",".join(header) or not body or '"' in body or "\r" in body
@@ -462,8 +466,7 @@ def load_dataset(price_path, demand_path, pv_path, horizon: Horizon) -> list[His
     series' range, named with its file, stamp and column.
     """
     paths = (price_path, demand_path, pv_path)
-    parsed = [_read_bulk(path, f.header, len(f.series))
-              or _read_signal_file(path, f.header, len(f.series))
+    parsed = [_read_signal_file(path, f.header, len(f.series))
               for path, f in zip(paths, SIGNAL_FILES)]
     # a loop, not a comprehension: the warning's stacklevel counts frames
     per_file = []
@@ -549,14 +552,11 @@ def load_catalog(catalog_path) -> dict[str, EssSpec]:
     Every section holds exactly the keys of `_CATALOG_FIELDS`, each value
     read as written (no `%` interpolation)."""
     parser = configparser.ConfigParser(interpolation=None)
-    try:
-        if not parser.read(catalog_path, encoding="utf-8-sig"):
-            raise CatalogError(f"cannot read catalog {catalog_path}")
+    try:   # lines split at any line end, as in a file opened in text mode
+        parser.read_file(io.StringIO(read_text(catalog_path), newline=None), str(catalog_path))
         raw = {name: dict(parser[name]) for name in parser.sections()}
     except configparser.Error as exc:
         raise _catalog_syntax_fault(catalog_path, exc) from None
-    except UnicodeDecodeError as exc:
-        raise CatalogError(not_utf8(catalog_path, exc)) from None
     # a value is checked as written: every scale is positive, so its interval holds
     intervals = {f.name: f.metadata.get("interval") for f in fields(EssSpec)}
     catalog = {}

@@ -19,7 +19,7 @@ from .builder import GRID, PV, ProblemData, build, design_pins
 from .costs import AUDIT_REL_TOL, CostBreakdown, audit
 from .data import (INTEGER, NUMBER, OBJECT, STRING, EssSpec, GridSpec, Horizon, JsonType,
                    PvSpec, SourceSpec, check_object, list_of, load_catalog, load_dataset,
-                   not_utf8)
+                   read_text)
 from .scenario import ScenarioModel, build_scenario
 from .solve import OPTIMAL, VerifyReport, solve as solve_model, verify
 
@@ -438,13 +438,10 @@ RUN_DEFAULTS = {
 
 
 def _read_json(path, parse=json.loads):
-    """`parse` applied to the text of the JSON file at `path`; a file that
-    is not UTF-8 text or not JSON raises ValueError naming it."""
+    """`parse` applied to the ``read_text`` of the JSON file at `path`; a
+    file that is not JSON raises ValueError naming it."""
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            return parse(fh.read())
-    except UnicodeDecodeError as exc:
-        raise ValueError(not_utf8(path, exc)) from None
+        return parse(read_text(path))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not JSON ({exc})") from None
 

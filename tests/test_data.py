@@ -232,6 +232,24 @@ class TestLoadDataset:
                            match=re.escape(f"{paths[index]}:8: non-finite value")):
             load_dataset(*paths, Horizon(t_syn=1))
 
+    def test_non_numeric_value_reports_line(self, tmp_path):
+        # the file is otherwise in the regular layout: the bulk reader leaves
+        # it to the line reader, which names the line
+        paths = self._write(tmp_path, make_demo_dataset(seed=5, n_days=2))
+        text = paths[1].read_text().splitlines()
+        text[7] = ",".join(text[7].split(",")[:2] + ["n/a"])
+        paths[1].write_text("\n".join(text) + "\n")
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"{paths[1]}:8: malformed row (could not convert string to float: 'n/a')")):
+            load_dataset(*paths, Horizon(t_syn=1))
+
+    @pytest.mark.parametrize("file", [0, 1, 2], ids=["prices", "demand", "pv"])
+    def test_empty_file(self, tmp_path, file):
+        paths = self._write(tmp_path, make_demo_dataset(seed=5, n_days=2))
+        paths[file].write_bytes(b"")
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(paths[file]))}: empty file$"):
+            load_dataset(*paths, Horizon(t_syn=1))
+
     def test_historical_day_rejects_non_finite(self):
         day = make_demo_dataset(seed=5, n_days=1)[0]
         for name in SERIES:
@@ -288,7 +306,8 @@ def _outcome(paths, horizon, line=False):
 
 
 def _bulk_reads(paths):
-    return [data._read_bulk(p, *layout) is not None for p, layout in zip(paths, LAYOUTS)]
+    return [data._read_bulk(data.read_text(p), *layout) is not None
+            for p, layout in zip(paths, LAYOUTS)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -476,6 +495,18 @@ def test_byte_order_mark_is_dropped_from_a_signal_file(tmp_path, file, line):
     assert isinstance(plain[0], list) and len(plain[0]) == 3
 
 
+@pytest.mark.parametrize("edit", [_blank_lines, _quoted], ids=["blank lines", "quoted cells"])
+def test_signal_file_in_another_layout_is_opened_once(tmp_path, edit):
+    """The line reader reads the text the bulk reader declined; it does not
+    open the file again."""
+    paths = (tmp_path / "p.csv", tmp_path / "d.csv", tmp_path / "pv.csv")
+    save_dataset(make_demo_dataset(seed=5, n_days=3), *paths)
+    paths[0].write_text("\n".join(edit(paths[0].read_text().splitlines())) + "\n")
+    with mock.patch("builtins.open", wraps=open) as opened:
+        assert len(load_dataset(*paths, Horizon(t_syn=1))) == 3
+    assert [call.args[0] for call in opened.call_args_list] == list(paths)
+
+
 @pytest.mark.parametrize("file, cell, expected", [
     (1, "-0.5", "2021-01-02T05:00:00: negative demand (wh_mw = -0.5)"),
     (2, "1.2", "2021-01-02T05:00:00: capacity factor out of range (pv_cf = 1.2)"),
@@ -600,8 +631,22 @@ class TestCatalog:
         assert load_catalog(p) == load_catalog(RESOURCES / "catalog_case_study.ini")
 
     def test_unreadable_path(self, tmp_path):
-        with pytest.raises(CatalogError):
+        # a missing catalog fails like every other input file, with open's OSError
+        with pytest.raises(FileNotFoundError, match=re.escape(str(tmp_path / "nope.ini"))):
             load_catalog(tmp_path / "nope.ini")
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_ends(self, tmp_path, end):
+        text = (RESOURCES / "catalog_case_study.ini").read_text()
+        p = tmp_path / "cat.ini"
+        p.write_bytes(text.replace("\n", end).encode())
+        assert load_catalog(p) == load_catalog(RESOURCES / "catalog_case_study.ini")
+
+    def test_empty_catalog(self, tmp_path):
+        p = tmp_path / "cat.ini"
+        p.write_text("# no technology yet\n")
+        with pytest.raises(CatalogError, match=f"^{re.escape(str(p))}: no technology records$"):
+            load_catalog(p)
 
 
 def test_cell_over_the_csv_field_limit_names_its_line(tmp_path):

@@ -702,6 +702,30 @@ class TestCli:
         assert f" E_max.{name} COST " in outputs["model.mps"]
         assert (out / "again.mps").read_bytes() == (out / "model.mps").read_bytes()
 
+    @pytest.mark.parametrize("caller", ["command line", "python"])
+    def test_ess_names_are_utf8_whatever_the_locale(self, workspace, tmp_path, caller):
+        # under an ASCII locale the command line is decoded with the ASCII
+        # codec, but a technology name outside ASCII still names its section
+        # of the UTF-8 catalog, given on the command line or to main() as text
+        name = "flywh\u00e9el"
+        catalog = tmp_path / "catalog.ini"
+        catalog.write_bytes((RESOURCES / "catalog_case_study.ini").read_bytes().replace(
+            b"[flywheel]", f"[{name}]".encode()))
+        out = tmp_path / "model.mps"
+        args = ["export-mps", "--config", str(workspace[1]), "--catalog", str(catalog),
+                "--out", str(out), "--ess"]
+        command = (["-m", "hessmg.cli", *args, f"battery,{name}".encode()]
+                   if caller == "command line" else
+                   ["-c", f"import sys; from hessmg.cli import main; "
+                          f"sys.exit(main({args!r} + ['battery,{ascii(name)[1:-1]}']))"])
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, *command], env=env, capture_output=True)
+        assert done.returncode == 0, done.stderr.decode(errors="replace")
+        text = out.read_bytes().decode("utf-8")
+        assert f" E_max.{name} COST " in text and " E_max.supercapacitor " not in text
+
     def test_optimize_reuses_scenario_json(self, workspace, tmp_path, capsys):
         root, cfg_path = workspace
         scenario = tmp_path / "scenario.json"
@@ -810,6 +834,14 @@ class TestCli:
          "latin1.ini: not UTF-8 text (byte 0xe9: "),
         ("experiments", ["--prices", "{tmp}/latin1.csv"], {},
          "latin1.csv: not UTF-8 text (byte 0xe9: "),
+        ("experiments", ["--config", "{tmp}/latin1.json"], {},
+         "latin1.json: not UTF-8 text (byte 0xe9: "),
+        ("optimize", ["--scenario", "{tmp}/latin1_scenario.json"], {},
+         "latin1_scenario.json: not UTF-8 text (byte 0xe9: "),
+        ("optimize", ["--scenario", "{tmp}/ragged.json"], {},
+         "demand_ch has 23 entries, expected 24"),
+        ("export-mps", ["--catalog", "{tmp}/missing.ini", "--out", "{tmp}/m.mps"], {},
+         "missing.ini"),
     ], ids=["incomplete scenario", "missing scenario", "unknown technology",
             "string clusters", "unknown horizon field", "unknown grid field",
             "unknown pin", "undotted pin", "epigraph pin", "path in experiment id",
@@ -820,7 +852,8 @@ class TestCli:
             "scenario label outside the clusters", "catalog duplicate key",
             "catalog key before any section", "technology name with a space",
             "config not JSON", "scenario not JSON", "catalog not UTF-8",
-            "signal file not UTF-8"])
+            "signal file not UTF-8", "config not UTF-8", "scenario not UTF-8",
+            "scenario series of differing lengths", "missing catalog"])
     def test_input_faults_print_one_line(self, workspace, tmp_path, capsys,
                                          command, extra, config, message):
         root, cfg_path = workspace
@@ -834,6 +867,8 @@ class TestCli:
         (tmp_path / "seven_steps.json").write_text(json.dumps(
             {**raw, "representatives": [{**day, **{n: day[n][:7] for n in SERIES}}]}))
         (tmp_path / "bad_label.json").write_text(json.dumps({**raw, "labels": [0, 99]}))
+        (tmp_path / "ragged.json").write_text(json.dumps(
+            {**raw, "representatives": [{**day, "demand_ch": day["demand_ch"][:-1]}]}))
         catalog = (RESOURCES / "catalog_case_study.ini").read_text()
         (tmp_path / "nan_catalog.ini").write_text(catalog.replace(
             "cost_energy_eur_per_kwh = 900", "cost_energy_eur_per_kwh = nan"))
@@ -847,6 +882,10 @@ class TestCli:
         (tmp_path / "not_json.json").write_text("labels: [0]\n")
         (tmp_path / "latin1.ini").write_bytes(
             catalog.replace("[flywheel]", "[flywheel]\n# caf\xe9").encode("latin-1"))
+        (tmp_path / "latin1.json").write_bytes(
+            cfg_path.read_bytes().replace(b'"seed"', b'"caf\xe9": 1, "seed"'))
+        (tmp_path / "latin1_scenario.json").write_bytes(
+            json.dumps(raw).encode().replace(b'"labels"', b'"caf\xe9": 1, "labels"'))
         prices = (root / "data" / "prices.csv").read_bytes().splitlines(keepends=True)
         (tmp_path / "latin1.csv").write_bytes(b"".join(prices[:3] + [b"caf\xe9\n"] + prices[3:]))
         if config:
