@@ -162,8 +162,8 @@ def main(argv=None) -> int:
     the filters show prints as one line too; one they turn into an error
     is raised."""
     args = build_parser().parse_args(argv)
-    if argv is None and getattr(args, "ess", None):  # sys.argv, in the locale's codec
-        args.ess = os.fsencode(args.ess).decode("utf-8", "surrogateescape")  # as the catalog
+    if getattr(args, "ess", None):  # bytes the locale left undecoded are UTF-8, as the catalog
+        args.ess = args.ess.encode("utf-8", "surrogateescape").decode("utf-8", "surrogateescape")
     with warnings.catch_warnings():    # restores the display on the way out
         warnings.showwarning = _show_warning
         try:

@@ -726,6 +726,22 @@ class TestCli:
         text = out.read_bytes().decode("utf-8")
         assert f" E_max.{name} COST " in text and " E_max.supercapacitor " not in text
 
+    @pytest.mark.parametrize("given", ["flywhéel", "flywh\udcc3\udca9el"],
+                             ids=["decoded", "escaped utf-8"])
+    def test_ess_name_in_process(self, workspace, tmp_path, given):
+        # a name the locale decoded stays as it is (a latin-1 or UTF-8
+        # locale); one left as escaped UTF-8 bytes (an ASCII locale) is read
+        # as UTF-8; both name [flywhéel] of the UTF-8 catalog
+        name = "flywhéel"
+        catalog = tmp_path / "catalog.ini"
+        catalog.write_bytes((RESOURCES / "catalog_case_study.ini").read_bytes().replace(
+            b"[flywheel]", f"[{name}]".encode()))
+        out = tmp_path / "model.mps"
+        assert main(["export-mps", "--config", str(workspace[1]), "--catalog", str(catalog),
+                     "--out", str(out), "--ess", f"battery,{given}"]) == 0
+        text = out.read_bytes().decode("utf-8")
+        assert f" E_max.{name} COST " in text and " E_max.supercapacitor " not in text
+
     def test_optimize_reuses_scenario_json(self, workspace, tmp_path, capsys):
         root, cfg_path = workspace
         scenario = tmp_path / "scenario.json"
